@@ -10,7 +10,6 @@ from .variation import (
     sq_variation_bruteforce,
     sq_variation_exact,
     sq_variation_upper_dyadic,
-    v2_norm_of_sum_check,
 )
 
 __all__ = [
@@ -27,7 +26,6 @@ __all__ = [
     "sq_variation_bruteforce",
     "sq_variation_exact",
     "sq_variation_upper_dyadic",
-    "v2_norm_of_sum_check",
 ]
 
 __version__ = "0.1.0"

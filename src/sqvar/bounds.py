@@ -45,13 +45,6 @@ class EmpiricalTail:
         return math.sqrt(self.frequency * (1.0 - self.frequency) / self.trials)
 
 
-def exp_remainder_ratio(y: float) -> float:
-    """2(e^y - 1 - y)/y^2, continuously extended to 1 at y = 0."""
-    if abs(y) < 1e-8:
-        return 1.0 + y / 3.0
-    return 2.0 * (math.exp(y) - 1.0 - y) / (y * y)
-
-
 def bernstein_maximal_bound(q: BoundQuery) -> float:
     """P[max_l |S_l| > t] <= 2 exp(-(t^2/2) / (sum_var + M t / 3)), capped at 1."""
     expo = -(q.t * q.t / 2.0) / (q.sum_var + q.m_bound * q.t / 3.0)
@@ -103,11 +96,6 @@ def etemadi_check(
     lhs = EmpiricalTail(threshold=3.0 * a, frequency=lhs_hits / trials, trials=trials)
     rhs = 3.0 * float(per_step.max()) / trials
     return lhs, rhs
-
-
-def normal_cdf(x: float) -> float:
-    """Standard normal CDF via the complementary error function."""
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 def berry_esseen_distance(spec: DistributionSpec, k: int, trials: int, seed: int) -> float:

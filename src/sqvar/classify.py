@@ -8,14 +8,11 @@ maximal partition are the statistics whose decay the lab trend-checks.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import variation
-from .families import RealInterval
-from .seqcore import as_samples, prefix_sums
+from .seqcore import prefix_sums
 from .variation import Partition
 
 
@@ -63,11 +60,11 @@ class ClassBreakdown:
 
 def classify_partition(x, pi: Partition, params: ClassParams) -> ClassBreakdown:
     """Label each interval of pi against the two thresholds and accumulate."""
-    arr = as_samples(x)
+    walk = prefix_sums(x)
     b = pi.breakpoints
-    if pi.n != len(arr):
+    if pi.n != walk.n:
         raise ValueError("partition does not match the sequence length")
-    s = prefix_sums(arr).values
+    s = walk.values
     sums2 = (s[b[1:]] - s[b[:-1]]) ** 2
     lens = np.diff(b)
     ll = params.loglog
@@ -84,56 +81,13 @@ def classify_partition(x, pi: Partition, params: ClassParams) -> ClassBreakdown:
     )
 
 
-def _maximal_partition(arr: np.ndarray) -> Partition:
-    n = len(arr)
-    if n <= variation.EXACT_SIZE_CAP:
-        return variation.sq_variation_exact(arr).partition
-    block = max(1, n >> 12)
-    warnings.warn(
-        f"N={n} above the exact cap; classifying the blocked (block={block}) "
-        "approximation instead",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-    return variation.sq_variation_blocked(arr, block).partition
-
-
-def bad_contribution_stat(x, params: ClassParams) -> float:
-    """bad_sum of the maximal partition, normalized by N * lnln(n_ref)."""
-    arr = as_samples(x)
-    br = classify_partition(arr, _maximal_partition(arr), params)
-    return br.bad_sum / (len(arr) * params.loglog)
-
-
-def medium_length_stat(x, params: ClassParams) -> float:
-    """Fraction of [N] covered by medium intervals of the maximal partition."""
-    arr = as_samples(x)
-    br = classify_partition(arr, _maximal_partition(arr), params)
-    return br.medium_len / len(arr)
-
-
-def _is_dyadic_member(interval: RealInterval, n: int) -> bool:
-    ln = interval.length
-    i = round(math.log2(ln)) if ln >= 1 else -1
-    if i < 0 or abs(ln - (1 << i)) > 1e-9 or i > n:
-        return False
-    start, size = interval.start, 1 << i
-    if abs(start % size) < 1e-9 or abs(start % size - size) < 1e-9:
-        return 0 <= start and interval.end <= (1 << n) + 1e-9
-    half = size >> 1
-    if i >= 1 and abs((start - half) % size) < 1e-9:
-        # half shift: levels 1..n-1, last shifted interval ends at 2^n - half
-        return 1 <= i <= n - 1 and half <= start and interval.end <= (1 << n) - half + 1e-9
-    return False
-
-
-def subinterval_max_sq(arr: np.ndarray, start: int, end: int) -> float:
+def subinterval_max_sq(x, start: int, end: int) -> float:
     """max over subintervals (a, b] of (start, end] of S_(a,b]^2, in O(end-start).
 
     For each right endpoint the best left endpoint is the running min or max
     of the prefix values, so one scan suffices.
     """
-    s = prefix_sums(arr).values[start : end + 1]
+    s = prefix_sums(x).values[start : end + 1]
     run_min = np.minimum.accumulate(s[:-1])
     run_max = np.maximum.accumulate(s[:-1])
     hi = s[1:] - run_min
@@ -141,31 +95,12 @@ def subinterval_max_sq(arr: np.ndarray, start: int, end: int) -> float:
     return float(np.maximum(hi * hi, lo * lo).max())
 
 
-def subinterval_max_sq_bruteforce(arr: np.ndarray, start: int, end: int) -> float:
+def subinterval_max_sq_bruteforce(x, start: int, end: int) -> float:
     """O(|I|^2) oracle for subinterval_max_sq."""
-    s = prefix_sums(arr).values
+    s = prefix_sums(x).values
     best = 0.0
     for a in range(start, end):
         for b in range(a + 1, end + 1):
             best = max(best, (s[b] - s[a]) ** 2)
     return best
 
-
-def dyadic_bad_indicator(x, interval: RealInterval, b_threshold: float, n_ref: int) -> bool:
-    """Whether the interval's subinterval maximum exceeds (B/8)|I| lnln(n_ref).
-
-    The interval must belong to the dyadic-or-shifted family for the
-    power-of-two ceiling of n_ref.
-    """
-    if n_ref < 16:
-        raise ValueError("n_ref must be >= 16")
-    arr = as_samples(x)
-    n = max(1, (n_ref - 1).bit_length())
-    if not _is_dyadic_member(interval, n):
-        raise ValueError("interval is not a dyadic or half-shift family member")
-    start, end = round(interval.start), round(interval.end)
-    if end > len(arr):
-        raise ValueError("interval extends past the realized samples")
-    y = subinterval_max_sq(arr, start, end)
-    threshold = (b_threshold / 8.0) * interval.length * math.log(math.log(n_ref))
-    return bool(y > threshold)

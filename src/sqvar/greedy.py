@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import _geom_total, _power_index
-from .seqcore import as_samples, prefix_sums
+from .seqcore import prefix_sums
 from .variation import Partition, VariationResult, partition_value
 
 
@@ -80,10 +80,10 @@ def best_two_cut(x, j: int, window: int) -> TwoCut:
     Ties break to the smallest i2, then the smallest i1, matching the
     exhaustive scan order.
     """
-    arr = as_samples(x)
-    if j < 0 or window < 1 or j + window > len(arr):
+    walk = prefix_sums(x)
+    if j < 0 or window < 1 or j + window > walk.n:
         raise ValueError("window must satisfy 0 <= j and j + window <= N")
-    s = prefix_sums(arr).values[j : j + window + 1]
+    s = walk.values[j : j + window + 1]
     row_best, row_i1 = _two_cut_rows(s)
     i2 = int(np.argmax(row_best)) + 1
     return TwoCut(i1=int(row_i1[i2 - 1]), i2=i2, value=float(row_best[i2 - 1]))
@@ -91,10 +91,10 @@ def best_two_cut(x, j: int, window: int) -> TwoCut:
 
 def best_two_cut_bruteforce(x, j: int, window: int) -> TwoCut:
     """O(window^2) oracle scanning i2 ascending, then i1 ascending."""
-    arr = as_samples(x)
-    if j < 0 or window < 1 or j + window > len(arr):
+    walk = prefix_sums(x)
+    if j < 0 or window < 1 or j + window > walk.n:
         raise ValueError("window must satisfy 0 <= j and j + window <= N")
-    s = prefix_sums(arr).values[j : j + window + 1]
+    s = walk.values[j : j + window + 1]
     a = s[0]
     v = s[1:]
     mid = v[:, None]
@@ -110,10 +110,10 @@ def a_event_holds(x, j: int, window: int, n_ref: int, epsilon3: float) -> bool:
     2 (1 - eps3) lnln(n_ref); the greedy walk then settles for a singleton."""
     if n_ref < 16:
         raise ValueError("n_ref must be >= 16")
-    arr = as_samples(x)
-    if j < 0 or window < 1 or j + window > len(arr):
+    walk = prefix_sums(x)
+    if j < 0 or window < 1 or j + window > walk.n:
         raise ValueError("window must satisfy 0 <= j and j + window <= N")
-    s = prefix_sums(arr).values[j : j + window + 1]
+    s = walk.values[j : j + window + 1]
     row_best, _ = _two_cut_rows(s)
     sup = float((row_best / np.arange(1, window + 1)).max())
     return sup < 2.0 * (1.0 - epsilon3) * math.log(math.log(n_ref))
@@ -154,12 +154,12 @@ def greedy_partition(x, params: GreedyParams) -> VariationResult:
     cover start. Sequences shorter than s^2 fall back to the single-interval
     partition.
     """
-    arr = as_samples(x)
-    n = len(arr)
+    walk = prefix_sums(x)
+    n = walk.n
     if n < params.s * params.s:
         warnings.warn("N below s^2; returning the trivial single-interval partition",
                       RuntimeWarning, stacklevel=2)
-        return partition_value(arr, Partition(np.array([0, n])))
+        return partition_value(walk, Partition(np.array([0, n])))
     cover = select_cover_intervals(n, params.s, params.c_copies)
     bps = [0]
     p = 0
@@ -172,11 +172,11 @@ def greedy_partition(x, params: GreedyParams) -> VariationResult:
         while p < b:
             if p + w > n:
                 break  # window has no data; close at the next cover start
-            if a_event_holds(arr, p, w, n, params.epsilon3):
+            if a_event_holds(walk, p, w, n, params.epsilon3):
                 p += 1
                 bps.append(p)
             elif p + w <= b:
-                cut = best_two_cut(arr, p, w)
+                cut = best_two_cut(walk, p, w)
                 bps.append(p + cut.i1)
                 if cut.i2 != cut.i1:
                     bps.append(p + cut.i2)
@@ -185,7 +185,7 @@ def greedy_partition(x, params: GreedyParams) -> VariationResult:
                 break  # overrun: close at the next cover start
     if p < n:
         bps.append(n)
-    return partition_value(arr, Partition(np.array(bps, dtype=np.int64)))
+    return partition_value(walk, Partition(np.array(bps, dtype=np.int64)))
 
 
 def covered_length(n_total: int, s: int, c_copies: int, min_size: int = 1) -> int:

@@ -23,7 +23,7 @@ import numpy as np
 from . import classify, greedy, variation
 from .classify import ClassParams
 from .greedy import GreedyParams
-from .seqcore import DistributionSpec, mix_seed, sample_sequence
+from .seqcore import DistributionSpec, mix_seed, prefix_sums, sample_sequence
 
 
 class InvariantViolation(RuntimeError):
@@ -103,22 +103,23 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
     t0 = time.perf_counter()
     seed = mix_seed(config.master_seed, n, trial_index)
     seq = sample_sequence(config.spec, n, seed)
+    walk = prefix_sums(seq)
     denom = _norm(n, config.spec.sigma) if n >= 16 else None
 
     exact = blocked = dyadic = greedy_v = None
     part = None
     if "exact" in config.algorithms:
-        res = variation.sq_variation_exact(seq, allow_large=config.allow_large)
+        res = variation.sq_variation_exact(walk, allow_large=config.allow_large)
         exact, part = res.value, res.partition
     if "blocked" in config.algorithms:
-        res = variation.sq_variation_blocked(seq, min(config.block, n))
+        res = variation.sq_variation_blocked(walk, min(config.block, n))
         blocked = res.value
         if part is None:
             part = res.partition
     if "dyadic_upper" in config.algorithms:
-        dyadic = variation.sq_variation_upper_dyadic(seq)
+        dyadic = variation.sq_variation_upper_dyadic(walk)
     if "greedy" in config.algorithms:
-        greedy_v = greedy.greedy_partition(seq, config.greedy_params).value
+        greedy_v = greedy.greedy_partition(walk, config.greedy_params).value
 
     sn = float(np.sum(seq.samples)) ** 2
     lows = [v for v in (exact, blocked, greedy_v, sn) if v is not None]
@@ -130,7 +131,7 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
     cls = {}
     if config.class_eps is not None and part is not None and n >= 16:
         br = classify.classify_partition(
-            seq, part, ClassParams(config.class_eps, config.class_b, n)
+            walk, part, ClassParams(config.class_eps, config.class_b, n)
         )
         cls = dict(
             good_sum=br.good_sum, medium_sum=br.medium_sum, bad_sum=br.bad_sum,

@@ -1,4 +1,4 @@
-"""Random sequence generation, prefix sums, and truncation splitting.
+"""Random sequence generation and the validated prefix-sum walk.
 
 All distributions are symmetric about zero and rescaled so the population
 variance equals sigma**2. Sampling is driven by a counter-based generator
@@ -158,9 +158,20 @@ class Sequence:
 
 @dataclass(frozen=True)
 class PrefixSums:
-    """values[k] = x_1 + ... + x_k, with values[0] = 0."""
+    """The walk: values[k] = x_1 + ... + x_k, with values[0] = 0.
+
+    Built by prefix_sums(), which guarantees a non-empty, finite, read-only
+    array; every kernel accepts a walk in place of the samples.
+    """
 
     values: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.values) - 1
+
+    def __len__(self) -> int:
+        return self.n
 
 
 # --- log-tail distribution: P[|X| > x] = min(1, x^-2 (ln(e+x))^-2) ----------
@@ -243,38 +254,31 @@ _EXTENDED_CUTOFF = 1 << 20  # accumulate long sums in extended precision
 
 
 def prefix_sums(x) -> PrefixSums:
-    """Partial sums S_0..S_N of the samples, S_0 = 0."""
-    arr = as_samples(x)
+    """The walk S_0..S_N of a Sequence or 1-d array-like, S_0 = 0.
+
+    A PrefixSums passes through unchanged, so a caller builds the walk once
+    and hands it to every kernel. Raises ValueError on empty or non-1-d input
+    and on a non-finite partial sum, which catches NaN/inf samples and
+    overflow of the running sum alike.
+    """
+    if isinstance(x, PrefixSums):
+        return x
+    arr = x.samples if isinstance(x, Sequence) else np.asarray(x, dtype=np.float64)
+    if arr.ndim != 1 or len(arr) == 0:
+        raise ValueError("expected a non-empty 1-d sample vector")
     n = len(arr)
     out = np.empty(n + 1)
     out[0] = 0.0
-    if n >= _EXTENDED_CUTOFF:
-        out[1:] = np.cumsum(arr.astype(np.longdouble)).astype(np.float64)
-    else:
-        np.cumsum(arr, out=out[1:])
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        if n >= _EXTENDED_CUTOFF:
+            out[1:] = np.cumsum(arr.astype(np.longdouble)).astype(np.float64)
+        else:
+            np.cumsum(arr, out=out[1:])
+    finite = np.isfinite(out)
+    if not finite.all():
+        i = int(np.argmin(finite)) - 1
+        if not math.isfinite(arr[i]):
+            raise ValueError(f"non-finite sample {arr[i]} at index {i}")
+        raise ValueError(f"partial sum overflows float64 at index {i}")
+    out.setflags(write=False)
     return PrefixSums(values=out)
-
-
-def truncate_decompose(x: Sequence, m_bound: float) -> tuple[np.ndarray, np.ndarray]:
-    """Split samples into (centered truncation, centered tail) at level M.
-
-    Every built-in distribution is symmetric, so the truncated part and the
-    tail part both have zero mean in closed form and no centering shift is
-    applied; the two vectors sum back to the samples exactly.
-    """
-    if m_bound <= 0:
-        raise ValueError("truncation level M must be > 0")
-    arr = as_samples(x)
-    xbar = np.where(np.abs(arr) <= m_bound, arr, 0.0)
-    z = arr - xbar
-    return xbar, z
-
-
-def as_samples(x) -> np.ndarray:
-    """Accept a Sequence, PrefixSums-free array, or any float array-like."""
-    if isinstance(x, Sequence):
-        return x.samples
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ValueError("expected a 1-d sample vector")
-    return arr

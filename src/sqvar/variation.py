@@ -9,11 +9,12 @@ scan gives a certified upper bound for sizes where the exact DP is too slow.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .seqcore import as_samples, prefix_sums
+from .seqcore import prefix_sums
 
 EXACT_SIZE_CAP = 1 << 15  # O(N^2) DP refuses larger inputs unless overridden
 
@@ -26,7 +27,7 @@ class Partition:
 
     def __post_init__(self):
         b = np.asarray(self.breakpoints, dtype=np.int64)
-        if b[0] != 0 or len(b) < 2 or np.any(np.diff(b) <= 0):
+        if b.ndim != 1 or len(b) < 2 or b[0] != 0 or np.any(np.diff(b) <= 0):
             raise ValueError("breakpoints must start at 0 and strictly increase")
         object.__setattr__(self, "breakpoints", b)
 
@@ -51,12 +52,22 @@ class VariationResult:
 
 
 def partition_value(x, partition: Partition, p: float = 2.0) -> VariationResult:
-    """Evaluate sum of |S_I|^p over a given partition's intervals."""
-    s = prefix_sums(x).values
+    """Evaluate sum of |S_I|^p over a given partition's intervals.
+
+    Every exact, blocked and greedy value is scored here, so this is where a
+    value too large for float64 is refused.
+    """
+    walk = prefix_sums(x)
+    if partition.n != walk.n:
+        raise ValueError("partition does not match the sequence length")
+    s = walk.values
     b = partition.breakpoints
     d = s[b[1:]] - s[b[:-1]]
     contr = d * d if p == 2.0 else np.abs(d) ** p
-    return VariationResult(float(np.sum(contr)), partition, contr)
+    value = float(np.sum(contr))
+    if not math.isfinite(value):
+        raise ValueError(f"variation value overflows float64 (p={p:g})")
+    return VariationResult(value, partition, contr)
 
 
 def _dp_over_allowed(s: np.ndarray, allowed: np.ndarray, p: float) -> Partition:
@@ -111,16 +122,15 @@ def p_variation_exact(x, p: float, allow_large: bool = False) -> VariationResult
     """Exact maximal p-variation; p = 2 matches sq_variation_exact bit for bit."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    arr = as_samples(x)
-    n = len(arr)
+    walk = prefix_sums(x)
+    n = walk.n
     if n > EXACT_SIZE_CAP and not allow_large:
         raise ValueError(
             f"N={n} exceeds the exact-DP cap {EXACT_SIZE_CAP}; "
             "pass allow_large=True or use the blocked/dyadic bounds"
         )
-    s = prefix_sums(arr).values
-    part = _dp_over_allowed(s, np.arange(n + 1, dtype=np.int64), float(p))
-    return partition_value(arr, part, float(p))
+    part = _dp_over_allowed(walk.values, np.arange(n + 1, dtype=np.int64), float(p))
+    return partition_value(walk, part, float(p))
 
 
 def sq_variation_blocked(x, block: int) -> VariationResult:
@@ -128,16 +138,15 @@ def sq_variation_blocked(x, block: int) -> VariationResult:
 
     block=1 is the exact DP; block=N forces the single interval (0, N].
     """
-    arr = as_samples(x)
-    n = len(arr)
+    walk = prefix_sums(x)
+    n = walk.n
     if not 1 <= block <= n:
         raise ValueError("need 1 <= block <= N")
     allowed = np.arange(0, n + 1, block, dtype=np.int64)
     if allowed[-1] != n:
         allowed = np.append(allowed, n)
-    s = prefix_sums(arr).values
-    part = _dp_over_allowed(s, allowed, 2.0)
-    return partition_value(arr, part, 2.0)
+    part = _dp_over_allowed(walk.values, allowed, 2.0)
+    return partition_value(walk, part, 2.0)
 
 
 # --- certified upper bound over the dyadic family ---------------------------
@@ -147,11 +156,11 @@ _BF_CAP = 22
 
 def sq_variation_bruteforce(x, p: float = 2.0) -> float:
     """Independent oracle: enumerate all 2^(N-1) breakpoint subsets."""
-    arr = as_samples(x)
-    n = len(arr)
+    walk = prefix_sums(x)
+    n = walk.n
     if n > _BF_CAP:
         raise ValueError(f"brute force limited to N <= {_BF_CAP}")
-    s = prefix_sums(arr).values
+    s = walk.values
     best = -np.inf
     chunk = 1 << 16
     total = 1 << (n - 1)
@@ -194,10 +203,10 @@ def sq_variation_upper_dyadic(x) -> float:
     chaining these gives V^2 <= 12 * sum over the family. Inputs whose length
     is not a power of two are zero-padded upward, which cannot lower the bound.
     """
-    arr = as_samples(x)
-    n = len(arr)
+    walk = prefix_sums(x)
+    n = walk.n
     npow = 1 << max(0, (n - 1).bit_length())
-    s = prefix_sums(arr).values
+    s = walk.values
     if npow != n:
         s = np.concatenate([s, np.full(npow - n, s[-1])])
     nlev = npow.bit_length() - 1
@@ -206,14 +215,8 @@ def sq_variation_upper_dyadic(x) -> float:
         total += _level_tilde_sum(s, 1 << i, 0, npow >> i)
     for i in range(1, nlev):
         total += _level_tilde_sum(s, 1 << i, 1 << (i - 1), (npow >> i) - 1)
-    return 12.0 * total
+    bound = 12.0 * total
+    if not math.isfinite(bound):
+        raise ValueError("dyadic upper bound overflows float64")
+    return bound
 
-
-def v2_norm_of_sum_check(x, y) -> tuple[float, float]:
-    """Triangle-inequality probe: returns (||x+y||, ||x|| + ||y||) in V2 norm."""
-    ax, ay = as_samples(x), as_samples(y)
-    if len(ax) != len(ay):
-        raise ValueError("sequences must have equal length")
-    lhs = np.sqrt(sq_variation_exact(ax + ay).value)
-    rhs = np.sqrt(sq_variation_exact(ax).value) + np.sqrt(sq_variation_exact(ay).value)
-    return float(lhs), float(rhs)

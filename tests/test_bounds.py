@@ -1,16 +1,14 @@
 import math
 
-import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from sqvar.bounds import (
     BoundQuery,
     bernstein_maximal_bound,
     berry_esseen_distance,
     etemadi_check,
-    exp_remainder_ratio,
     maximal_tail_empirical,
-    normal_cdf,
     rosenthal_ratio,
 )
 from sqvar.seqcore import DistributionSpec
@@ -37,14 +35,6 @@ def test_bernstein_monotonicity():
     by_var = [bernstein_maximal_bound(BoundQuery(t=20.0, sum_var=v, m_bound=1.0, length=50))
               for v in (10.0, 50.0, 200.0)]
     assert by_var == sorted(by_var)
-
-
-def test_exp_remainder_ratio():
-    assert exp_remainder_ratio(0.0) == 1.0
-    assert exp_remainder_ratio(1e-12) == pytest.approx(1.0, abs=1e-9)
-    for y in (0.1, 0.5, 1.0, 2.0, 2.9):
-        assert exp_remainder_ratio(y) <= 1.0 / (1.0 - y / 3.0) + 1e-12
-        assert exp_remainder_ratio(y) >= 1.0
 
 
 def test_maximal_tail_impossible_and_certain():
@@ -78,18 +68,9 @@ def test_etemadi():
     assert lhs.frequency <= rhs + 3.0 * lhs.std_err
 
 
-def test_normal_cdf():
-    assert normal_cdf(0.0) == 0.5
-    assert normal_cdf(1.0) == pytest.approx(0.8413447460685429, abs=1e-12)
-    for x in (-3.7, -1.0, -0.2, 0.4, 2.2, 5.0):
-        assert abs(normal_cdf(x) + normal_cdf(-x) - 1.0) <= 1e-12
-    grid = [normal_cdf(x) for x in np.linspace(-6, 6, 200)]
-    assert all(a <= b for a, b in zip(grid, grid[1:]))
-
-
 def test_berry_esseen_two_atom():
     d = berry_esseen_distance(RAD, 1, 100_000, 11)
-    assert d == pytest.approx(normal_cdf(1.0) - 0.5, abs=0.005)
+    assert d == pytest.approx(ndtr(1.0) - 0.5, abs=0.005)
 
 
 def test_berry_esseen_gaussian_small():

@@ -1,19 +1,13 @@
-import math
-
 import numpy as np
 import pytest
 
 from sqvar.classify import (
     ClassParams,
     classify_partition,
-    bad_contribution_stat,
     default_bad_threshold,
-    dyadic_bad_indicator,
-    medium_length_stat,
     subinterval_max_sq,
     subinterval_max_sq_bruteforce,
 )
-from sqvar.families import RealInterval, build_F_Fs
 from sqvar.seqcore import DistributionSpec, sample_sequence
 from sqvar.variation import Partition, sq_variation_exact
 
@@ -72,15 +66,19 @@ def test_monotone_in_epsilon():
         prev_good = br.good_sum
 
 
+def _maximal_breakdown(x, params):
+    return classify_partition(x, sq_variation_exact(x).partition, params)
+
+
 def test_stats_trivial_cases():
     zeros = np.zeros(64)
-    params = ClassParams(0.1, 8.0, 64)
-    assert medium_length_stat(zeros, params) == 0.0
-    assert bad_contribution_stat(zeros, params) == 0.0
+    br = _maximal_breakdown(zeros, ClassParams(0.1, 8.0, 64))
+    assert br.medium_len == 0
+    assert br.bad_sum == 0.0
     # bounded samples small enough that no interval can be bad:
     # max |S_I|^2 <= (N max|x|)^2 kept below B * lnln(n_ref)
     tiny = np.full(32, 0.05)
-    assert bad_contribution_stat(tiny, ClassParams(0.1, 8.0, 10**6)) == 0.0
+    assert _maximal_breakdown(tiny, ClassParams(0.1, 8.0, 10**6)).bad_sum == 0.0
 
 
 def test_stat_upper_bound():
@@ -88,7 +86,7 @@ def test_stat_upper_bound():
         seq = sample_sequence(DistributionSpec("rademacher"), 128, trial)
         params = ClassParams(0.1, 4.0, 128)
         v = sq_variation_exact(seq).value
-        assert bad_contribution_stat(seq, params) <= v / (128 * params.loglog) + 1e-12
+        assert _maximal_breakdown(seq, params).bad_sum <= v + 1e-12
 
 
 def test_subinterval_max_matches_bruteforce():
@@ -115,42 +113,3 @@ def test_tilde_sandwich():
         tilde = float(np.max((s[1:] - s[0]) ** 2))
         assert tilde <= y + 1e-12
         assert y <= 4.0 * tilde + 1e-12
-
-
-def test_dyadic_bad_indicator():
-    zeros = np.zeros(1024)
-    iv = RealInterval(0.0, 64.0)
-    assert dyadic_bad_indicator(zeros, iv, b_threshold=8.0, n_ref=1024) is False
-
-    spike = np.zeros(1024)
-    spike[10] = 1000.0
-    assert dyadic_bad_indicator(spike, iv, b_threshold=8.0, n_ref=1024) is True
-
-    # half-shift member is accepted
-    shifted = RealInterval(32.0 + 64.0 * 3, 32.0 + 64.0 * 4)
-    assert dyadic_bad_indicator(zeros, shifted, b_threshold=8.0, n_ref=1024) is False
-
-    with pytest.raises(ValueError, match="family"):
-        dyadic_bad_indicator(zeros, RealInterval(3.0, 64.0), 8.0, 1024)
-    with pytest.raises(ValueError, match="family"):
-        dyadic_bad_indicator(zeros, RealInterval(0.0, 48.0), 8.0, 1024)
-
-
-def test_dyadic_bad_indicator_matches_exact_scan():
-    # indicator evaluated via the linear scan equals the quadratic definition
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal(256) * 3.0
-    f, fs = build_F_Fs(8)
-    params_b, n_ref = 4.0, 256
-    ll = math.log(math.log(n_ref))
-    count_true = 0
-    for fam in (f, fs):
-        for iv in fam.all_intervals():
-            if iv.length > 64:
-                continue
-            got = dyadic_bad_indicator(x, iv, params_b, n_ref)
-            exact = subinterval_max_sq_bruteforce(x, round(iv.start), round(iv.end))
-            want = exact > (params_b / 8.0) * iv.length * ll
-            assert got == want
-            count_true += got
-    assert count_true > 0  # the scan saw both outcomes

@@ -281,3 +281,33 @@ def test_cli_exit_codes(tmp_path, capsys):
         cli.main(["nonsense"])
     assert exc.value.code == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("text,bad,index", [("1\nnan\n-1\n", "nan", 1),
+                                            ("1\n0.5\ninf\n", "inf", 2)])
+def test_cli_compute_non_finite(tmp_path, capsys, text, bad, index):
+    path = tmp_path / "x.csv"
+    path.write_text(text)
+    assert cli.main(["compute", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"sqvar: error: non-finite sample {bad} at index {index}\n"
+
+
+def test_cli_compute_overflow(tmp_path, capsys):
+    path = tmp_path / "x.csv"
+    path.write_text("1e200, 1e200, -1e200\n")
+    assert cli.main(["compute", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "Infinity" not in captured.out and "NaN" not in captured.out
+    assert captured.err.startswith("sqvar: error: ") and "overflows" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_bounds_rosenthal_report_only(capsys):
+    rc = cli.main(["bounds", "--check", "rosenthal", "--spec", "gaussian:sigma=1",
+                   "--trials", "200"])
+    assert rc == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 5
+    assert all(ln.split(",")[-1] == "report-only" for ln in lines[1:])

@@ -3,15 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sqvar.seqcore import (
-    DistributionSpec,
-    Sequence,
-    as_samples,
-    mix_seed,
-    prefix_sums,
-    sample_sequence,
-    truncate_decompose,
-)
+from sqvar.seqcore import DistributionSpec, mix_seed, prefix_sums, sample_sequence
 
 ALL_SPECS = [
     DistributionSpec("rademacher"),
@@ -129,25 +121,6 @@ def test_prefix_sum_total_against_fsum():
         assert abs(total - exact) <= 1e-12 * max(1.0, abs(exact))
 
 
-def test_truncate_identity_and_cases():
-    rad = sample_sequence(DistributionSpec("rademacher"), 64, 3)
-    xbar, z = truncate_decompose(rad, 2.0)
-    assert np.all(z == 0.0)
-    assert np.array_equal(xbar, rad.samples)
-
-    gauss_one = Sequence(np.array([2.0]), DistributionSpec("gaussian"), 0)
-    xbar, z = truncate_decompose(gauss_one, 0.5)
-    assert xbar.tolist() == [0.0] and z.tolist() == [2.0]
-
-    par = sample_sequence(DistributionSpec("pareto_sym", tail_exponent=3.0), 10_000, 9)
-    xbar, z = truncate_decompose(par, 10.0)
-    assert np.max(np.abs(xbar + z - par.samples)) <= 1e-12
-    assert np.max(np.abs(xbar)) <= 10.0
-
-    with pytest.raises(ValueError):
-        truncate_decompose(par, 0.0)
-
-
 def test_spec_string_round_trip():
     for text, kind in [
         ("gaussian:sigma=1", "gaussian"),
@@ -170,6 +143,8 @@ def test_mix_seed_spreads_and_repeats():
 
 
 def test_as_samples_shapes():
-    assert as_samples([1.0, 2.0]).dtype == np.float64
+    assert prefix_sums([1, 2]).values.dtype == np.float64
     with pytest.raises(ValueError):
-        as_samples(np.zeros((2, 2)))
+        prefix_sums(np.zeros((2, 2)))
+    with pytest.raises(ValueError):
+        prefix_sums([])

@@ -1,17 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from sqvar.seqcore import DistributionSpec, sample_sequence
+from sqvar.classify import ClassParams, classify_partition
+from sqvar.greedy import GreedyParams, greedy_partition
+from sqvar.seqcore import DistributionSpec, prefix_sums, sample_sequence
 from sqvar.variation import (
     EXACT_SIZE_CAP,
     Partition,
+    VariationResult,
     p_variation_exact,
     partition_value,
     sq_variation_blocked,
     sq_variation_bruteforce,
     sq_variation_exact,
     sq_variation_upper_dyadic,
-    v2_norm_of_sum_check,
 )
 
 KINDS = [
@@ -150,17 +154,15 @@ def test_lower_bounds_by_construction():
 
 
 def test_triangle_inequality_random_pairs():
+    def norm(v):
+        return np.sqrt(sq_variation_exact(v).value)
+
     for trial in range(50):
-        x = sample_sequence(DistributionSpec("gaussian"), 50, trial)
-        y = sample_sequence(DistributionSpec("rademacher"), 50, 10_000 + trial)
-        lhs, rhs = v2_norm_of_sum_check(x, y)
-        assert lhs <= rhs + 1e-9
-    lhs, rhs = v2_norm_of_sum_check(x, x.samples * -1.0)
-    assert lhs == 0.0 <= rhs
-    lhs, rhs = v2_norm_of_sum_check(x, np.zeros(50))
-    assert lhs == pytest.approx(rhs, rel=1e-12)
-    with pytest.raises(ValueError):
-        v2_norm_of_sum_check(np.ones(3), np.ones(4))
+        x = sample_sequence(DistributionSpec("gaussian"), 50, trial).samples
+        y = sample_sequence(DistributionSpec("rademacher"), 50, 10_000 + trial).samples
+        assert norm(x + y) <= norm(x) + norm(y) + 1e-9
+    assert norm(x - x) == 0.0
+    assert norm(x + np.zeros(50)) == pytest.approx(norm(x) + norm(np.zeros(50)), rel=1e-12)
 
 
 def test_size_cap_enforced():
@@ -177,8 +179,81 @@ def test_partition_validation():
         Partition(np.array([1, 2]))
     with pytest.raises(ValueError):
         Partition(np.array([0, 2, 2]))
+    with pytest.raises(ValueError):
+        Partition([])
+    with pytest.raises(ValueError):
+        Partition(np.array([[0, 1], [0, 2]]))
+    with pytest.raises(ValueError, match="length"):
+        partition_value(np.ones(10), Partition(np.array([0, 3])))
 
 
 def test_partition_value_json():
     res = partition_value([1.0, 2.0], Partition(np.array([0, 2])))
     assert res.to_json() == '{"value": 9.0, "breakpoints": [0, 2]}'
+
+
+def test_non_finite_walk_rejected():
+    with pytest.raises(ValueError, match="index 1"):
+        sq_variation_upper_dyadic([1.0, np.nan, 2.0])
+    with pytest.raises(ValueError, match="index 2"):
+        sq_variation_exact([0.0, 1.0, -np.inf])
+    with pytest.raises(ValueError, match="overflows float64 at index 1"):
+        prefix_sums([1e308, 1e308])
+    big = np.zeros(1 << 20)  # the extended-precision branch overflows in the cast
+    big[:2] = 1e308
+    with pytest.raises(ValueError, match="overflows float64 at index 1"):
+        prefix_sums(big)
+    # finite walks whose squared sums are not
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="overflows"):
+            partition_value([1e200, 1e200, -1e200], Partition(np.array([0, 3])))
+        with pytest.raises(ValueError, match="overflows"):
+            sq_variation_upper_dyadic([1e200])
+
+
+_BOTH_SIDES = ((1 << 20) - 1, 1 << 20)  # either side of the extended-precision cutoff
+_WALK_KERNELS = {
+    "exact": sq_variation_exact,
+    "blocked": lambda x: sq_variation_blocked(x, 256),
+    "dyadic": sq_variation_upper_dyadic,
+    "greedy": lambda x: greedy_partition(x, GreedyParams(2, 4, 0.25, 0.5)),
+    "classify": lambda x: classify_partition(
+        x, Partition(np.r_[0:len(x):4096, len(x)]), ClassParams(0.1, 8.0, len(x))
+    ),
+}
+
+
+def _fingerprint(out):
+    if isinstance(out, VariationResult):
+        return (out.value.hex(), out.partition.breakpoints.tobytes(),
+                out.contributions.tobytes())
+    if isinstance(out, float):
+        return out.hex()
+    return repr(dataclasses.astuple(out))
+
+
+@pytest.mark.parametrize(
+    "kernel,n",
+    [("exact", 300)] + [(k, n) for k in ("blocked", "dyadic", "greedy", "classify")
+                        for n in _BOTH_SIDES],
+)
+def test_walk_matches_samples_bitwise(kernel, n, monkeypatch):
+    seq = sample_sequence(DistributionSpec("gaussian"), n, 4242)
+    walk = prefix_sums(seq)
+    assert prefix_sums(walk) is walk
+    assert walk.n == n and not walk.values.flags.writeable
+
+    real_cumsum = np.cumsum
+    calls = []
+
+    def counting_cumsum(*args, **kwargs):
+        calls.append(len(args[0]))
+        return real_cumsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "cumsum", counting_cumsum)
+    fn = _WALK_KERNELS[kernel]
+    from_samples = fn(seq)
+    assert calls == [n]  # the samples are summed once per call, never per window
+    from_walk = fn(walk)
+    assert calls == [n]  # and a walk is never summed again
+    assert _fingerprint(from_walk) == _fingerprint(from_samples)
