@@ -26,7 +26,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_numbers(path: str) -> np.ndarray:
-    text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
+    if path == "-":
+        text = sys.stdin.read()
+    else:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     vals = [tok for tok in text.replace(",", " ").split() if tok]
     if vals and not _is_number(vals[0]):
         vals = vals[1:]  # tolerate a single header token line
@@ -46,7 +50,7 @@ def _cmd_compute(args) -> int:
     if len(x) == 0:
         raise ValueError("no numeric input values found")
     with np.errstate(over="ignore"):  # an overflowing value raises ValueError instead
-        res = variation.p_variation_exact(x, args.p, allow_large=args.allow_large)
+        res = variation.p_variation_exact(x, args.p)
     print(res.to_json())
     return 0
 
@@ -201,7 +205,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("compute", help="exact (p-)variation of values from a file or '-'")
     p.add_argument("--input", required=True)
     p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--allow-large", action="store_true")
     p.set_defaults(func=_cmd_compute)
 
     p = sub.add_parser("simulate", help="run the experiment described by a config file")

@@ -43,7 +43,6 @@ class ExperimentConfig:
     class_b: float | None = None
     output_path: str = "records.csv"
     jsonl_mirror: bool = False
-    allow_large: bool = False
 
     def __post_init__(self):
         if self.trials < 0:
@@ -53,13 +52,6 @@ class ExperimentConfig:
         bad = set(self.algorithms) - {"exact", "blocked", "dyadic_upper", "greedy"}
         if bad:
             raise ValueError(f"unknown algorithms: {sorted(bad)}")
-        if "exact" in self.algorithms and not self.allow_large:
-            over = [n for n in self.n_grid if n > variation.EXACT_SIZE_CAP]
-            if over:
-                raise ValueError(
-                    f"exact algorithm requested for n={over} above the cap "
-                    f"{variation.EXACT_SIZE_CAP}; set allow_large"
-                )
         if "greedy" in self.algorithms and self.greedy_params is None:
             raise ValueError("greedy requested but no greedy parameters given")
 
@@ -109,7 +101,7 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
     exact = blocked = dyadic = greedy_v = None
     part = None
     if "exact" in config.algorithms:
-        res = variation.sq_variation_exact(walk, allow_large=config.allow_large)
+        res = variation.sq_variation_exact(walk)
         exact, part = res.value, res.partition
     if "blocked" in config.algorithms:
         res = variation.sq_variation_blocked(walk, min(config.block, n))
@@ -230,7 +222,17 @@ def write_outputs(records: list[TrialRecord], config: ExperimentConfig) -> None:
 # --- config files ------------------------------------------------------------
 
 def parse_config(path_or_text: str, is_text: bool = False) -> ExperimentConfig:
-    """Read the INI-style experiment description (see README for the schema)."""
+    """Read the INI-style experiment description.
+
+    [experiment] spec (default gaussian:sigma=1), n_grid (required, comma or
+    space separated), trials (required), master_seed (0), algorithms (exact;
+    a comma list of exact, blocked or blocked:<block> with block 4 by
+    default, dyadic_upper, greedy), output (records.csv), jsonl (false: also
+    write a JSON-lines mirror of the records).
+    [greedy] s (2), c (4), alpha (0.25), eps3 (0.5); required when greedy runs.
+    [classify] eps (0.1), b (default_bad_threshold()); when present, trials
+    with n >= 16 and an exact or blocked partition are classified.
+    """
     cp = configparser.ConfigParser()
     if is_text:
         cp.read_file(io.StringIO(path_or_text))
@@ -276,7 +278,6 @@ def parse_config(path_or_text: str, is_text: bool = False) -> ExperimentConfig:
         class_b=class_b,
         output_path=exp.get("output", "records.csv"),
         jsonl_mirror=exp.getboolean("jsonl", False),
-        allow_large=exp.getboolean("allow_large", False),
     )
 
 

@@ -1,9 +1,12 @@
 """Maximal square variation of a sequence's partial sums.
 
 The central quantity is max over partitions of [N] into subintervals of the
-sum of squared interval sums. An O(N^2) dynamic program computes it exactly;
-a breakpoint-restricted DP gives certified lower bounds and a dyadic-family
-scan gives a certified upper bound for sizes where the exact DP is too slow.
+sum of squared interval sums. One dynamic program computes it exactly in
+near-linear time: breakpoints are restricted to turning points of the walk
+and, after each breakpoint, to the chains of running records that can follow
+it (Butkus & Norvaisa, "Computation of p-variation", Lithuanian Math. J. 58,
+2018). The same kernel on a subsampled walk gives the blocked lower bound,
+and a dyadic-family scan gives a certified upper bound.
 """
 
 from __future__ import annotations
@@ -15,9 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seqcore import prefix_sums
-
-EXACT_SIZE_CAP = 1 << 15  # O(N^2) DP refuses larger inputs unless overridden
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -70,66 +70,85 @@ def partition_value(x, partition: Partition, p: float = 2.0) -> VariationResult:
     return VariationResult(value, partition, contr)
 
 
+_DP_PASS = 1 << 10  # points scored per numpy call; bounds the candidate lists
+
+
 def _dp_over_allowed(s: np.ndarray, allowed: np.ndarray, p: float) -> Partition:
     """Maximize sum of |S_I|^p over partitions with breakpoints in `allowed`.
 
-    Suffix recurrence G[i] = max_j |A_j - A_i|^p + G[j]. Ties resolve to the
-    fewest intervals and then to the lexicographically smallest breakpoint
-    vector, which the forward reconstruction below realizes by always taking
-    the smallest admissible next breakpoint.
+    Runs on the walk a = s[allowed]. For p >= 1 an optimal partition with the
+    fewest intervals breaks only at the first point of a local extremum of a:
+    adjacent pieces of one sign merge without loss, and a breakpoint moved to
+    the extreme of its two pieces raises both. If a rises above a[i] before
+    it drops below, the breakpoint after i is the end or a strict running-
+    maximum record of a from i taken before that drop; in the other case it
+    is the end or a strict running-minimum record taken before the rise. So
+    each point has one ascending record chain as candidates, and the suffix
+    recurrence G[i] = max_j |a_j - a_i|^p + G[j] over them is near-linear.
+    Ties resolve to the fewest intervals and then to the smallest next
+    breakpoint, which gives the lexicographically smallest breakpoint vector.
     """
     a = s[allowed]
-    m = len(allowed) - 1
-    g = np.zeros(m + 1)
-    cnt = np.zeros(m + 1, dtype=np.int64)
-
-    def scores(i: int) -> np.ndarray:
-        d = a[i + 1 :] - a[i]
-        if p == 2.0:
-            np.multiply(d, d, out=d)
-        else:
-            np.abs(d, out=d)
-            np.power(d, p, out=d)
-        d += g[i + 1 :]
-        return d
-
-    for i in range(m - 1, -1, -1):
-        cand = scores(i)
-        best = cand.max()
-        g[i] = best
-        ties = np.flatnonzero(cand == best)
-        if len(ties) == 1:
-            cnt[i] = cnt[i + 1 + ties[0]] + 1
-        else:
-            cnt[i] = cnt[i + 1 :][ties].min() + 1
+    step = np.sign(np.diff(a))  # turn: a strict step in, another step out
+    turns = np.flatnonzero((step[:-1] != 0) & (step[1:] != step[:-1])) + 1
+    idx = np.concatenate(([0], turns, [len(a) - 1]))
+    c = a[idx]
+    vals = c.tolist()
+    last = len(vals) - 1
+    g, cnt, nxt = [0.0] * (last + 1), [0] * (last + 1), [last] * (last + 1)
+    # scanning leftwards, after the pops `highs` holds the strict running-maximum
+    # records right of i and `lows` the strict running-minimum ones, nearest
+    # (the next greater and the next smaller point) on top
+    highs, lows = [last], [last]
+    for hi in range(last, 0, -_DP_PASS):
+        points = np.arange(hi - 1, max(hi - _DP_PASS, 0) - 1, -1)
+        dst, first = [], [0]
+        for i in points.tolist():
+            v = vals[i]
+            while highs and vals[highs[-1]] <= v:
+                highs.pop()
+            while lows and vals[lows[-1]] >= v:
+                lows.pop()
+            up, down = highs[-1] if highs else last, lows[-1] if lows else last
+            chain, stop = (highs, down) if up < down else (lows, up)
+            for j in reversed(chain):
+                if j >= stop:
+                    break
+                dst.append(j)
+            dst.append(last)
+            first.append(len(dst))
+            highs.append(i)
+            lows.append(i)
+        d = c[dst] - np.repeat(c[points], np.diff(first))
+        w = (d * d if p == 2.0 else np.abs(d) ** p).tolist()
+        for r, i in enumerate(points.tolist()):
+            best, fewest, pick = -math.inf, 0, last
+            for k in range(first[r], first[r + 1]):
+                j = dst[k]
+                v = w[k] + g[j]
+                if v > best or (v == best and cnt[j] < fewest):
+                    best, fewest, pick = v, cnt[j], j
+            g[i], cnt[i], nxt[i] = best, fewest + 1, pick
 
     bps = [0]
-    i = 0
-    while i < m:
-        cand = scores(i)
-        ok = np.flatnonzero((cand == g[i]) & (cnt[i + 1 :] == cnt[i] - 1))
-        i = i + 1 + int(ok[0])
-        bps.append(i)
-    return Partition(breakpoints=allowed[np.array(bps, dtype=np.int64)])
+    while bps[-1] != last:
+        bps.append(nxt[bps[-1]])
+    return Partition(breakpoints=allowed[idx[bps]])
 
 
-def sq_variation_exact(x, allow_large: bool = False) -> VariationResult:
-    """Exact maximal square variation via the O(N^2) dynamic program."""
-    return p_variation_exact(x, 2.0, allow_large=allow_large)
+def sq_variation_exact(x) -> VariationResult:
+    """Exact maximal square variation, with the fewest intervals and then the
+    lexicographically smallest breakpoints among the optimal partitions."""
+    return p_variation_exact(x, 2.0)
 
 
-def p_variation_exact(x, p: float, allow_large: bool = False) -> VariationResult:
-    """Exact maximal p-variation; p = 2 matches sq_variation_exact bit for bit."""
+def p_variation_exact(x, p: float) -> VariationResult:
+    """Exact maximal p-variation for p >= 1 by the turning-point and record-chain
+    DP, under the same tie rule; p = 2 matches sq_variation_exact bit for bit."""
     if p < 1:
         raise ValueError("p must be >= 1")
     walk = prefix_sums(x)
-    n = walk.n
-    if n > EXACT_SIZE_CAP and not allow_large:
-        raise ValueError(
-            f"N={n} exceeds the exact-DP cap {EXACT_SIZE_CAP}; "
-            "pass allow_large=True or use the blocked/dyadic bounds"
-        )
-    part = _dp_over_allowed(walk.values, np.arange(n + 1, dtype=np.int64), float(p))
+    part = _dp_over_allowed(walk.values, np.arange(walk.n + 1, dtype=np.int64), float(p))
     return partition_value(walk, part, float(p))
 
 

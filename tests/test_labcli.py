@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -69,8 +71,7 @@ def test_config_validation():
         _config(None, trials=-1)
     with pytest.raises(ValueError):
         _config(None, algorithms=("exact", "magic"))
-    with pytest.raises(ValueError, match="cap"):
-        _config(None, n_grid=(1 << 16,))
+    assert _config(None, n_grid=(1 << 16,)).n_grid == (1 << 16,)  # no size cap on exact
     with pytest.raises(ValueError, match="greedy"):
         _config(None, algorithms=("greedy",))
 
@@ -94,7 +95,8 @@ def test_trials_zero_gives_header_only(tmp_path):
     records = run_experiment(cfg)
     assert records == []
     write_outputs(records, cfg)
-    text = open(cfg.output_path).read()
+    with open(cfg.output_path) as fh:
+        text = fh.read()
     assert text == ",".join(CSV_COLUMNS) + "\n"
 
 
@@ -126,7 +128,8 @@ def test_jsonl_mirror(tmp_path):
     cfg = _config(tmp_path, jsonl_mirror=True, trials=1)
     records = run_experiment(cfg)
     write_outputs(records, cfg)
-    lines = open(cfg.output_path + ".jsonl").read().splitlines()
+    with open(cfg.output_path + ".jsonl") as fh:
+        lines = fh.read().splitlines()
     assert len(lines) == len(records)
     row = json.loads(lines[0])
     assert row["n"] == 64 and row["v2_exact"] == records[0].v2_exact
@@ -296,12 +299,27 @@ def test_cli_compute_non_finite(tmp_path, capsys, text, bad, index):
 
 def test_cli_compute_overflow(tmp_path, capsys):
     path = tmp_path / "x.csv"
-    path.write_text("1e200, 1e200, -1e200\n")
-    assert cli.main(["compute", "--input", str(path)]) == 1
-    captured = capsys.readouterr()
-    assert "Infinity" not in captured.out and "NaN" not in captured.out
-    assert captured.err.startswith("sqvar: error: ") and "overflows" in captured.err
-    assert captured.err.count("\n") == 1
+    for text, p in (("1e200, 1e200, -1e200\n", "2"), ("1e120, -1e120, 1e120\n", "3")):
+        path.write_text(text)
+        assert cli.main(["compute", "--input", str(path), "--p", p]) == 1
+        captured = capsys.readouterr()
+        assert "Infinity" not in captured.out and "NaN" not in captured.out
+        assert captured.err.startswith("sqvar: error: ") and "overflows" in captured.err
+        assert captured.err.count("\n") == 1
+
+
+def test_cli_compute_closes_input(tmp_path):
+    path = tmp_path / "x.csv"
+    path.write_text("2\n1\n-3\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "sqvar.cli", "compute", "--input", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["breakpoints"] == [0, 2, 3]
+    assert "ResourceWarning" not in proc.stderr
 
 
 def test_cli_bounds_rosenthal_report_only(capsys):

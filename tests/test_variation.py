@@ -2,14 +2,16 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sqvar.classify import ClassParams, classify_partition
 from sqvar.greedy import GreedyParams, greedy_partition
 from sqvar.seqcore import DistributionSpec, prefix_sums, sample_sequence
 from sqvar.variation import (
-    EXACT_SIZE_CAP,
     Partition,
     VariationResult,
+    _dp_over_allowed,
     p_variation_exact,
     partition_value,
     sq_variation_blocked,
@@ -165,13 +167,13 @@ def test_triangle_inequality_random_pairs():
     assert norm(x + np.zeros(50)) == pytest.approx(norm(x) + norm(np.zeros(50)), rel=1e-12)
 
 
-def test_size_cap_enforced():
-    big = np.zeros(EXACT_SIZE_CAP + 1)
-    with pytest.raises(ValueError, match="cap"):
-        sq_variation_exact(big)
-    # override works (all zeros is cheap enough here? it is O(N^2), so use blocked)
-    res = sq_variation_blocked(big, 1 << 12)
-    assert res.value == 0.0
+def test_exact_runs_beyond_old_cap():
+    seq = sample_sequence(DistributionSpec("gaussian"), 1 << 16, 31)
+    walk = prefix_sums(seq)
+    exact = sq_variation_exact(walk)
+    assert exact.partition.n == 1 << 16
+    assert sq_variation_blocked(walk, 4).value <= exact.value
+    assert exact.value <= sq_variation_upper_dyadic(walk)
 
 
 def test_partition_validation():
@@ -257,3 +259,113 @@ def test_walk_matches_samples_bitwise(kernel, n, monkeypatch):
     from_walk = fn(walk)
     assert calls == [n]  # and a walk is never summed again
     assert _fingerprint(from_walk) == _fingerprint(from_samples)
+
+
+# --- the O(N^2) suffix DP as the oracle of the near-linear kernel ------------
+
+def _dp_oracle(s, allowed, p):
+    """G[i] = max_j |A_j - A_i|^p + G[j] over every allowed j; ties go to the
+    fewest intervals, then to the smallest next breakpoint."""
+    a = s[allowed]
+    m = len(allowed) - 1
+    g = np.zeros(m + 1)
+    cnt = np.zeros(m + 1, dtype=np.int64)
+
+    def scores(i):
+        d = a[i + 1 :] - a[i]
+        if p == 2.0:
+            np.multiply(d, d, out=d)
+        else:
+            np.abs(d, out=d)
+            np.power(d, p, out=d)
+        d += g[i + 1 :]
+        return d
+
+    for i in range(m - 1, -1, -1):
+        cand = scores(i)
+        best = cand.max()
+        g[i] = best
+        ties = np.flatnonzero(cand == best)
+        cnt[i] = cnt[i + 1 :][ties].min() + 1
+
+    bps = [0]
+    i = 0
+    while i < m:
+        cand = scores(i)
+        ok = np.flatnonzero((cand == g[i]) & (cnt[i + 1 :] == cnt[i] - 1))
+        i = i + 1 + int(ok[0])
+        bps.append(i)
+    return Partition(breakpoints=allowed[np.array(bps, dtype=np.int64)])
+
+
+def _allowed(n, block):
+    return np.unique(np.r_[0:n + 1:block, n])
+
+
+def integer_data(max_size):
+    """{-1, 0, 1} lattice steps, or runs of equal steps where zero runs are the
+    walk's plateaus: many exact ties."""
+    lattice = st.lists(st.integers(-1, 1), min_size=1, max_size=max_size)
+    runs = st.lists(st.tuples(st.sampled_from([0, 0, 1, -1, 2, -3]), st.integers(1, 6)),
+                    min_size=1, max_size=max_size // 3 + 1)
+    plateaus = runs.map(lambda rs: [v for v, k in rs for _ in range(k)][:max_size])
+    return st.one_of(lattice, plateaus).map(lambda v: np.array(v, dtype=float))
+
+
+def gaussian_data(max_size):
+    return st.tuples(st.integers(1, max_size), st.integers(0, 2**32 - 1)).map(
+        lambda ns: np.random.default_rng(ns[1]).standard_normal(ns[0]))
+
+
+@given(x=st.one_of(integer_data(16), gaussian_data(16)),
+       p=st.sampled_from([1.0, 2.0, 3.0]))
+def test_exact_value_equals_bruteforce(x, p):
+    value = p_variation_exact(x, p).value
+    if np.all(x == np.round(x)):
+        assert value == sq_variation_bruteforce(x, p)
+    else:
+        assert value == pytest.approx(sq_variation_bruteforce(x, p), rel=1e-12)
+
+
+def _check_kernel_against_oracle(x, p, block):
+    s = prefix_sums(x).values
+    expected = _dp_oracle(s, _allowed(len(x), block), p).breakpoints.tolist()
+    assert _dp_over_allowed(s, _allowed(len(x), block), p).breakpoints.tolist() == expected
+    if p == 2.0:
+        blocked = sq_variation_blocked(x, min(block, len(x)))
+        assert blocked.partition.breakpoints.tolist() == expected
+
+
+@given(x=integer_data(120), p=st.sampled_from([1.0, 2.0, 3.0]), block=st.integers(1, 5))
+def test_kernel_matches_oracle_on_integers(x, p, block):
+    _check_kernel_against_oracle(x, p, block)
+
+
+@given(x=gaussian_data(200), p=st.sampled_from([2.0, 3.0]), block=st.integers(1, 5))
+def test_kernel_matches_oracle_on_gaussian(x, p, block):
+    _check_kernel_against_oracle(x, p, block)
+
+
+@given(x=gaussian_data(200))
+def test_p1_floats_value_and_fewest_intervals(x):
+    # |a| + |b| = |a + b| for a, b of one sign, so on non-integer floats the
+    # oracle's pick among such partitions is decided by rounding, not by its
+    # tie rule: compare values and interval counts, not breakpoints
+    walk = prefix_sums(x)
+    kernel = p_variation_exact(walk, 1.0)
+    oracle = partition_value(walk, _dp_oracle(walk.values, np.arange(len(x) + 1), 1.0), 1.0)
+    assert kernel.value == pytest.approx(oracle.value, rel=1e-12)
+    assert len(kernel.partition) <= len(oracle.partition)
+
+
+@given(x=st.one_of(integer_data(120), gaussian_data(200)), p=st.sampled_from([1.0, 2.0, 3.0]))
+def test_optimal_pieces_alternate_at_extremes(x, p):
+    walk = prefix_sums(x)
+    s, b = walk.values, p_variation_exact(walk, p).partition.breakpoints
+    d = np.sign(s[b[1:]] - s[b[:-1]])
+    if len(d) > 1:
+        assert np.all(d != 0) and np.all(d[1:] == -d[:-1])
+    for k in range(1, len(b) - 1):
+        span = s[b[k - 1] : b[k + 1] + 1]
+        first = np.argmax(span) if d[k - 1] > 0 else np.argmin(span)
+        assert b[k - 1] + first == b[k]
