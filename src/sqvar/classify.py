@@ -93,3 +93,14 @@ def subinterval_max_sq(x, start: int, end: int) -> float:
     hi = s[1:] - run_min
     lo = s[1:] - run_max
     return float(np.maximum(hi * hi, lo * lo).max())
+
+
+def subinterval_max_sq_bruteforce(x, start: int, end: int) -> float:
+    """O(|I|^2) oracle for subinterval_max_sq."""
+    s = prefix_sums(x).values
+    best = 0.0
+    for a in range(start, end):
+        for b in range(a + 1, end + 1):
+            best = max(best, (s[b] - s[a]) ** 2)
+    return best
+

@@ -6,21 +6,12 @@ from sqvar.classify import (
     classify_partition,
     default_bad_threshold,
     subinterval_max_sq,
+    subinterval_max_sq_bruteforce,
 )
-from sqvar.seqcore import DistributionSpec, prefix_sums, sample_sequence
+from sqvar.seqcore import DistributionSpec, sample_sequence
 from sqvar.variation import Partition, sq_variation_exact
 
 PARAMS = ClassParams(epsilon=0.1, b_threshold=100.0, n_ref=10**6)
-
-
-def _subinterval_max_sq_bruteforce(x, start: int, end: int) -> float:
-    """O(|I|^2) oracle for subinterval_max_sq."""
-    s = prefix_sums(x).values
-    best = 0.0
-    for a in range(start, end):
-        for b in range(a + 1, end + 1):
-            best = max(best, (s[b] - s[a]) ** 2)
-    return best
 
 
 def _single(value: float):
@@ -106,7 +97,7 @@ def test_subinterval_max_matches_bruteforce():
         a = int(rng.integers(0, n - 1))
         b = int(rng.integers(a + 1, n))
         assert subinterval_max_sq(x, a, b) == pytest.approx(
-            _subinterval_max_sq_bruteforce(x, a, b), rel=1e-12
+            subinterval_max_sq_bruteforce(x, a, b), rel=1e-12
         )
 
 

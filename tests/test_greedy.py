@@ -5,33 +5,17 @@ import pytest
 
 from sqvar.greedy import (
     GreedyParams,
-    TwoCut,
     a_event_holds,
     best_two_cut,
+    best_two_cut_bruteforce,
     covered_length,
     greedy_partition,
     select_cover_intervals,
 )
-from sqvar.seqcore import DistributionSpec, prefix_sums, sample_sequence
+from sqvar.seqcore import DistributionSpec, sample_sequence
 from sqvar.variation import sq_variation_exact
 
 PARAMS = GreedyParams(s=2, c_copies=4, alpha=0.25, epsilon3=0.5)
-
-
-def _best_two_cut_bruteforce(x, j: int, window: int) -> TwoCut:
-    """O(window^2) oracle scanning i2 ascending, then i1 ascending."""
-    walk = prefix_sums(x)
-    if j < 0 or window < 1 or j + window > walk.n:
-        raise ValueError("window must satisfy 0 <= j and j + window <= N")
-    s = walk.values[j : j + window + 1]
-    a = s[0]
-    v = s[1:]
-    mid = v[:, None]
-    table = (mid - a) ** 2 + (v[None, :] - mid) ** 2  # [i1-1, i2-1]
-    table = np.where(np.tril(np.ones_like(table), 0) > 0, table.T, -np.inf)
-    flat = int(np.argmax(table))  # row-major: first max has smallest i2 then i1
-    i2, i1 = divmod(flat, window)
-    return TwoCut(i1=i1 + 1, i2=i2 + 1, value=float(table[i2, i1]))
 
 
 def test_params_validation():
@@ -50,14 +34,14 @@ def test_params_validation():
 def test_best_two_cut_example():
     cut = best_two_cut([1.0, -2.0, 3.0], 0, 3)
     assert (cut.i1, cut.i2, cut.value) == (2, 3, 10.0)
-    brute = _best_two_cut_bruteforce([1.0, -2.0, 3.0], 0, 3)
+    brute = best_two_cut_bruteforce([1.0, -2.0, 3.0], 0, 3)
     assert (brute.i1, brute.i2, brute.value) == (2, 3, 10.0)
 
 
 def test_best_two_cut_zero_ties():
     cut = best_two_cut(np.zeros(8), 2, 5)
     assert (cut.i1, cut.i2, cut.value) == (1, 1, 0.0)
-    brute = _best_two_cut_bruteforce(np.zeros(8), 2, 5)
+    brute = best_two_cut_bruteforce(np.zeros(8), 2, 5)
     assert (brute.i1, brute.i2) == (1, 1)
 
 
@@ -81,7 +65,7 @@ def test_fast_path_equals_bruteforce():
         j = int(rng.integers(0, 32))
         seq = sample_sequence(spec, j + w, 9000 + case)
         fast = best_two_cut(seq, j, w)
-        brute = _best_two_cut_bruteforce(seq, j, w)
+        brute = best_two_cut_bruteforce(seq, j, w)
         assert (fast.i1, fast.i2) == (brute.i1, brute.i2)
         assert fast.value == brute.value
 
@@ -93,11 +77,13 @@ def test_fast_path_tie_agreement_on_lattice_values():
         w = int(rng.integers(1, 40))
         x = rng.integers(-2, 3, size=w).astype(float)
         fast = best_two_cut(x, 0, w)
-        brute = _best_two_cut_bruteforce(x, 0, w)
+        brute = best_two_cut_bruteforce(x, 0, w)
         assert (fast.i1, fast.i2, fast.value) == (brute.i1, brute.i2, brute.value)
 
 
 def _a_event_bruteforce(x, j, w, n_ref, eps3):
+    from sqvar.seqcore import prefix_sums
+
     s = prefix_sums(x).values
     best = -np.inf
     for i2 in range(1, w + 1):

@@ -1,10 +1,12 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from sqvar import variation
 from sqvar.classify import ClassParams, classify_partition
 from sqvar.greedy import GreedyParams, greedy_partition
 from sqvar.seqcore import DistributionSpec, prefix_sums, sample_sequence
@@ -261,7 +263,7 @@ def test_walk_matches_samples_bitwise(kernel, n, monkeypatch):
     assert _fingerprint(from_walk) == _fingerprint(from_samples)
 
 
-# --- the O(N^2) suffix DP as the oracle of the near-linear kernel ------------
+# --- the O(N^2) suffix DP as the oracle of the record-chain kernel ----------
 
 def _dp_oracle(s, allowed, p):
     """G[i] = max_j |A_j - A_i|^p + G[j] over every allowed j; ties go to the
@@ -303,18 +305,23 @@ def _allowed(n, block):
 
 
 def integer_data(max_size):
-    """{-1, 0, 1} lattice steps, or runs of equal steps where zero runs are the
-    walk's plateaus: many exact ties."""
+    """{-1, 0, 1} lattice steps, runs of equal steps where zero runs are the
+    walk's plateaus, or a zigzag u, -d, u, -d, ... whose walk trends: many
+    exact ties, and on the zigzag record chains as long as the walk."""
     lattice = st.lists(st.integers(-1, 1), min_size=1, max_size=max_size)
     runs = st.lists(st.tuples(st.sampled_from([0, 0, 1, -1, 2, -3]), st.integers(1, 6)),
                     min_size=1, max_size=max_size // 3 + 1)
     plateaus = runs.map(lambda rs: [v for v, k in rs for _ in range(k)][:max_size])
-    return st.one_of(lattice, plateaus).map(lambda v: np.array(v, dtype=float))
+    zigzag = st.tuples(st.integers(1, 3), st.integers(0, 3), st.integers(1, max_size)).map(
+        lambda udn: np.resize([udn[0], -udn[1]], udn[2]).tolist())
+    return st.one_of(lattice, plateaus, zigzag).map(lambda v: np.array(v, dtype=float))
 
 
 def gaussian_data(max_size):
-    return st.tuples(st.integers(1, max_size), st.integers(0, 2**32 - 1)).map(
-        lambda ns: np.random.default_rng(ns[1]).standard_normal(ns[0]))
+    """Gaussian steps, some with a drift, under which the walk trends."""
+    return st.tuples(st.integers(1, max_size), st.integers(0, 2**32 - 1),
+                     st.sampled_from([0.0, 0.0, 0.3, -1.0])).map(
+        lambda nsd: np.random.default_rng(nsd[1]).standard_normal(nsd[0]) + nsd[2])
 
 
 @given(x=st.one_of(integer_data(16), gaussian_data(16)),
@@ -344,6 +351,29 @@ def test_kernel_matches_oracle_on_integers(x, p, block):
 @given(x=gaussian_data(200), p=st.sampled_from([2.0, 3.0]), block=st.integers(1, 5))
 def test_kernel_matches_oracle_on_gaussian(x, p, block):
     _check_kernel_against_oracle(x, p, block)
+
+
+@given(xp=st.one_of(st.tuples(integer_data(120), st.sampled_from([1.0, 2.0, 3.0])),
+                   st.tuples(gaussian_data(200), st.sampled_from([2.0, 3.0]))),
+       block=st.integers(1, 5))
+def test_long_chain_path_matches_oracle(xp, block):
+    # every chain of two or more candidates is scored on its own, and a pass
+    # of short chains holds at most three points
+    with mock.patch.multiple(variation, _DP_LONG=1, _DP_PASS=3):
+        _check_kernel_against_oracle(*xp, block)
+
+
+@pytest.mark.parametrize("kind", ["zigzag", "lattice", "gaussian"])
+def test_trending_walks_match_oracle(kind):
+    # a walk with drift gives record chains of hundreds of points: the
+    # one-chain path at its real threshold, between passes of short chains
+    rng = np.random.default_rng(7)
+    x = {"zigzag": np.resize([2.0, -1.0], 3000) + rng.integers(-1, 2, 3000),
+         "lattice": rng.choice([-1.0, 0.0, 1.0], 3000, p=[0.25, 0.25, 0.5]),
+         "gaussian": rng.standard_normal(3000) - 0.3}[kind]
+    for p in (2.0, 3.0):
+        for block in (1, 3):
+            _check_kernel_against_oracle(x, p, block)
 
 
 @given(x=gaussian_data(200))
