@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .seqcore import DistributionSpec, mix_seed, sample_sequence
 
@@ -101,6 +100,7 @@ def etemadi_check(
 def berry_esseen_distance(spec: DistributionSpec, k: int, trials: int, seed: int) -> float:
     """Kolmogorov distance between the empirical law of S_k / sqrt(k) and the
     standard normal, by the sorted-sample sup formula."""
+    from scipy.special import ndtr
     if spec.sigma != 1.0:
         raise ValueError("Berry-Esseen check requires a unit-variance spec")
     if k < 1 or trials < 1:

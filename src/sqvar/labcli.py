@@ -15,7 +15,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -168,6 +167,7 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
     workers = max(1, int(os.environ.get("SQVAR_THREADS", "1")))
     if workers == 1 or len(tasks) <= 1:
         return [run_trial(c, n, t) for c, n, t in tasks]
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_worker, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
 

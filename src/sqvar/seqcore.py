@@ -3,7 +3,8 @@
 All distributions are symmetric about zero and rescaled so the population
 variance equals sigma**2. Sampling is driven by a counter-based generator
 (Philox) keyed by a 64-bit seed, so regenerating with the same
-(spec, n, seed) triple reproduces the samples bit for bit.
+(spec, n, seed) triple reproduces the samples bit for bit. scipy is loaded
+only for the log-tail absolute moments at p != 2.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# E X^2 of the unscaled log-tail law: _logtail_raw_abs_moment(2.0) bit for bit,
+# pinned so that sampling neither loads scipy nor depends on its quadrature.
+_LOGTAIL_VARIANCE = float.fromhex("0x1.a524fdae73c1ap+1")
 
 KINDS = ("rademacher", "gaussian", "uniform_centered", "pareto_sym", "logtail_sym")
 
@@ -112,9 +114,8 @@ class DistributionSpec:
             scale = s / math.sqrt(a / (a - 2))
             return scale**p * a / (a - p)
         # logtail_sym: rescaled so the variance is sigma**2
-        raw = _logtail_raw_abs_moment(p)
-        scale = s / math.sqrt(_logtail_raw_abs_moment(2.0))
-        return scale**p * raw
+        scale = s / math.sqrt(_LOGTAIL_VARIANCE)
+        return scale**p * (_LOGTAIL_VARIANCE if p == 2 else _logtail_raw_abs_moment(p))
 
     def to_string(self) -> str:
         parts = [_SHORT[self.kind]]
@@ -179,6 +180,7 @@ class PrefixSums:
 @lru_cache(maxsize=None)
 def _logtail_x0() -> float:
     # x0 solves x * ln(e + x) = 1; the tail function equals 1 below x0.
+    from scipy.optimize import brentq
     return float(brentq(lambda x: x * math.log(math.e + x) - 1.0, 0.1, 1.0, xtol=1e-14))
 
 
@@ -189,6 +191,7 @@ def _logtail_raw_abs_moment(p: float) -> float:
     Integrated after u = ln(e+x), where the integrand becomes the cleanly
     decaying p e^{(p-2)u} (1 - e^{1-u})^{p-3} / u^2.
     """
+    from scipy.integrate import quad
     if p > 2:
         return math.inf
     x0 = _logtail_x0()
@@ -204,15 +207,22 @@ def _logtail_raw_abs_moment(p: float) -> float:
 
 
 def _logtail_quantile(u: np.ndarray) -> np.ndarray:
-    """|X| quantile: solve x*ln(e+x) = 1/sqrt(u) by bisection to ~1e-12 relative."""
+    """|X| quantile: solve x*ln(e+x) = 1/sqrt(u) by bisection to adjacent floats.
+
+    Stops at the first step that moves neither lo nor hi: the map is
+    elementwise, so that step would repeat and 100 steps give the same bits.
+    """
     target = 1.0 / np.sqrt(u)
     lo = np.zeros_like(target)
     hi = np.maximum(target, 1.0)  # x*ln(e+x) >= x for x >= 0
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         above = mid * np.log(math.e + mid) > target
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid)
+        new_hi = np.where(above, mid, hi)
+        new_lo = np.where(above, lo, mid)
+        if np.array_equal(new_hi, hi) and np.array_equal(new_lo, lo):
+            break
+        lo, hi = new_lo, new_hi
     return 0.5 * (lo + hi)
 
 
@@ -243,7 +253,7 @@ def sample_sequence(spec: DistributionSpec, n: int, seed: int) -> Sequence:
         u = 1.0 - rng.random(n)
         mag = _logtail_quantile(u)
         sign = 2.0 * rng.integers(0, 2, size=n) - 1.0
-        x = sign * mag * (s / math.sqrt(_logtail_raw_abs_moment(2.0)))
+        x = sign * mag * (s / math.sqrt(_LOGTAIL_VARIANCE))
     else:  # pragma: no cover - guarded by DistributionSpec
         raise ValueError(spec.kind)
     x.setflags(write=False)

@@ -185,8 +185,8 @@ def sq_variation_exact(x) -> VariationResult:
 def p_variation_exact(x, p: float) -> VariationResult:
     """Exact maximal p-variation for p >= 1 by the turning-point and record-chain
     DP, under the same tie rule; p = 2 matches sq_variation_exact bit for bit."""
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not (math.isfinite(p) and p >= 1):
+        raise ValueError("p must be finite and >= 1")
     walk = prefix_sums(x)
     part = _dp_over_allowed(walk.values, np.arange(walk.n + 1, dtype=np.int64), float(p))
     return partition_value(walk, part, float(p))

@@ -308,6 +308,52 @@ def test_cli_compute_overflow(tmp_path, capsys):
         assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("p", ["nan", "inf"])
+def test_cli_compute_non_finite_p(tmp_path, capsys, p):
+    path = tmp_path / "x.csv"
+    path.write_text("2\n1\n-3\n")
+    assert cli.main(["compute", "--input", str(path), "--p", p]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "sqvar: error: p must be finite and >= 1\n"
+
+
+IMPORT_BUDGET_SCRIPT = """
+import sys
+from sqvar import cli
+
+data, gauss, logtail = sys.argv[1:4]
+assert cli.main(["compute", "--input", data, "--p", "3"]) == 0
+assert cli.main(["simulate", "--config", gauss]) == 0
+assert cli.main(["simulate", "--config", logtail]) == 0
+loaded = sorted(m for m in sys.modules
+                if m.split(".")[0] == "scipy" or m == "concurrent.futures.process")
+print("LOADED", loaded)
+"""
+
+
+def test_cli_imports_no_scipy_or_process_pool(tmp_path):
+    # compute and a serial simulate, log-tail included, need neither scipy
+    # nor the process pool, so they must not pay for importing them
+    data = tmp_path / "x.csv"
+    data.write_text("2\n1\n-3\n0.5\n")
+    configs = []
+    for spec in ("gaussian:sigma=1", "logtail:sigma=1"):
+        ini = tmp_path / f"{spec.split(':')[0]}.ini"
+        ini.write_text(CONFIG_TEXT.format(out=tmp_path / f"{ini.stem}.csv")
+                       .replace("gaussian:sigma=1", spec).replace("n_grid = 64, 128", "n_grid = 32"))
+        configs.append(str(ini))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {k: v for k, v in os.environ.items() if k != "SQVAR_THREADS"}
+    env["PYTHONPATH"] = os.path.abspath(src)
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_BUDGET_SCRIPT, str(data), *configs],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "LOADED []"
+
+
 def test_cli_compute_closes_input(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("2\n1\n-3\n")

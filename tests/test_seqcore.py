@@ -1,9 +1,18 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from sqvar.seqcore import DistributionSpec, mix_seed, prefix_sums, sample_sequence
+from sqvar.seqcore import (
+    _LOGTAIL_VARIANCE,
+    DistributionSpec,
+    _logtail_quantile,
+    _logtail_raw_abs_moment,
+    mix_seed,
+    prefix_sums,
+    sample_sequence,
+)
 
 ALL_SPECS = [
     DistributionSpec("rademacher"),
@@ -28,6 +37,62 @@ def test_determinism_bit_for_bit(spec):
     assert a.samples.tobytes() == b.samples.tobytes()
     c = sample_sequence(spec, 512, 123456790)
     assert a.samples.tobytes() != c.samples.tobytes()
+
+
+# SHA-256 of sample_sequence(spec, 512, 123456789).samples, recorded before the
+# log-tail variance was pinned and the quantile bisection learned to stop early
+GOLDEN_DIGESTS = {
+    "rademacher": "14dd98dd0fa610b7deac638ca08d5711a9e3a6504d5001f9d0a44eb3fb49ebdb",
+    "gaussian": "1711cde1e836cbd208280007da9e9df9fd414af4bf9273ccb70e32b0375a138b",
+    "uniform_centered": "28b847bb2eeaa66ff2b317e552fdcdc2b1d9b3bb5ecea589696308c474cf4d2a",
+    "pareto_sym": "3a2e0f8334f3b76cd150bb1d97506bb82b1f72c35f25cc326d06b41c95e9294d",
+    "logtail_sym": "1d4ef65eb30641d919144403b2d51914347fde13f9d8aed61737e788308a5d8e",
+}
+
+
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
+def test_sample_bytes_golden(spec):
+    samples = sample_sequence(spec, 512, 123456789).samples
+    assert hashlib.sha256(samples.tobytes()).hexdigest() == GOLDEN_DIGESTS[spec.kind]
+
+
+def _quantile_oracle(u):
+    """The fixed 100-step bisection; also returns the first step (1-based)
+    that moved neither lo nor hi, or None if every step moved something."""
+    target = 1.0 / np.sqrt(u)
+    lo = np.zeros_like(target)
+    hi = np.maximum(target, 1.0)
+    still = None
+    for step in range(1, 101):
+        mid = 0.5 * (lo + hi)
+        above = mid * np.log(math.e + mid) > target
+        new_hi = np.where(above, mid, hi)
+        new_lo = np.where(above, lo, mid)
+        if still is None and np.array_equal(new_hi, hi) and np.array_equal(new_lo, lo):
+            still = step
+        hi, lo = new_hi, new_lo
+    return 0.5 * (lo + hi), still
+
+
+EDGE_U = [1.0, np.nextafter(1.0, 0.0), 0.25, 2.0**-53]
+
+
+def test_logtail_quantile_matches_100_step_oracle():
+    rng = np.random.default_rng(41)
+    for u in (1.0 - rng.random(4096), np.array(EDGE_U)):
+        expected, still = _quantile_oracle(u)
+        assert still is not None and still < 100
+        assert _logtail_quantile(u).tobytes() == expected.tobytes()
+    for edge in EDGE_U:
+        u = np.array([edge])
+        expected, still = _quantile_oracle(u)
+        assert still is not None and still < 100, edge
+        assert _logtail_quantile(u).tobytes() == expected.tobytes(), edge
+
+
+def test_logtail_variance_pinned_to_quadrature():
+    assert abs(_LOGTAIL_VARIANCE - _logtail_raw_abs_moment(2.0)) <= 2 * math.ulp(_LOGTAIL_VARIANCE)
+    assert DistributionSpec("logtail_sym", sigma=3.0).abs_moment(2.0) == pytest.approx(9.0)
 
 
 def test_gaussian_sample_variance_tight():
