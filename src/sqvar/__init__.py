@@ -1,7 +1,7 @@
 """Square variation of partial-sum sequences: exact computation, certified
 bounds, interval-family machinery, and a reproducible Monte Carlo lab."""
 
-from .seqcore import DistributionSpec, PrefixSums, Sequence, mix_seed, prefix_sums, sample_sequence
+from .seqcore import DistributionSpec, PrefixSums, mix_seed, prefix_sums, sample_sequence
 from .variation import (
     Partition,
     VariationResult,
@@ -15,7 +15,6 @@ from .variation import (
 __all__ = [
     "DistributionSpec",
     "PrefixSums",
-    "Sequence",
     "Partition",
     "VariationResult",
     "mix_seed",

@@ -58,8 +58,7 @@ def _iter_chunks(spec: DistributionSpec, length: int, trials: int, seed: int):
     idx = 0
     while done < trials:
         take = min(rows, trials - done)
-        seq = sample_sequence(spec, take * length, mix_seed(seed, idx))
-        yield seq.samples.reshape(take, length)
+        yield sample_sequence(spec, take * length, mix_seed(seed, idx)).reshape(take, length)
         done += take
         idx += 1
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .seqcore import prefix_sums
-from .variation import Partition
+from .variation import VariationResult
 
 
 def default_bad_threshold(delta: float = 1.0) -> float:
@@ -58,15 +58,11 @@ class ClassBreakdown:
         return self.good_sum + self.medium_sum + self.bad_sum
 
 
-def classify_partition(x, pi: Partition, params: ClassParams) -> ClassBreakdown:
-    """Label each interval of pi against the two thresholds and accumulate."""
-    walk = prefix_sums(x)
-    b = pi.breakpoints
-    if pi.n != walk.n:
-        raise ValueError("partition does not match the sequence length")
-    s = walk.values
-    sums2 = (s[b[1:]] - s[b[:-1]]) ** 2
-    lens = np.diff(b)
+def classify_partition(scored: VariationResult, params: ClassParams) -> ClassBreakdown:
+    """Label each interval of a p = 2 score (an exact, blocked or
+    partition_value result) by its contribution, S_I^2, and accumulate."""
+    sums2 = scored.contributions
+    lens = np.diff(scored.partition.breakpoints)
     ll = params.loglog
     good = sums2 <= (2.0 + params.epsilon) * lens * ll
     bad = sums2 > params.b_threshold * lens * ll

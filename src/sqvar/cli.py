@@ -187,12 +187,15 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_greedy(args) -> int:
+    if args.n < 16:
+        raise ValueError("--n must be >= 16, the smallest n the lab normalizes "
+                         "by 2 sigma^2 n lnln n")
     spec = DistributionSpec.from_string(args.spec)
-    seq = sample_sequence(spec, args.n, args.seed)
+    samples = sample_sequence(spec, args.n, args.seed)
     params = greedy.GreedyParams(s=args.s, c_copies=args.c, alpha=args.alpha,
                                  epsilon3=args.eps3)
-    res = greedy.greedy_partition(seq, params)
-    denom = 2.0 * spec.sigma**2 * args.n * math.log(math.log(args.n))
+    res = greedy.greedy_partition(samples, params)
+    denom = labcli._norm(args.n, spec.sigma)
     print(f"value={res.value:.17g} ratio={res.value / denom:.17g} "
           f"breakpoints={len(res.partition.breakpoints)}")
     return 0

@@ -16,7 +16,7 @@ its half shifts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 _REL_TOL = 1e-9  # endpoint comparisons are scaled by this
 
@@ -41,10 +41,6 @@ class RealInterval:
     def contains(self, other: "RealInterval", tol: float = 0.0) -> bool:
         return self.start <= other.start + tol and other.end <= self.end + tol
 
-    def integer_content(self) -> range:
-        """The integers inside (start, end]."""
-        return range(math.floor(self.start) + 1, math.floor(self.end) + 1)
-
 
 @dataclass(frozen=True)
 class IntervalFamily:
@@ -53,10 +49,7 @@ class IntervalFamily:
     scheme: str  # "F", "Fs", "H", or "L"
     n: int
     levels: dict[int, tuple[RealInterval, ...]]
-    epsilon_prime: float | None = None
     shift_index: int = 0  # j for H families, i for L families
-    s: int | None = None
-    c_copies: int | None = None
 
     def all_intervals(self):
         for lvl in sorted(self.levels):
@@ -140,11 +133,7 @@ def build_H(epsilon_prime: float, n: int) -> list[IntervalFamily]:
                 ivs.append(RealInterval((c - 1) * ln + shift, c * ln + shift))
                 c += 1
             levels[i] = tuple(ivs)
-        fams.append(
-            IntervalFamily(
-                scheme="H", n=n, levels=levels, epsilon_prime=epsilon_prime, shift_index=j
-            )
-        )
+        fams.append(IntervalFamily(scheme="H", n=n, levels=levels, shift_index=j))
     return fams
 
 
@@ -228,11 +217,7 @@ def build_L(s: int, c_copies: int, k_max: int | None = None) -> list[IntervalFam
             t_prev = _geom_total(s, k - 1)
             shift = i * s ** (k + 1) // c_copies
             levels[k] = (RealInterval(float(t_prev + shift), float(t_prev + s**k + shift)),)
-        fams.append(
-            IntervalFamily(
-                scheme="L", n=k_max, levels=levels, shift_index=i, s=s, c_copies=c_copies
-            )
-        )
+        fams.append(IntervalFamily(scheme="L", n=k_max, levels=levels, shift_index=i))
     return fams
 
 

@@ -44,6 +44,7 @@ class TwoCut:
     i1: int
     i2: int
     value: float
+    rate: float  # max over i2 of (best payoff at that i2) / i2
 
 
 def _two_cut_rows(s_seg: np.ndarray):
@@ -78,7 +79,7 @@ def best_two_cut(x, j: int, window: int) -> TwoCut:
     """Maximize (S_{i1+j}-S_j)^2 + (S_{i2+j}-S_{i1+j})^2 over 1<=i1<=i2<=window.
 
     Ties break to the smallest i2, then the smallest i1, matching the
-    exhaustive scan order.
+    exhaustive scan order. The same scan gives `rate` for the window event.
     """
     walk = prefix_sums(x)
     if j < 0 or window < 1 or j + window > walk.n:
@@ -86,7 +87,8 @@ def best_two_cut(x, j: int, window: int) -> TwoCut:
     s = walk.values[j : j + window + 1]
     row_best, row_i1 = _two_cut_rows(s)
     i2 = int(np.argmax(row_best)) + 1
-    return TwoCut(i1=int(row_i1[i2 - 1]), i2=i2, value=float(row_best[i2 - 1]))
+    rate = float((row_best / np.arange(1, window + 1)).max())
+    return TwoCut(i1=int(row_i1[i2 - 1]), i2=i2, value=float(row_best[i2 - 1]), rate=rate)
 
 
 def best_two_cut_bruteforce(x, j: int, window: int) -> TwoCut:
@@ -102,7 +104,8 @@ def best_two_cut_bruteforce(x, j: int, window: int) -> TwoCut:
     table = np.where(np.tril(np.ones_like(table), 0) > 0, table.T, -np.inf)
     flat = int(np.argmax(table))  # row-major: first max has smallest i2 then i1
     i2, i1 = divmod(flat, window)
-    return TwoCut(i1=i1 + 1, i2=i2 + 1, value=float(table[i2, i1]))
+    rate = float((table.max(axis=1) / np.arange(1, window + 1)).max())
+    return TwoCut(i1=i1 + 1, i2=i2 + 1, value=float(table[i2, i1]), rate=rate)
 
 
 def a_event_holds(x, j: int, window: int, n_ref: int, epsilon3: float) -> bool:
@@ -110,13 +113,7 @@ def a_event_holds(x, j: int, window: int, n_ref: int, epsilon3: float) -> bool:
     2 (1 - eps3) lnln(n_ref); the greedy walk then settles for a singleton."""
     if n_ref < 16:
         raise ValueError("n_ref must be >= 16")
-    walk = prefix_sums(x)
-    if j < 0 or window < 1 or j + window > walk.n:
-        raise ValueError("window must satisfy 0 <= j and j + window <= N")
-    s = walk.values[j : j + window + 1]
-    row_best, _ = _two_cut_rows(s)
-    sup = float((row_best / np.arange(1, window + 1)).max())
-    return sup < 2.0 * (1.0 - epsilon3) * math.log(math.log(n_ref))
+    return best_two_cut(x, j, window).rate < 2.0 * (1.0 - epsilon3) * math.log(math.log(n_ref))
 
 
 def select_cover_intervals(n_total: int, s: int, c_copies: int) -> list[tuple[int, int]]:
@@ -161,6 +158,7 @@ def greedy_partition(x, params: GreedyParams) -> VariationResult:
                       RuntimeWarning, stacklevel=2)
         return partition_value(walk, Partition(np.array([0, n])))
     cover = select_cover_intervals(n, params.s, params.c_copies)
+    threshold = 2.0 * (1.0 - params.epsilon3) * math.log(math.log(n))
     bps = [0]
     p = 0
     for a, b in cover:
@@ -172,11 +170,11 @@ def greedy_partition(x, params: GreedyParams) -> VariationResult:
         while p < b:
             if p + w > n:
                 break  # window has no data; close at the next cover start
-            if a_event_holds(walk, p, w, n, params.epsilon3):
+            cut = best_two_cut(walk, p, w)
+            if cut.rate < threshold:  # the window event of a_event_holds
                 p += 1
                 bps.append(p)
             elif p + w <= b:
-                cut = best_two_cut(walk, p, w)
                 bps.append(p + cut.i1)
                 if cut.i2 != cut.i1:
                     bps.append(p + cut.i2)

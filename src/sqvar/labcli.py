@@ -93,26 +93,25 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
     """One grid cell: sample, run the requested algorithms, classify."""
     t0 = time.perf_counter()
     seed = mix_seed(config.master_seed, n, trial_index)
-    seq = sample_sequence(config.spec, n, seed)
-    walk = prefix_sums(seq)
+    samples = sample_sequence(config.spec, n, seed)
+    walk = prefix_sums(samples)
     denom = _norm(n, config.spec.sigma) if n >= 16 else None
 
-    exact = blocked = dyadic = greedy_v = None
-    part = None
+    exact = blocked = dyadic = greedy_v = scored = None  # scored: exact, else blocked
     if "exact" in config.algorithms:
-        res = variation.sq_variation_exact(walk)
-        exact, part = res.value, res.partition
+        scored = variation.sq_variation_exact(walk)
+        exact = scored.value
     if "blocked" in config.algorithms:
         res = variation.sq_variation_blocked(walk, min(config.block, n))
         blocked = res.value
-        if part is None:
-            part = res.partition
+        if scored is None:
+            scored = res
     if "dyadic_upper" in config.algorithms:
         dyadic = variation.sq_variation_upper_dyadic(walk)
     if "greedy" in config.algorithms:
         greedy_v = greedy.greedy_partition(walk, config.greedy_params).value
 
-    sn = float(np.sum(seq.samples)) ** 2
+    sn = float(np.sum(samples)) ** 2
     lows = [v for v in (exact, blocked, greedy_v, sn) if v is not None]
     highs = [v for v in (exact, dyadic) if v is not None]
     ratio = exact / denom if (exact is not None and denom) else None
@@ -120,9 +119,9 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
     ratio_hi = min(highs) / denom if (highs and denom) else None
 
     cls = {}
-    if config.class_eps is not None and part is not None and n >= 16:
+    if config.class_eps is not None and scored is not None and n >= 16:
         br = classify.classify_partition(
-            walk, part, ClassParams(config.class_eps, config.class_b, n)
+            scored, ClassParams(config.class_eps, config.class_b, n)
         )
         cls = dict(
             good_sum=br.good_sum, medium_sum=br.medium_sum, bad_sum=br.bad_sum,
@@ -190,15 +189,18 @@ def records_to_csv(records: list[TrialRecord]) -> str:
 
 
 def records_from_csv(text: str) -> list[TrialRecord]:
-    lines = [ln for ln in text.split("\n") if ln.strip()]
-    header = lines[0].split(",")
-    if header != CSV_COLUMNS:
-        raise ValueError("unexpected CSV header; not a sqvar records file")
+    """Parse a records CSV; ValueError names the first malformed line."""
+    lines = [(k, ln) for k, ln in enumerate(text.split("\n"), 1) if ln.strip()]
+    if not lines or lines[0][1].split(",") != CSV_COLUMNS:
+        raise ValueError("missing or unexpected CSV header; not a sqvar records file")
     out = []
-    for ln in lines[1:]:
+    for k, ln in lines[1:]:
         vals = ln.split(",")
+        if len(vals) != len(CSV_COLUMNS):
+            raise ValueError(f"records line {k} has {len(vals)} fields, "
+                             f"expected {len(CSV_COLUMNS)}")
         kwargs = {}
-        for col, raw in zip(header, vals):
+        for col, raw in zip(CSV_COLUMNS, vals):
             if raw == "":
                 kwargs[col] = None
             elif col in _INT_COLUMNS:
@@ -234,12 +236,20 @@ def parse_config(path_or_text: str, is_text: bool = False) -> ExperimentConfig:
     with n >= 16 and an exact or blocked partition are classified.
     """
     cp = configparser.ConfigParser()
-    if is_text:
-        cp.read_file(io.StringIO(path_or_text))
-    else:
-        with open(path_or_text, encoding="utf-8") as fh:
-            cp.read_file(fh)
+    try:
+        if is_text:
+            cp.read_file(io.StringIO(path_or_text))
+        else:
+            with open(path_or_text, encoding="utf-8") as fh:
+                cp.read_file(fh)
+    except configparser.Error as exc:  # e.g. keys before any section header
+        raise ValueError(f"config is not valid INI: {exc.message.splitlines()[0]}") from exc
+    if not cp.has_section("experiment"):
+        raise ValueError("config has no [experiment] section")
     exp = cp["experiment"]
+    for key in ("n_grid", "trials"):
+        if key not in exp:
+            raise ValueError(f"config [experiment] is missing the required key {key!r}")
     algorithms = []
     block = 4
     for token in exp.get("algorithms", "exact").split(","):
@@ -268,7 +278,7 @@ def parse_config(path_or_text: str, is_text: bool = False) -> ExperimentConfig:
         class_b = c.getfloat("b", classify.default_bad_threshold())
     return ExperimentConfig(
         spec=DistributionSpec.from_string(exp.get("spec", "gaussian:sigma=1")),
-        n_grid=tuple(int(v) for v in exp.get("n_grid").replace(",", " ").split()),
+        n_grid=tuple(int(v) for v in exp["n_grid"].replace(",", " ").split()),
         trials=exp.getint("trials"),
         master_seed=exp.getint("master_seed", 0),
         algorithms=tuple(algorithms),

@@ -1,4 +1,4 @@
-"""Random sequence generation and the validated prefix-sum walk.
+"""Random samples, as read-only arrays, and the validated prefix-sum walk.
 
 All distributions are symmetric about zero and rescaled so the population
 variance equals sigma**2. Sampling is driven by a counter-based generator
@@ -146,18 +146,6 @@ class DistributionSpec:
 
 
 @dataclass(frozen=True)
-class Sequence:
-    """A realized sample vector together with its generating recipe."""
-
-    samples: np.ndarray
-    spec: DistributionSpec
-    seed: int
-
-    def __len__(self) -> int:
-        return len(self.samples)
-
-
-@dataclass(frozen=True)
 class PrefixSums:
     """The walk: values[k] = x_1 + ... + x_k, with values[0] = 0.
 
@@ -230,8 +218,9 @@ def _rng_for(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed & _MASK64))
 
 
-def sample_sequence(spec: DistributionSpec, n: int, seed: int) -> Sequence:
-    """Draw n i.i.d. samples under spec; deterministic in (spec, n, seed)."""
+def sample_sequence(spec: DistributionSpec, n: int, seed: int) -> np.ndarray:
+    """Draw n i.i.d. samples under spec as a read-only array; deterministic in
+    (spec, n, seed)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = _rng_for(seed)
@@ -257,14 +246,14 @@ def sample_sequence(spec: DistributionSpec, n: int, seed: int) -> Sequence:
     else:  # pragma: no cover - guarded by DistributionSpec
         raise ValueError(spec.kind)
     x.setflags(write=False)
-    return Sequence(samples=x, spec=spec, seed=int(seed))
+    return x
 
 
 _EXTENDED_CUTOFF = 1 << 20  # accumulate long sums in extended precision
 
 
 def prefix_sums(x) -> PrefixSums:
-    """The walk S_0..S_N of a Sequence or 1-d array-like, S_0 = 0.
+    """The walk S_0..S_N of a 1-d array-like of samples, S_0 = 0.
 
     A PrefixSums passes through unchanged, so a caller builds the walk once
     and hands it to every kernel. Raises ValueError on empty or non-1-d input
@@ -273,7 +262,7 @@ def prefix_sums(x) -> PrefixSums:
     """
     if isinstance(x, PrefixSums):
         return x
-    arr = x.samples if isinstance(x, Sequence) else np.asarray(x, dtype=np.float64)
+    arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1 or len(arr) == 0:
         raise ValueError("expected a non-empty 1-d sample vector")
     n = len(arr)

@@ -53,6 +53,11 @@ class VariationResult:
         )
 
 
+def _power(d: np.ndarray, p: float) -> np.ndarray:
+    """|d|^p elementwise; the one rule that every DP score and value uses."""
+    return d * d if p == 2.0 else np.abs(d) ** p
+
+
 def partition_value(x, partition: Partition, p: float = 2.0) -> VariationResult:
     """Evaluate sum of |S_I|^p over a given partition's intervals.
 
@@ -64,8 +69,7 @@ def partition_value(x, partition: Partition, p: float = 2.0) -> VariationResult:
         raise ValueError("partition does not match the sequence length")
     s = walk.values
     b = partition.breakpoints
-    d = s[b[1:]] - s[b[:-1]]
-    contr = d * d if p == 2.0 else np.abs(d) ** p
+    contr = _power(s[b[1:]] - s[b[:-1]], p)
     value = float(np.sum(contr))
     if not math.isfinite(value):
         raise ValueError(f"variation value overflows float64 (p={p:g})")
@@ -76,20 +80,20 @@ _DP_PASS = 1 << 10  # short chains of this many points are scored per numpy call
 _DP_LONG = 1 << 8  # a chain with more candidates is scored on its own
 
 
-def _dp_over_allowed(s: np.ndarray, allowed: np.ndarray, p: float) -> Partition:
-    """Maximize sum of |S_I|^p over partitions with breakpoints in `allowed`.
+def _dp_breakpoints(a: np.ndarray, p: float) -> np.ndarray:
+    """Breakpoints, as indices into the walk a, maximizing sum |a_j - a_i|^p.
 
-    Runs on the walk a = s[allowed]. For p >= 1 an optimal partition with the
-    fewest intervals breaks only at the first point of a local extremum of a:
-    adjacent pieces of one sign merge without loss, and a breakpoint moved to
-    the extreme of its two pieces raises both. If a rises above a[i] before
-    it drops below, the breakpoint after i is the end or a strict running-
-    maximum record of a from i taken before that drop; in the other case it
-    is the end or a strict running-minimum record taken before the rise. So
-    each point has one ascending record chain as candidates, and the suffix
-    recurrence G[i] = max_j |a_j - a_i|^p + G[j] runs over them. Ties resolve
-    to the fewest intervals and then to the smallest next breakpoint, which
-    gives the lexicographically smallest breakpoint vector.
+    For p >= 1 an optimal partition with the fewest intervals breaks only at
+    the first point of a local extremum of a: adjacent pieces of one sign
+    merge without loss, and a breakpoint moved to the extreme of its two
+    pieces raises both. If a rises above a[i] before it drops below, the
+    breakpoint after i is the end or a strict running-maximum record of a
+    from i taken before that drop; in the other case it is the end or a
+    strict running-minimum record taken before the rise. So each point has
+    one ascending record chain as candidates, and the suffix recurrence
+    G[i] = max_j |a_j - a_i|^p + G[j] runs over them. Ties resolve to the
+    fewest intervals and then to the smallest next breakpoint, which gives
+    the lexicographically smallest breakpoint vector.
 
     The time is the total chain length. On a mean-zero walk the chains are
     short (about 8 candidates per turning point at N = 1e6, Gaussian) and the
@@ -98,7 +102,6 @@ def _dp_over_allowed(s: np.ndarray, allowed: np.ndarray, p: float) -> Partition:
     scores a row. Memory is O(N): one pass holds at most _DP_PASS chains of at
     most _DP_LONG candidates each.
     """
-    a = s[allowed]
     step = np.sign(np.diff(a))  # turn: a strict step in, another step out
     turns = np.flatnonzero((step[:-1] != 0) & (step[1:] != step[:-1])) + 1
     idx = np.concatenate(([0], turns, [len(a) - 1]))
@@ -109,9 +112,6 @@ def _dp_over_allowed(s: np.ndarray, allowed: np.ndarray, p: float) -> Partition:
     vals = b.tolist()
     m = len(vals) - 1
     g, cnt, prev = [0.0] * (m + 1), [0] * (m + 1), [0] * (m + 1)
-
-    def power(d):
-        return d * d if p == 2.0 else np.abs(d) ** p
 
     # scanning rightwards, after the pops `highs` holds the strict running-
     # maximum records of b left of q, read leftwards from q, and `lows` the
@@ -146,7 +146,7 @@ def _dp_over_allowed(s: np.ndarray, allowed: np.ndarray, p: float) -> Partition:
             if long:
                 break
         d = b[dst] - np.repeat(b[points], np.diff(first))
-        w = power(d).tolist()
+        w = _power(d, p).tolist()
         for r, k in enumerate(points):
             best, fewest, pick = -math.inf, 0, 0
             for e in range(first[r], first[r + 1]):
@@ -163,7 +163,7 @@ def _dp_over_allowed(s: np.ndarray, allowed: np.ndarray, p: float) -> Partition:
             mirror[lo:n] = chain[lo:n]
             gn[done:q], cn[done:q], done = g[done:q], cnt[done:q], q
             js = np.append(0, mirror[pos:n])
-            w = power(b[js] - vals[q])
+            w = _power(b[js] - vals[q], p)
             w += gn[js]
             best = w.max()
             ok, cj = w == best, cn[js]
@@ -173,7 +173,7 @@ def _dp_over_allowed(s: np.ndarray, allowed: np.ndarray, p: float) -> Partition:
     bps = [m]
     while bps[-1] != 0:
         bps.append(prev[bps[-1]])
-    return Partition(breakpoints=allowed[idx[m - np.array(bps)]])
+    return idx[m - np.array(bps)]
 
 
 def sq_variation_exact(x) -> VariationResult:
@@ -188,7 +188,7 @@ def p_variation_exact(x, p: float) -> VariationResult:
     if not (math.isfinite(p) and p >= 1):
         raise ValueError("p must be finite and >= 1")
     walk = prefix_sums(x)
-    part = _dp_over_allowed(walk.values, np.arange(walk.n + 1, dtype=np.int64), float(p))
+    part = Partition(_dp_breakpoints(walk.values, float(p)))
     return partition_value(walk, part, float(p))
 
 
@@ -204,7 +204,7 @@ def sq_variation_blocked(x, block: int) -> VariationResult:
     allowed = np.arange(0, n + 1, block, dtype=np.int64)
     if allowed[-1] != n:
         allowed = np.append(allowed, n)
-    part = _dp_over_allowed(walk.values, allowed, 2.0)
+    part = Partition(allowed[_dp_breakpoints(walk.values[allowed], 2.0)])
     return partition_value(walk, part, 2.0)
 
 

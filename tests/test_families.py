@@ -175,9 +175,9 @@ def test_L_gap_law():
         assert check_L_gaps(s, c, k_max=12)["gap_violations"] == 0
 
 
-def test_real_interval_integer_content():
-    iv = RealInterval(1.5, 4.0)
-    assert list(iv.integer_content()) == [2, 3, 4]
-    assert RealInterval(2.0, 3.0).integer_content() == range(3, 4)
+def test_real_interval_validation():
+    assert RealInterval(1.5, 4.0).length == 2.5
     with pytest.raises(ValueError):
         RealInterval(2.0, 2.0)
+    with pytest.raises(ValueError):
+        RealInterval(-1.0, 1.0)

@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from sqvar import greedy
 from sqvar.greedy import (
     GreedyParams,
     a_event_holds,
@@ -12,7 +14,7 @@ from sqvar.greedy import (
     greedy_partition,
     select_cover_intervals,
 )
-from sqvar.seqcore import DistributionSpec, sample_sequence
+from sqvar.seqcore import DistributionSpec, prefix_sums, sample_sequence
 from sqvar.variation import sq_variation_exact
 
 PARAMS = GreedyParams(s=2, c_copies=4, alpha=0.25, epsilon3=0.5)
@@ -67,7 +69,7 @@ def test_fast_path_equals_bruteforce():
         fast = best_two_cut(seq, j, w)
         brute = best_two_cut_bruteforce(seq, j, w)
         assert (fast.i1, fast.i2) == (brute.i1, brute.i2)
-        assert fast.value == brute.value
+        assert (fast.value, fast.rate) == (brute.value, brute.rate)
 
 
 def test_fast_path_tie_agreement_on_lattice_values():
@@ -78,12 +80,10 @@ def test_fast_path_tie_agreement_on_lattice_values():
         x = rng.integers(-2, 3, size=w).astype(float)
         fast = best_two_cut(x, 0, w)
         brute = best_two_cut_bruteforce(x, 0, w)
-        assert (fast.i1, fast.i2, fast.value) == (brute.i1, brute.i2, brute.value)
+        assert fast == brute
 
 
 def _a_event_bruteforce(x, j, w, n_ref, eps3):
-    from sqvar.seqcore import prefix_sums
-
     s = prefix_sums(x).values
     best = -np.inf
     for i2 in range(1, w + 1):
@@ -103,7 +103,7 @@ def test_a_event_cases():
         w = int(rng.integers(1, 64))
         seq = sample_sequence(DistributionSpec("gaussian"), w, case)
         assert a_event_holds(seq, 0, w, 4096, 0.3) == _a_event_bruteforce(
-            seq.samples, 0, w, 4096, 0.3
+            seq, 0, w, 4096, 0.3
         )
 
 
@@ -192,3 +192,59 @@ def test_greedy_ratio_trend():
     # these seeds give medians 0.694, 0.724 and 0.741 (N = 2^10, 2^12, 2^14),
     # so the 0.30 floor only catches a collapse of the cover, not a drift
     assert medians[0] > 0.30
+
+
+def test_greedy_small_n_below_lnln_floor():
+    # s^2 <= N < 16: the window threshold 2 (1 - eps3) lnln N is small but
+    # positive, so greedy runs and stays below the exact value
+    for n in range(4, 16):
+        for seed in range(3):
+            x = sample_sequence(DistributionSpec("gaussian"), n, 100 * n + seed)
+            g = greedy_partition(x, PARAMS)
+            b = g.partition.breakpoints
+            assert b[0] == 0 and b[-1] == n and np.all(np.diff(b) > 0)
+            assert g.value <= sq_variation_exact(x).value + 1e-9
+
+
+# SHA-256 of the little-endian int64 greedy breakpoints under PARAMS for
+# gaussian sample_sequence(spec, n, seed), recorded before greedy_partition
+# scanned each window once
+GREEDY_DIGESTS = {
+    (100, 0): "9b4b2e6b47a6ec471a0d659027d421256aaf6a558d8624a6cedd8a97dffbc75f",
+    (100, 1): "4e493824e6166cb02763b0250f80ad7ec94b222cf659f9a1655f172a117f477a",
+    (100, 2): "70c1d5af7123cc43ae2ead37e9660b02ed2a5ce6e16f5e15b8c6e23bc94f2b66",
+    (4096, 0): "fe32cbb325530d0c46bc335a19be8a67617eb218bbe55df1ffbec0e8fba72c96",
+    (4096, 1): "45cba4f44912e72042df63a8df689e44c95b9b8214d69028fd53a029c0c0ad8a",
+    (4096, 2): "b2b7b619df906e5fdce8b98c6f057660ec8469bc9298b193930bfe62941d37a9",
+}
+
+
+@pytest.mark.parametrize("n,seed", sorted(GREEDY_DIGESTS))
+def test_greedy_breakpoints_golden(n, seed):
+    x = sample_sequence(DistributionSpec("gaussian"), n, seed)
+    b = greedy_partition(x, PARAMS).partition.breakpoints
+    assert hashlib.sha256(b.astype("<i8").tobytes()).hexdigest() == GREEDY_DIGESTS[n, seed]
+
+
+def test_greedy_scans_each_window_once(monkeypatch):
+    starts, scans = [], []
+    real_cut, real_rows = greedy.best_two_cut, greedy._two_cut_rows
+
+    def cut(x, j, window):
+        starts.append(j)
+        return real_cut(x, j, window)
+
+    def rows(s_seg):
+        scans.append(len(s_seg))
+        return real_rows(s_seg)
+
+    def event(*args):
+        raise AssertionError("greedy_partition evaluated the window event separately")
+
+    monkeypatch.setattr(greedy, "best_two_cut", cut)
+    monkeypatch.setattr(greedy, "_two_cut_rows", rows)
+    monkeypatch.setattr(greedy, "a_event_holds", event)
+    greedy_partition(sample_sequence(DistributionSpec("gaussian"), 4096, 3), PARAMS)
+    # every window step starts at a new position, and each is scanned once
+    assert starts and starts == sorted(set(starts))
+    assert len(scans) == len(starts)

@@ -10,6 +10,7 @@ import pytest
 from sqvar import cli
 from sqvar.labcli import (
     CSV_COLUMNS,
+    PLOT_KINDS,
     ExperimentConfig,
     InvariantViolation,
     TrialRecord,
@@ -257,6 +258,55 @@ def test_cli_greedy(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert out.startswith("value=") and "ratio=" in out and "breakpoints=" in out
+    for n in ("1", "2", "15"):  # lnln n is undefined, negative, or below the lab's range
+        assert cli.main(["greedy", "--n", n]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("sqvar: error: --n must be >= 16")
+        assert captured.err.count("\n") == 1
+
+
+def test_cli_simulate_greedy_small_n(tmp_path, capsys):
+    out = tmp_path / "records.csv"
+    ini = tmp_path / "exp.ini"
+    ini.write_text(CONFIG_TEXT.format(out=out).replace("n_grid = 64, 128", "n_grid = 8, 32"))
+    assert cli.main(["simulate", "--config", str(ini)]) == 0
+    assert capsys.readouterr().err == ""
+    records = records_from_csv(out.read_text())
+    assert [r.n for r in records] == [8, 8, 8, 32, 32, 32]
+    assert all(r.v2_greedy <= r.v2_exact + 1e-9 for r in records)
+
+
+@pytest.mark.parametrize("edit,missing", [
+    (lambda s: s.replace("[experiment]\n", ""), "no section headers"),
+    (lambda s: s.replace("[experiment]", "[experimentx]"), "[experiment] section"),
+    (lambda s: s.replace("n_grid = 64, 128\n", ""), "'n_grid'"),
+    (lambda s: s.replace("trials = 3\n", ""), "'trials'"),
+], ids=["no-header", "no-section", "no-n_grid", "no-trials"])
+def test_cli_simulate_config_missing(tmp_path, capsys, edit, missing):
+    ini = tmp_path / "exp.ini"
+    ini.write_text(edit(CONFIG_TEXT.format(out=tmp_path / "r.csv")))
+    assert cli.main(["simulate", "--config", str(ini)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sqvar: error: ") and missing in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text,where", [
+    ("", "header"),
+    ("\n\n", "header"),
+    (",".join(CSV_COLUMNS) + "\n0,64\n", "line 2 has 2 fields"),
+    (",".join(CSV_COLUMNS) + "\n\n" + ",".join(["1"] * (len(CSV_COLUMNS) + 1)) + "\n",
+     f"line 3 has {len(CSV_COLUMNS) + 1} fields"),
+], ids=["empty", "blank", "short-row", "long-row"])
+def test_records_csv_malformed(tmp_path, capsys, text, where):
+    with pytest.raises(ValueError, match=where):
+        records_from_csv(text)
+    path = tmp_path / "records.csv"
+    path.write_text(text)
+    for argv in (["summarize"], ["plotdata", "--kind", "ratio_vs_n"]):
+        assert cli.main([*argv, "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sqvar: error: ") and where in err
 
 
 def test_cli_bounds_small(tmp_path):
@@ -375,3 +425,23 @@ def test_cli_bounds_rosenthal_report_only(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 5
     assert all(ln.split(",")[-1] == "report-only" for ln in lines[1:])
+
+
+def test_cli_chain_warning_free(tmp_path):
+    # simulate (every algorithm, classify, JSON-lines mirror), summarize and
+    # every plotdata kind, with warnings raised as errors and dev-mode checks
+    out = tmp_path / "records.csv"
+    ini = tmp_path / "exp.ini"
+    ini.write_text(CONFIG_TEXT.format(out=out).replace("[classify]", "jsonl = true\n\n[classify]"))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {k: v for k, v in os.environ.items() if k != "SQVAR_THREADS"}
+    env["PYTHONPATH"] = os.path.abspath(src)
+    steps = [["simulate", "--config", str(ini)], ["summarize", "--input", str(out)]]
+    steps += [["plotdata", "--input", str(out), "--kind", kind] for kind in PLOT_KINDS]
+    for argv in steps:
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "sqvar.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+    assert os.path.getsize(str(out) + ".jsonl") > 0

@@ -13,7 +13,7 @@ from sqvar.seqcore import DistributionSpec, prefix_sums, sample_sequence
 from sqvar.variation import (
     Partition,
     VariationResult,
-    _dp_over_allowed,
+    _dp_breakpoints,
     p_variation_exact,
     partition_value,
     sq_variation_blocked,
@@ -118,7 +118,7 @@ def test_blocked_endpoints_and_bounds():
     assert b1.value == exact.value
     assert np.array_equal(b1.partition.breakpoints, exact.partition.breakpoints)
     bn = sq_variation_blocked(seq, len(seq))
-    total = float(np.sum(seq.samples))
+    total = float(np.sum(seq))
     assert bn.value == pytest.approx(total * total, rel=1e-12)
     b4 = sq_variation_blocked(seq, 4)
     assert b4.value <= exact.value
@@ -153,8 +153,8 @@ def test_lower_bounds_by_construction():
     for trial in range(20):
         seq = sample_sequence(DistributionSpec("pareto_sym", tail_exponent=4.0), 100, trial)
         v = sq_variation_exact(seq).value
-        assert v >= float(np.sum(seq.samples)) ** 2 - 1e-9
-        assert v >= float(np.sum(seq.samples**2)) - 1e-9
+        assert v >= float(np.sum(seq)) ** 2 - 1e-9
+        assert v >= float(np.sum(seq**2)) - 1e-9
 
 
 def test_triangle_inequality_random_pairs():
@@ -162,8 +162,8 @@ def test_triangle_inequality_random_pairs():
         return np.sqrt(sq_variation_exact(v).value)
 
     for trial in range(50):
-        x = sample_sequence(DistributionSpec("gaussian"), 50, trial).samples
-        y = sample_sequence(DistributionSpec("rademacher"), 50, 10_000 + trial).samples
+        x = sample_sequence(DistributionSpec("gaussian"), 50, trial)
+        y = sample_sequence(DistributionSpec("rademacher"), 50, 10_000 + trial)
         assert norm(x + y) <= norm(x) + norm(y) + 1e-9
     assert norm(x - x) == 0.0
     assert norm(x + np.zeros(50)) == pytest.approx(norm(x) + norm(np.zeros(50)), rel=1e-12)
@@ -222,7 +222,8 @@ _WALK_KERNELS = {
     "dyadic": sq_variation_upper_dyadic,
     "greedy": lambda x: greedy_partition(x, GreedyParams(2, 4, 0.25, 0.5)),
     "classify": lambda x: classify_partition(
-        x, Partition(np.r_[0:len(x):4096, len(x)]), ClassParams(0.1, 8.0, len(x))
+        partition_value(x, Partition(np.r_[0:len(x):4096, len(x)])),
+        ClassParams(0.1, 8.0, len(x)),
     ),
 }
 
@@ -335,9 +336,9 @@ def test_exact_value_equals_bruteforce(x, p):
 
 
 def _check_kernel_against_oracle(x, p, block):
-    s = prefix_sums(x).values
-    expected = _dp_oracle(s, _allowed(len(x), block), p).breakpoints.tolist()
-    assert _dp_over_allowed(s, _allowed(len(x), block), p).breakpoints.tolist() == expected
+    s, allowed = prefix_sums(x).values, _allowed(len(x), block)
+    expected = _dp_oracle(s, allowed, p).breakpoints.tolist()
+    assert allowed[_dp_breakpoints(s[allowed], p)].tolist() == expected
     if p == 2.0:
         blocked = sq_variation_blocked(x, min(block, len(x)))
         assert blocked.partition.breakpoints.tolist() == expected
