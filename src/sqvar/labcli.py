@@ -135,11 +135,12 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
         ratio=ratio, ratio_lo=ratio_lo, ratio_hi=ratio_hi, s_n_sq=sn,
         wall_time_ms=(time.perf_counter() - t0) * 1e3, **cls,
     )
-    _check_record(rec)
+    _check_record(rec, config.spec)
     return rec
 
 
-def _check_record(rec: TrialRecord) -> None:
+def _check_record(rec: TrialRecord, spec: DistributionSpec) -> None:
+    """Raise InvariantViolation naming the spec, n, trial and seed that replay it."""
     tol = 1e-9 * max(1.0, *(v for v in (rec.v2_exact, rec.v2_dyadic_upper, rec.s_n_sq)
                             if v is not None))
     pairs = [
@@ -151,7 +152,8 @@ def _check_record(rec: TrialRecord) -> None:
     for name, lo, hi in pairs:
         if lo is not None and hi is not None and lo > hi + tol:
             raise InvariantViolation(
-                f"record (n={rec.n}, trial={rec.trial_index}) breaks {name}: {lo} > {hi}"
+                f"record (spec={spec.to_string()}, n={rec.n}, trial={rec.trial_index}, "
+                f"seed={rec.seed}) breaks {name}: {lo} > {hi}"
             )
 
 
@@ -189,7 +191,7 @@ def records_to_csv(records: list[TrialRecord]) -> str:
 
 
 def records_from_csv(text: str) -> list[TrialRecord]:
-    """Parse a records CSV; ValueError names the first malformed line."""
+    """Parse a records CSV; ValueError names the first malformed line (and cell)."""
     lines = [(k, ln) for k, ln in enumerate(text.split("\n"), 1) if ln.strip()]
     if not lines or lines[0][1].split(",") != CSV_COLUMNS:
         raise ValueError("missing or unexpected CSV header; not a sqvar records file")
@@ -201,12 +203,11 @@ def records_from_csv(text: str) -> list[TrialRecord]:
                              f"expected {len(CSV_COLUMNS)}")
         kwargs = {}
         for col, raw in zip(CSV_COLUMNS, vals):
-            if raw == "":
-                kwargs[col] = None
-            elif col in _INT_COLUMNS:
-                kwargs[col] = int(raw)
-            else:
-                kwargs[col] = float(raw)
+            try:
+                kwargs[col] = None if raw == "" else (int if col in _INT_COLUMNS else float)(raw)
+            except ValueError:
+                raise ValueError(f"records line {k} column {col!r} is not a number: "
+                                 f"{raw!r}") from None
         out.append(TrialRecord(wall_time_ms=None, **kwargs))
     return out
 
@@ -276,6 +277,9 @@ def parse_config(path_or_text: str, is_text: bool = False) -> ExperimentConfig:
         c = cp["classify"]
         class_eps = c.getfloat("eps", 0.1)
         class_b = c.getfloat("b", classify.default_bad_threshold())
+        if not (class_eps > 0 and class_b > 2 + class_eps):
+            raise ValueError(f"config [classify] needs eps > 0 and b > 2 + eps, "
+                             f"got eps = {class_eps:g}, b = {class_b:g}")
     return ExperimentConfig(
         spec=DistributionSpec.from_string(exp.get("spec", "gaussian:sigma=1")),
         n_grid=tuple(int(v) for v in exp["n_grid"].replace(",", " ").split()),

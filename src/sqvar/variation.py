@@ -6,8 +6,8 @@ breakpoints are restricted to turning points of the walk and, after each
 breakpoint, to the chains of running records that can follow it (Butkus &
 Norvaisa, "Computation of p-variation", Lithuanian Math. J. 58, 2018). On a
 mean-zero walk that takes near-linear time, on a walk with drift O(N^2). The
-same kernel on a subsampled walk gives the blocked lower bound, and a
-dyadic-family scan gives a certified upper bound.
+same kernel on a subsampled walk gives the blocked lower bound, and an O(N)
+max/min pyramid over the dyadic families gives a certified upper bound.
 """
 
 from __future__ import annotations
@@ -241,18 +241,6 @@ def sq_variation_bruteforce(x, p: float = 2.0) -> float:
     return best
 
 
-def _level_tilde_sum(s: np.ndarray, length: int, offset: int, count: int) -> float:
-    """Sum over `count` aligned intervals of max_k (S_{off+j*len+k}-S_{off+j*len})^2."""
-    if count <= 0:
-        return 0.0
-    seg = s[offset : offset + count * length + 1]
-    starts = seg[:-1:length][:count]
-    win = seg[1:].reshape(count, length)
-    hi = win.max(axis=1) - starts
-    lo = win.min(axis=1) - starts
-    return float(np.sum(np.maximum(hi * hi, lo * lo)))
-
-
 def sq_variation_upper_dyadic(x) -> float:
     """Certified upper bound 12 * sum of per-interval prefix maxima.
 
@@ -261,6 +249,12 @@ def sq_variation_upper_dyadic(x) -> float:
     three of them, and the interval maximum is at most 4x the prefix maximum;
     chaining these gives V^2 <= 12 * sum over the family. Inputs whose length
     is not a power of two are zero-padded upward, which cannot lower the bound.
+
+    Level i holds the max and min of S over aligned blocks of 2^i steps, taken
+    pairwise from level i-1, and a half-shifted level-i interval is the union
+    of aligned blocks 2j+1 and 2j+2 of level i-1. One streaming pass takes O(N)
+    time, with the current level and its temporaries as extra memory, and adds
+    the level sums aligned first, then shifted, each in increasing i.
     """
     walk = prefix_sums(x)
     n = walk.n
@@ -269,13 +263,24 @@ def sq_variation_upper_dyadic(x) -> float:
     if npow != n:
         s = np.concatenate([s, np.full(npow - n, s[-1])])
     nlev = npow.bit_length() - 1
-    total = 0.0
+
+    def tilde_sum(hi, lo, starts):  # sum of max_k (S_{a+k} - S_a)^2 over a family
+        hi, lo = hi - starts, lo - starts
+        return float(np.sum(np.maximum(np.multiply(hi, hi, out=hi), lo * lo, out=hi)))
+
+    total, shifted = 0.0, []
+    hi = lo = s[1:]
     for i in range(nlev + 1):
-        total += _level_tilde_sum(s, 1 << i, 0, npow >> i)
-    for i in range(1, nlev):
-        total += _level_tilde_sum(s, 1 << i, 1 << (i - 1), (npow >> i) - 1)
+        total += tilde_sum(hi, lo, s[0:npow:1 << i])
+        if i + 1 < nlev:  # the shifted level i + 1, from blocks of 2^i
+            h = 1 << i
+            shifted.append(tilde_sum(np.maximum(hi[1:-1:2], hi[2::2]),
+                                     np.minimum(lo[1:-1:2], lo[2::2]), s[h:npow - h:2 * h]))
+        if i < nlev:
+            hi, lo = np.maximum(hi[0::2], hi[1::2]), np.minimum(lo[0::2], lo[1::2])
+    for v in shifted:
+        total += v
     bound = 12.0 * total
     if not math.isfinite(bound):
         raise ValueError("dyadic upper bound overflows float64")
     return bound
-

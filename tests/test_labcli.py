@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from sqvar import cli
+from sqvar import cli, variation
 from sqvar.labcli import (
     CSV_COLUMNS,
     PLOT_KINDS,
@@ -25,7 +25,7 @@ from sqvar.labcli import (
     summarize,
     write_outputs,
 )
-from sqvar.seqcore import DistributionSpec
+from sqvar.seqcore import DistributionSpec, mix_seed
 
 CONFIG_TEXT = """
 [experiment]
@@ -143,7 +143,30 @@ def test_invariant_violation_detected():
         ratio=None, ratio_lo=None, ratio_hi=None, s_n_sq=1.0,
     )
     with pytest.raises(InvariantViolation, match="blocked"):
-        _check_record(rec)
+        _check_record(rec, DistributionSpec("gaussian"))
+
+
+def test_invariant_violation_names_replay(monkeypatch):
+    spec = DistributionSpec.from_string("pareto:a=2.5")
+    rec = TrialRecord(
+        trial_index=3, n=64, seed=12345,
+        v2_exact=10.0, v2_blocked=None, v2_dyadic_upper=100.0, v2_greedy=None,
+        ratio=None, ratio_lo=None, ratio_hi=None, s_n_sq=11.0,
+    )
+    with pytest.raises(InvariantViolation,
+                       match=r"spec=pareto:a=2.5:sigma=1, n=64, trial=3, seed=12345\) "
+                             r"breaks s_n_sq <= exact"):
+        _check_record(rec, spec)
+    # a dyadic bound below exact, raised from inside a run: the message holds
+    # what sample_sequence needs to draw the same samples again
+    monkeypatch.setattr(variation, "sq_variation_upper_dyadic", lambda walk: 0.0)
+    cfg = _config(None, spec=spec, n_grid=(64,), trials=2, master_seed=5)
+    with pytest.raises(InvariantViolation) as exc:
+        run_experiment(cfg)
+    msg = str(exc.value)
+    assert f"spec={spec.to_string()}, n=64, trial=0, seed={mix_seed(5, 64, 0)})" in msg
+    assert "breaks exact <= dyadic_upper" in msg
+    assert DistributionSpec.from_string(msg.split("spec=")[1].split(",")[0]) == spec
 
 
 def test_parse_config(tmp_path):
@@ -297,7 +320,12 @@ def test_cli_simulate_config_missing(tmp_path, capsys, edit, missing):
     (",".join(CSV_COLUMNS) + "\n0,64\n", "line 2 has 2 fields"),
     (",".join(CSV_COLUMNS) + "\n\n" + ",".join(["1"] * (len(CSV_COLUMNS) + 1)) + "\n",
      f"line 3 has {len(CSV_COLUMNS) + 1} fields"),
-], ids=["empty", "blank", "short-row", "long-row"])
+    (",".join(CSV_COLUMNS) + "\n" + ",".join(["x"] * len(CSV_COLUMNS)) + "\n",
+     "line 2 column 'trial_index' is not a number: 'x'"),
+    (",".join(CSV_COLUMNS) + "\n" + ",".join(["0", "64", "1", "1e3x"]
+                                             + [""] * (len(CSV_COLUMNS) - 4)) + "\n",
+     "line 2 column 'v2_exact' is not a number: '1e3x'"),
+], ids=["empty", "blank", "short-row", "long-row", "non-numeric-int", "non-numeric-float"])
 def test_records_csv_malformed(tmp_path, capsys, text, where):
     with pytest.raises(ValueError, match=where):
         records_from_csv(text)
@@ -307,6 +335,25 @@ def test_records_csv_malformed(tmp_path, capsys, text, where):
         assert cli.main([*argv, "--input", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("sqvar: error: ") and where in err
+
+
+@pytest.mark.parametrize("n_grid", ["8", "32"])
+@pytest.mark.parametrize("cls,got", [("eps = 0.1\nb = 1", "eps = 0.1, b = 1"),
+                                     ("eps = 0\nb = 8", "eps = 0, b = 8")], ids=["b", "eps"])
+def test_cli_simulate_bad_classify(tmp_path, capsys, monkeypatch, n_grid, cls, got):
+    # refused when the config is read: at n = 8 no trial is classified, and at
+    # n = 32 no kernel runs first
+    def no_kernel(*args):
+        raise AssertionError("a kernel ran before [classify] was checked")
+    monkeypatch.setattr(variation, "sq_variation_exact", no_kernel)
+    out = tmp_path / "r.csv"
+    ini = tmp_path / "exp.ini"
+    ini.write_text(CONFIG_TEXT.format(out=out).replace("n_grid = 64, 128", f"n_grid = {n_grid}")
+                   .replace("eps = 0.1\nb = 8", cls))
+    assert cli.main(["simulate", "--config", str(ini)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"sqvar: error: config [classify] needs eps > 0 and b > 2 + eps, got {got}\n"
+    assert not out.exists()
 
 
 def test_cli_bounds_small(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 from unittest import mock
 
 import numpy as np
@@ -149,6 +150,64 @@ def test_dyadic_upper_dominates_exact():
     assert sq_variation_upper_dyadic(seq) >= sq_variation_exact(seq).value
 
 
+def _dyadic_oracle(x):
+    """12 * the sum over the dyadic and half-shifted dyadic families of
+    max_k (S_{a+k} - S_a)^2, every family interval (a, a + len] enumerated with
+    plain loops on the walk padded with S_N up to a power of two. Each level's
+    values are added by np.sum, aligned levels 0..nlev first and then shifted
+    levels 1..nlev-1: the summation order the kernel's float is defined by."""
+    s = prefix_sums(x).values.tolist()
+    npow = 1 << max(0, (len(s) - 2).bit_length())
+    s += [s[-1]] * (npow + 1 - len(s))
+    nlev = npow.bit_length() - 1
+
+    def level(length, offset):
+        vals = []
+        for a in range(offset, npow - length + 1, length):
+            best = 0.0
+            for k in range(1, length + 1):
+                d = s[a + k] - s[a]
+                best = max(best, d * d)
+            vals.append(best)
+        return float(np.sum(vals))
+
+    sums = [level(1 << i, 0) for i in range(nlev + 1)]
+    sums += [level(1 << i, 1 << (i - 1)) for i in range(1, nlev)]
+    total = 0.0
+    for v in sums:
+        total += v
+    return 12.0 * total
+
+
+def test_dyadic_upper_matches_family_oracle():
+    rng = np.random.default_rng(2024)
+    for n in range(1, 71):
+        for x in (rng.standard_normal(n), rng.standard_normal(n) + 0.3,
+                  rng.standard_normal(n) - 1.0, rng.integers(-1, 2, n).astype(float)):
+            assert sq_variation_upper_dyadic(x) == _dyadic_oracle(x), n
+
+
+# SHA-256 of the newline-joined float.hex() of the bound on N = 1, 3, 4097,
+# 2^16, 2^18 with seeds 11 and 12, recorded with the per-level window scan
+# that the max/min pyramid replaced
+_DYADIC_DIGESTS = {
+    "gaussian": "a348d796f48ffc2c62d95b47443b5cd93683c6bc7e67feb2c8040575b19925d3",
+    "logtail": "094d2840a2c501b3b9928a005af2003de687fe3b92de7ef01e6e2424a3a15af5",
+    "drift": "b271b95cff102929ed19642fa4a26e14881e43dd200df1e61b3c13535700bcbd",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_DYADIC_DIGESTS))
+def test_dyadic_upper_golden(kind):
+    spec = DistributionSpec("logtail_sym" if kind == "logtail" else "gaussian")
+    hexes = []
+    for n in (1, 3, 4097, 1 << 16, 1 << 18):
+        for seed in (11, 12):
+            x = sample_sequence(spec, n, seed)
+            hexes.append(sq_variation_upper_dyadic(x + 0.3 if kind == "drift" else x).hex())
+    assert hashlib.sha256("\n".join(hexes).encode()).hexdigest() == _DYADIC_DIGESTS[kind]
+
+
 def test_lower_bounds_by_construction():
     for trial in range(20):
         seq = sample_sequence(DistributionSpec("pareto_sym", tail_exponent=4.0), 100, trial)
@@ -213,6 +272,8 @@ def test_non_finite_walk_rejected():
             partition_value([1e200, 1e200, -1e200], Partition(np.array([0, 3])))
         with pytest.raises(ValueError, match="overflows"):
             sq_variation_upper_dyadic([1e200])
+        with pytest.raises(ValueError, match="^dyadic upper bound overflows float64$"):
+            sq_variation_upper_dyadic(np.full(70, 1e153))
 
 
 _BOTH_SIDES = ((1 << 20) - 1, 1 << 20)  # either side of the extended-precision cutoff
@@ -400,3 +461,19 @@ def test_optimal_pieces_alternate_at_extremes(x, p):
         span = s[b[k - 1] : b[k + 1] + 1]
         first = np.argmax(span) if d[k - 1] > 0 else np.argmin(span)
         assert b[k - 1] + first == b[k]
+
+
+@pytest.mark.filterwarnings("ignore:N below s")
+@given(x=st.one_of(integer_data(400), gaussian_data(400)), block=st.integers(1, 8))
+def test_sandwich(x, block):
+    walk = prefix_sums(x)
+    exact = sq_variation_exact(walk).value
+    tol = 1e-12 * max(1.0, exact)  # the values are sums in different orders
+    lows = {
+        "blocked": sq_variation_blocked(walk, min(block, walk.n)).value,
+        "greedy": greedy_partition(walk, GreedyParams(2, 4, 0.25, 0.5)).value,
+        "s_n_sq": float(np.sum(x)) ** 2,
+    }
+    for name, low in lows.items():
+        assert low <= exact + tol, name
+    assert exact <= sq_variation_upper_dyadic(walk)
