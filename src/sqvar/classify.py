@@ -25,6 +25,12 @@ def default_bad_threshold(delta: float = 1.0) -> float:
     return b + 64.0
 
 
+def check_thresholds(eps: float, b: float) -> None:
+    """Raise ValueError unless eps > 0 and b > 2 + eps (NaN refused)."""
+    if not (eps > 0 and b > 2 + eps):
+        raise ValueError(f"needs eps > 0 and b > 2 + eps, got eps = {eps:g}, b = {b:g}")
+
+
 @dataclass(frozen=True)
 class ClassParams:
     epsilon: float
@@ -32,10 +38,7 @@ class ClassParams:
     n_ref: int
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
-        if self.b_threshold <= 2 + self.epsilon:
-            raise ValueError("B must exceed 2 + epsilon")
+        check_thresholds(self.epsilon, self.b_threshold)
         if self.n_ref < 16:
             raise ValueError("n_ref must be >= 16 so that lnln(n_ref) > 0")
 

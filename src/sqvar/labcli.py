@@ -277,9 +277,10 @@ def parse_config(path_or_text: str, is_text: bool = False) -> ExperimentConfig:
         c = cp["classify"]
         class_eps = c.getfloat("eps", 0.1)
         class_b = c.getfloat("b", classify.default_bad_threshold())
-        if not (class_eps > 0 and class_b > 2 + class_eps):
-            raise ValueError(f"config [classify] needs eps > 0 and b > 2 + eps, "
-                             f"got eps = {class_eps:g}, b = {class_b:g}")
+        try:
+            classify.check_thresholds(class_eps, class_b)
+        except ValueError as exc:
+            raise ValueError(f"config [classify] {exc}") from None
     return ExperimentConfig(
         spec=DistributionSpec.from_string(exp.get("spec", "gaussian:sigma=1")),
         n_grid=tuple(int(v) for v in exp["n_grid"].replace(",", " ").split()),

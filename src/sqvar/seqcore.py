@@ -120,8 +120,8 @@ class DistributionSpec:
     def to_string(self) -> str:
         parts = [_SHORT[self.kind]]
         if self.kind == "pareto_sym":
-            parts.append(f"a={self.tail_exponent:g}")
-        parts.append(f"sigma={self.sigma:g}")
+            parts.append(f"a={float(self.tail_exponent)!r}")
+        parts.append(f"sigma={float(self.sigma)!r}")
         return ":".join(parts)
 
     @staticmethod

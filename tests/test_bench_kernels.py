@@ -17,7 +17,8 @@ def bench_kernels():
 
 def test_writes_one_row_per_kernel_and_size(bench_kernels, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    bench_kernels.main(["--label", "smoke", "--max-log2", "11"])
+    monkeypatch.setattr(bench_kernels, "MAX_LOG2", 11)
+    bench_kernels.main(["--label", "smoke"])
     with open(tmp_path / "BENCH_smoke.json", encoding="utf-8") as fh:
         out = json.load(fh)
     assert out["label"] == "smoke" and out["sizes"] == [1024, 2048]
@@ -28,9 +29,3 @@ def test_writes_one_row_per_kernel_and_size(bench_kernels, tmp_path, monkeypatch
         assert all(r >= bench_kernels.MIN_REPS for r in row["reps"])
         assert isinstance(row["exponent"], float)
 
-
-def test_refuses_too_few_sizes(bench_kernels, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    with pytest.raises(SystemExit):
-        bench_kernels.main(["--label", "x", "--max-log2", "10"])
-    assert not os.listdir(tmp_path)

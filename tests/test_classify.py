@@ -38,6 +38,8 @@ def test_params_validation():
     with pytest.raises(ValueError):
         ClassParams(epsilon=0.5, b_threshold=2.5, n_ref=100)  # B <= 2 + eps
     with pytest.raises(ValueError):
+        ClassParams(epsilon=float("nan"), b_threshold=10.0, n_ref=100)
+    with pytest.raises(ValueError):
         ClassParams(epsilon=0.1, b_threshold=10.0, n_ref=15)
 
 

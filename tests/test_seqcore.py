@@ -193,6 +193,9 @@ def test_spec_string_round_trip():
         ("rademacher:sigma=2", "rademacher"),
         ("uniform:sigma=1.5", "uniform_centered"),
         ("logtail:sigma=1", "logtail_sym"),
+        # exact, not rounded to 6 significant digits
+        ("gaussian:sigma=0.1234567", "gaussian"),
+        ("pareto:a=2.123456789:sigma=1", "pareto_sym"),
     ]:
         spec = DistributionSpec.from_string(text)
         assert spec.kind == kind

@@ -1,9 +1,9 @@
 """Per-kernel timing of one trial's layers, as a committed BENCH_<label>.json.
 
-    PYTHONPATH=src python tools/bench_kernels.py --label NAME [--max-log2 20]
+    PYTHONPATH=src python tools/bench_kernels.py --label NAME
 
 Times each layer of a lab trial in process on one Gaussian walk per size
-(seed 7), at N = 2^10 ... 2^max-log2: sampling, prefix sums, the exact DP,
+(seed 7), at N = 2^10 ... 2^MAX_LOG2 (2^20): sampling, prefix sums, the exact DP,
 the blocked DP (block 4), the dyadic upper bound, the greedy partition and
 the classification of the exact partition. Each kernel is repeated until
 its repetitions take MIN_TOTAL_S and at least MIN_REPS ran; the file holds
@@ -33,6 +33,7 @@ SEED = 7
 MIN_REPS = 3
 MAX_REPS = 101
 MIN_TOTAL_S = 0.25
+MAX_LOG2 = 20
 
 
 def _kernels(n: int):
@@ -81,11 +82,8 @@ def _cpu_model() -> str:
 def main(argv: list[str] | None = None) -> dict:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True)
-    ap.add_argument("--max-log2", type=int, default=20)
     args = ap.parse_args(argv)
-    if args.max_log2 < 11:
-        ap.error("--max-log2 must be >= 11, so that an exponent can be fitted")
-    sizes = [1 << k for k in range(10, args.max_log2 + 1)]
+    sizes = [1 << k for k in range(10, MAX_LOG2 + 1)]
     kernels: dict[str, dict] = {}
     for n in sizes:
         for name, fn in _kernels(n):
