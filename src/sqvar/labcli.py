@@ -165,7 +165,11 @@ def _worker(args) -> TrialRecord:
 def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
     """All grid cells, ordered by (n, trial_index) regardless of scheduling."""
     tasks = [(config, n, t) for n in config.n_grid for t in range(config.trials)]
-    workers = max(1, int(os.environ.get("SQVAR_THREADS", "1")))
+    threads = os.environ.get("SQVAR_THREADS", "1")
+    try:
+        workers = max(1, int(threads))
+    except ValueError:
+        raise ValueError(f"SQVAR_THREADS must be an integer, got {threads!r}") from None
     if workers == 1 or len(tasks) <= 1:
         return [run_trial(c, n, t) for c, n, t in tasks]
     from concurrent.futures import ProcessPoolExecutor
@@ -257,12 +261,14 @@ def parse_config(path_or_text: str, is_text: bool = False) -> ExperimentConfig:
         token = token.strip()
         if not token:
             continue
-        if token.startswith("blocked"):
-            algorithms.append("blocked")
-            if ":" in token:
-                block = int(token.split(":", 1)[1])
-        else:
-            algorithms.append(token)
+        name, colon, size = token.partition(":")
+        if name.strip() == "blocked" and colon:
+            if not size.strip().isdigit() or int(size) < 1:
+                raise ValueError(f"config [experiment] algorithms: {token!r} needs an "
+                                 f"integer block >= 1")
+            block = int(size)
+            token = "blocked"
+        algorithms.append(token)
     gp = None
     if cp.has_section("greedy"):
         g = cp["greedy"]

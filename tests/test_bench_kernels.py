@@ -4,6 +4,8 @@ import os
 
 import pytest
 
+from sqvar.seqcore import KINDS
+
 _PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "bench_kernels.py")
 
 
@@ -22,7 +24,8 @@ def test_writes_one_row_per_kernel_and_size(bench_kernels, tmp_path, monkeypatch
     with open(tmp_path / "BENCH_smoke.json", encoding="utf-8") as fh:
         out = json.load(fh)
     assert out["label"] == "smoke" and out["sizes"] == [1024, 2048]
-    assert list(out["kernels"]) == ["sample", "prefix_sums", "exact", "blocked", "dyadic",
+    samples = [f"sample:{kind}" for kind in KINDS]
+    assert list(out["kernels"]) == [*samples, "prefix_sums", "exact", "blocked", "dyadic",
                                     "greedy", "classify"]
     for row in out["kernels"].values():
         assert len(row["median_s"]) == 2 and all(t > 0 for t in row["median_s"])

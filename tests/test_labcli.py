@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from sqvar import cli, variation
+from sqvar import cli, labcli, variation
 from sqvar.labcli import (
     CSV_COLUMNS,
     PLOT_KINDS,
@@ -357,6 +357,36 @@ def test_cli_simulate_bad_classify(tmp_path, capsys, monkeypatch, n_grid, cls, g
     assert cli.main(["simulate", "--config", str(ini)]) == 1
     err = capsys.readouterr().err
     assert err == f"sqvar: error: config [classify] needs eps > 0 and b > 2 + eps, got {got}\n"
+    assert not out.exists()
+
+
+def _no_kernel(*args):
+    raise AssertionError("a kernel ran before the config was checked")
+
+
+@pytest.mark.parametrize("block", ["0", "-2", "x"])
+def test_cli_simulate_bad_block(tmp_path, capsys, monkeypatch, block):
+    monkeypatch.setattr(labcli, "sample_sequence", _no_kernel)
+    out = tmp_path / "r.csv"
+    ini = tmp_path / "exp.ini"
+    ini.write_text(CONFIG_TEXT.format(out=out).replace("blocked:4", f"blocked:{block}"))
+    assert cli.main(["simulate", "--config", str(ini)]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"sqvar: error: config [experiment] algorithms: 'blocked:{block}' "
+                   f"needs an integer block >= 1\n")
+    assert not out.exists()
+
+
+def test_cli_simulate_bad_threads(tmp_path, capsys, monkeypatch):
+    # only a value that cannot start a pool: a large one would start one that size
+    monkeypatch.setattr(labcli, "sample_sequence", _no_kernel)
+    monkeypatch.setenv("SQVAR_THREADS", "two")
+    out = tmp_path / "r.csv"
+    ini = tmp_path / "exp.ini"
+    ini.write_text(CONFIG_TEXT.format(out=out))
+    assert cli.main(["simulate", "--config", str(ini)]) == 1
+    err = capsys.readouterr().err
+    assert err == "sqvar: error: SQVAR_THREADS must be an integer, got 'two'\n"
     assert not out.exists()
 
 

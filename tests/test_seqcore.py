@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from sqvar import seqcore
 from sqvar.seqcore import (
     _LOGTAIL_VARIANCE,
     DistributionSpec,
@@ -88,6 +91,84 @@ def test_logtail_quantile_matches_100_step_oracle():
         expected, still = _quantile_oracle(u)
         assert still is not None and still < 100, edge
         assert _logtail_quantile(u).tobytes() == expected.tobytes(), edge
+
+
+def _assert_quantile_exact(u):
+    expected, still = _quantile_oracle(u)
+    assert still is not None and still < 100
+    assert _logtail_quantile(u).tobytes() == expected.tobytes()
+
+
+@given(st.lists(st.integers(1, 2**53), min_size=1, max_size=64))
+@example([1, 2**53])
+def test_logtail_quantile_exact_on_draw_lattice(ks):
+    # 1 - rng.random(n) draws u = k 2^-53 for k = 1 ... 2^53
+    _assert_quantile_exact(np.array(ks, dtype=np.float64) * 2.0**-53)
+
+
+@given(st.lists(st.floats(5e-324, 1.0), min_size=1, max_size=64))
+@example([5e-324, 1.0])
+def test_logtail_quantile_exact_down_to_smallest_u(us):
+    _assert_quantile_exact(np.array(us))
+
+
+def test_logtail_quantile_exact_on_chunked_draws():
+    # longer than one chunk, so the chunks (the last of one element) are stitched
+    rng = np.random.default_rng(43)
+    _assert_quantile_exact(1.0 - rng.random(seqcore._CHUNK * 2 + 1))
+
+
+def _counting_bisect(monkeypatch):
+    bisected = []
+    real = seqcore._bisect
+
+    def bisect(target):
+        bisected.append(len(target))
+        return real(target)
+    monkeypatch.setattr(seqcore, "_bisect", bisect)
+    return bisected
+
+
+def test_logtail_quantile_falls_back_where_the_window_fails(monkeypatch):
+    u = 1.0 - np.random.default_rng(44).random(4096)
+    chosen = np.zeros(len(u), dtype=bool)
+    chosen[[0, 17, 18, 1000, 4095]] = True
+    real = seqcore._certified
+    monkeypatch.setattr(seqcore, "_certified", lambda bits, t: real(bits, t) & ~chosen)
+    bisected = _counting_bisect(monkeypatch)
+    _assert_quantile_exact(u)
+    assert bisected == [chosen.sum()]
+
+
+@pytest.mark.parametrize("newton,walk", [(0, 8), (1, 8), (2, 8), (4, 1)])
+def test_logtail_quantile_falls_back_where_the_walk_fails(monkeypatch, newton, walk):
+    # with too few Newton steps or walk moves some elements miss the crossing
+    monkeypatch.setattr(seqcore, "_NEWTON_STEPS", newton)
+    monkeypatch.setattr(seqcore, "_WALK_STEPS", walk)
+    bisected = _counting_bisect(monkeypatch)
+    _assert_quantile_exact(1.0 - np.random.default_rng(45).random(4096))
+    assert bisected and 0 < bisected[0] <= 4096
+
+
+def test_logtail_quantile_needs_no_bisection_on_draws(monkeypatch):
+    bisected = _counting_bisect(monkeypatch)
+    _assert_quantile_exact(1.0 - np.random.default_rng(46).random(1 << 16))
+    assert bisected == []
+
+
+def test_log_error_fits_the_window():
+    # the window proof needs k > 4 + 4c for every float k steps outside it,
+    # with c the error of np.log in ulps; W = 8 holds for any c < 1.25
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(47)
+    x = np.concatenate([_logtail_quantile(1.0 - rng.random(2000)),
+                        np.exp(rng.uniform(math.log(0.7), math.log(1e159), 2000))])
+    arg = math.e + x
+    got = np.log(arg)
+    with mpmath.workprec(120):
+        c = max(float(abs(mpmath.mpf(g) - mpmath.log(a)) / math.ulp(g))
+                for a, g in zip(arg.tolist(), got.tolist()))
+    assert 4 + 4 * c < seqcore._WINDOW + 1
 
 
 def test_logtail_variance_pinned_to_quadrature():

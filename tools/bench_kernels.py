@@ -3,12 +3,13 @@
     PYTHONPATH=src python tools/bench_kernels.py --label NAME
 
 Times each layer of a lab trial in process on one Gaussian walk per size
-(seed 7), at N = 2^10 ... 2^MAX_LOG2 (2^20): sampling, prefix sums, the exact DP,
-the blocked DP (block 4), the dyadic upper bound, the greedy partition and
-the classification of the exact partition. Each kernel is repeated until
-its repetitions take MIN_TOTAL_S and at least MIN_REPS ran; the file holds
-the median per size, and the exponent of N fitted by least squares to the
-log medians over the larger half of the sizes. It is written to the
+(seed 7), at N = 2^10 ... 2^MAX_LOG2 (2^20): sampling of every kind
+(`sample:<kind>`), prefix sums, the exact DP, the blocked DP (block 4), the
+dyadic upper bound, the greedy partition and the classification of the
+exact partition. Each kernel is repeated until its repetitions take
+MIN_TOTAL_S and at least MIN_REPS ran; the file holds the median per size,
+and the exponent of N fitted by least squares to the log medians over the
+larger half of the sizes. It is written to the
 current directory; the sqvar on PYTHONPATH is the one timed, so pointing
 PYTHONPATH at another checkout's src times that tree.
 """
@@ -26,7 +27,7 @@ import numpy as np
 
 from sqvar.classify import ClassParams, classify_partition, default_bad_threshold
 from sqvar.greedy import GreedyParams, greedy_partition
-from sqvar.seqcore import DistributionSpec, prefix_sums, sample_sequence
+from sqvar.seqcore import KINDS, DistributionSpec, prefix_sums, sample_sequence
 from sqvar.variation import sq_variation_blocked, sq_variation_exact, sq_variation_upper_dyadic
 
 SEED = 7
@@ -38,13 +39,15 @@ MAX_LOG2 = 20
 
 def _kernels(n: int):
     """(name, thunk) for each layer, in trial order, on the walk of size n."""
-    spec = DistributionSpec("gaussian")
-    samples = sample_sequence(spec, n, SEED)
+    samples = sample_sequence(DistributionSpec("gaussian"), n, SEED)
     walk = prefix_sums(samples)
     exact = sq_variation_exact(walk)
     params = GreedyParams(2, 4, 0.25, 0.5)
+    specs = [DistributionSpec(kind, tail_exponent=2.5 if kind == "pareto_sym" else None)
+             for kind in KINDS]
     return [
-        ("sample", lambda: sample_sequence(spec, n, SEED)),
+        *((f"sample:{spec.kind}", lambda spec=spec: sample_sequence(spec, n, SEED))
+          for spec in specs),
         ("prefix_sums", lambda: prefix_sums(samples)),
         ("exact", lambda: sq_variation_exact(walk)),
         ("blocked", lambda: sq_variation_blocked(walk, 4)),
@@ -97,7 +100,7 @@ def main(argv: list[str] | None = None) -> dict:
         "label": args.label,
         "context": {"nproc": os.cpu_count(), "cpu_model": _cpu_model(),
                     "python": platform.python_version(), "numpy": np.__version__},
-        "walk": f"gaussian:sigma=1, seed {SEED}, one walk per size",
+        "walk": f"gaussian:sigma=1, seed {SEED}, one walk per size; pareto_sym at a = 2.5",
         "sizes": sizes,
         "fit": "least-squares slope of log median_s against log N over the larger half of sizes",
         "kernels": kernels,
