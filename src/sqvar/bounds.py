@@ -85,6 +85,8 @@ def etemadi_check(
     estimated from the same trial ensemble."""
     if a <= 0:
         raise ValueError("a must be > 0")
+    if length < 1 or trials < 1:
+        raise ValueError("need L >= 1 and trials >= 1")
     lhs_hits = 0
     per_step = np.zeros(length, dtype=np.int64)
     for block in _iter_chunks(spec, length, trials, seed):

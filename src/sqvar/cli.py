@@ -26,15 +26,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_numbers(path: str) -> np.ndarray:
+    """Numbers separated by whitespace or commas, after at most one header
+    token; a ValueError names the line and the token of the first non-number."""
     if path == "-":
         text = sys.stdin.read()
     else:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    vals = [tok for tok in text.replace(",", " ").split() if tok]
-    if vals and not _is_number(vals[0]):
-        vals = vals[1:]  # tolerate a single header token line
-    return np.array([float(v) for v in vals])
+    vals = text.replace(",", " ").split()
+    start = 1 if vals and not _is_number(vals[0]) else 0
+    try:
+        return np.array([float(v) for v in vals[start:]])
+    except ValueError:
+        tokens = [(k, tok) for k, line in enumerate(text.splitlines(), 1)
+                  for tok in line.replace(",", " ").split()]
+        k, tok = next((k, tok) for k, tok in tokens[start:] if not _is_number(tok))
+        raise ValueError(f"input line {k}: {tok!r} is not a number") from None
 
 
 def _is_number(tok: str) -> bool:

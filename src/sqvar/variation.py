@@ -76,8 +76,8 @@ def partition_value(x, partition: Partition, p: float = 2.0) -> VariationResult:
     return VariationResult(value, partition, contr)
 
 
-_DP_PASS = 1 << 10  # short chains of this many points are scored per numpy call
-_DP_LONG = 1 << 8  # a chain with more candidates is scored on its own
+_DP_PASS = 1 << 10  # off p = 2, short chains of this many points are scored per numpy call
+_DP_LONG = 1 << 8  # a chain with more candidates is scored on its own, by numpy
 
 
 def _dp_breakpoints(a: np.ndarray, p: float) -> np.ndarray:
@@ -93,7 +93,17 @@ def _dp_breakpoints(a: np.ndarray, p: float) -> np.ndarray:
     one ascending record chain as candidates, and the suffix recurrence
     G[i] = max_j |a_j - a_i|^p + G[j] runs over them. Ties resolve to the
     fewest intervals and then to the smallest next breakpoint, which gives
-    the lexicographically smallest breakpoint vector.
+    the lexicographically smallest breakpoint vector. The second rule is
+    reached in float64: two records whose differences from a[i] round to one
+    float, each followed by the same rounded score, tie on both counts.
+
+    Every candidate is scored as |a_j - a_i|^p + G[j] by the one rule of
+    _power, and the candidates of a point are compared in one order, from
+    the end to the nearest record, a later one winning a tie in score and
+    count. At p = 2 a short chain is scored in the stack walk itself, d * d
+    being the same float in Python as in numpy. Off p = 2 the short chains of
+    a pass are scored in one numpy call, since numpy's float64 ** differs
+    from libm's pow on some inputs and scalar scoring would change the bits.
 
     The time is the total chain length. On a mean-zero walk the chains are
     short (about 8 candidates per turning point at N = 1e6, Gaussian) and the
@@ -112,14 +122,23 @@ def _dp_breakpoints(a: np.ndarray, p: float) -> np.ndarray:
     vals = b.tolist()
     m = len(vals) - 1
     g, cnt, prev = [0.0] * (m + 1), [0] * (m + 1), [0] * (m + 1)
+    square = p == 2.0
 
     # scanning rightwards, after the pops `highs` holds the strict running-
     # maximum records of b left of q, read leftwards from q, and `lows` the
     # strict running-minimum ones, nearest (the previous greater and the
-    # previous smaller point) on top. A long chain is scored from numpy copies
-    # hm, lm of the stacks and gn, cn of g, cnt (current below `done`), which
-    # are brought up to date only then.
+    # previous smaller point) on top. The end q' = 0 stays at the bottom of
+    # both, as +inf in hval and -inf in lval, the values the pops compare; it
+    # lies left of every stop, so it is never a record. Adjacent turning points
+    # differ but for the end and its neighbour, so each q > 1 rises or falls
+    # from q - 1: a rise pops `highs` only and takes its chain from `lows`,
+    # whose top is q - 1, a fall the other way round. A point is pushed only
+    # onto the stack that the next point does not pop it from. A long chain is
+    # scored from numpy copies hm, lm of the stacks and gn, cn of g, cnt
+    # (current below `done`), which are brought up to date only then.
     highs, lows = [0], [0]
+    hval, lval = [math.inf, *vals[1:], math.inf], [-math.inf, *vals[1:]]
+    rise, end = vals[1] > vals[0], vals[0]
     hm, lm = np.zeros(m + 1, dtype=np.int64), np.zeros(m + 1, dtype=np.int64)
     gn, cn = np.zeros(m + 1), np.zeros(m + 1, dtype=np.int64)
     q = done = 0
@@ -127,34 +146,47 @@ def _dp_breakpoints(a: np.ndarray, p: float) -> np.ndarray:
         points, dst, first, long = [], [], [0], False
         for q in range(q + 1, min(q + _DP_PASS, m) + 1):
             v = vals[q]
-            while highs and vals[highs[-1]] <= v:
-                highs.pop()
-            while lows and vals[lows[-1]] >= v:
-                lows.pop()
-            up, down = highs[-1] if highs else 0, lows[-1] if lows else 0
-            chain, stop = (highs, down) if up > down else (lows, up)
+            if rise:
+                while hval[highs[-1]] <= v:
+                    highs.pop()
+                chain, stop = lows, highs[-1]
+            else:
+                while lval[lows[-1]] >= v:
+                    lows.pop()
+                chain, stop = highs, lows[-1]
             pos = bisect_right(chain, stop)  # chain[pos:] lies right of stop
             n = len(chain)
-            long = n - pos > _DP_LONG
-            if not long:
-                dst.append(0)  # the candidates, from the farthest q' up
+            if n - pos > _DP_LONG:
+                long = True
+            elif square:  # the end q' = 0, then the chain from the farthest up
+                d = end - v
+                best, fewest, pick = d * d, 0, 0
+                for j in chain[pos:]:
+                    d = vals[j] - v
+                    w = d * d + g[j]
+                    if w > best or (w == best and cnt[j] <= fewest):
+                        best, fewest, pick = w, cnt[j], j
+                g[q], cnt[q], prev[q] = best, fewest + 1, pick
+            else:
+                dst.append(0)  # the candidates, in the same order
                 dst += chain[pos:]
                 first.append(len(dst))
                 points.append(q)
-            highs.append(q)
-            lows.append(q)
+            rise = hval[q + 1] > v
+            (lows if rise else highs).append(q)
             if long:
                 break
-        d = b[dst] - np.repeat(b[points], np.diff(first))
-        w = _power(d, p).tolist()
-        for r, k in enumerate(points):
-            best, fewest, pick = -math.inf, 0, 0
-            for e in range(first[r], first[r + 1]):
-                j = dst[e]
-                v = w[e] + g[j]
-                if v > best or (v == best and cnt[j] <= fewest):
-                    best, fewest, pick = v, cnt[j], j
-            g[k], cnt[k], prev[k] = best, fewest + 1, pick
+        if points:
+            d = b[dst] - np.repeat(b[points], np.diff(first))
+            w = _power(d, p).tolist()
+            for r, k in enumerate(points):
+                best, fewest, pick = -math.inf, 0, 0
+                for e in range(first[r], first[r + 1]):
+                    j = dst[e]
+                    v = w[e] + g[j]
+                    if v > best or (v == best and cnt[j] <= fewest):
+                        best, fewest, pick = v, cnt[j], j
+                g[k], cnt[k], prev[k] = best, fewest + 1, pick
         if long:
             # each point is pushed once, so the copy still agrees with the
             # stack up to the first position where it differs

@@ -19,16 +19,19 @@ def bench_kernels():
 
 def test_writes_one_row_per_kernel_and_size(bench_kernels, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(bench_kernels, "MAX_LOG2", 11)
+    monkeypatch.setattr(bench_kernels, "MAX_LOG2", 12)
+    monkeypatch.setattr(bench_kernels, "DRIFT_MAX_LOG2", 11)
     bench_kernels.main(["--label", "smoke"])
     with open(tmp_path / "BENCH_smoke.json", encoding="utf-8") as fh:
         out = json.load(fh)
-    assert out["label"] == "smoke" and out["sizes"] == [1024, 2048]
+    assert out["label"] == "smoke" and out["sizes"] == [1024, 2048, 4096]
     samples = [f"sample:{kind}" for kind in KINDS]
-    assert list(out["kernels"]) == [*samples, "prefix_sums", "exact", "blocked", "dyadic",
-                                    "greedy", "classify"]
-    for row in out["kernels"].values():
-        assert len(row["median_s"]) == 2 and all(t > 0 for t in row["median_s"])
-        assert all(r >= bench_kernels.MIN_REPS for r in row["reps"])
-        assert isinstance(row["exponent"], float)
+    assert list(out["kernels"]) == [*samples, "prefix_sums", "exact", "exact:drift", "blocked",
+                                    "dyadic", "greedy", "classify"]
+    for name, row in out["kernels"].items():
+        sizes = [1024, 2048] if name == "exact:drift" else out["sizes"]
+        assert row["sizes"] == sizes and len(row["median_s"]) == len(row["min_s"]) == len(sizes)
+        assert all(0 < t <= u for t, u in zip(row["min_s"], row["median_s"]))
+        assert all(r >= bench_kernels.ROUNDS for r in row["reps"])
+        assert isinstance(row["exponent"], float) and isinstance(row["exponent_min"], float)
 

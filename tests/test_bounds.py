@@ -66,6 +66,9 @@ def test_etemadi():
     assert rhs == 3.0 and lhs.frequency <= 1.0
     lhs, rhs = etemadi_check(RAD, 32, 4.0, 20_000, 7)
     assert lhs.frequency <= rhs + 3.0 * lhs.std_err
+    for length, trials in ((0, 10), (8, 0)):
+        with pytest.raises(ValueError, match="^need L >= 1 and trials >= 1$"):
+            etemadi_check(RAD, length, 4.0, trials, 3)
 
 
 def test_berry_esseen_two_atom():

@@ -439,6 +439,33 @@ def test_cli_compute_overflow(tmp_path, capsys):
         assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text,where", [("1\n2\nx\n-1\n", "line 3: 'x'"),
+                                        ("step size\n1\n-1\n", "line 1: 'size'"),
+                                        ("value\n1, 2\n3, 4y, z\n", "line 3: '4y'"),
+                                        ("1\r\n\r\n2 1e-3 --1\r\n", "line 3: '--1'")])
+def test_cli_compute_names_bad_token(tmp_path, capsys, text, where):
+    path = tmp_path / "x.csv"
+    path.write_text(text)
+    assert cli.main(["compute", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"sqvar: error: input {where} is not a number\n"
+
+
+def test_cli_compute_skips_one_header_token(tmp_path, capsys):
+    path = tmp_path / "x.csv"
+    path.write_text("steps\n2\n1\n-3\n")
+    assert cli.main(["compute", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["breakpoints"] == [0, 2, 3]
+
+
+def test_cli_bounds_etemadi_no_trials(capsys):
+    assert cli.main(["bounds", "--check", "etemadi", "--trials", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "sqvar: error: need L >= 1 and trials >= 1\n"
+
+
 @pytest.mark.parametrize("p", ["nan", "inf"])
 def test_cli_compute_non_finite_p(tmp_path, capsys, p):
     path = tmp_path / "x.csv"

@@ -386,6 +386,84 @@ def gaussian_data(max_size):
         lambda nsd: np.random.default_rng(nsd[1]).standard_normal(nsd[0]) + nsd[2])
 
 
+def test_tie_rule_decides_between_two_chain_candidates():
+    # from the point at -2^40, the records 1 and 1 + 2^-52 give the same
+    # rounded difference, hence the same first-piece score, and both end with
+    # the piece of |2|^p, 2 + 2^-52 rounding to 2; the dip of 2^-45 between
+    # them is too small to change a score: a float tie in score and interval
+    # count, which the smallest next breakpoint decides
+    walk = np.array([0.0, -2.0**40, 1.0, 1.0 - 2.0**-45, 1.0 + 2.0**-52, -1.0])
+    for p in (2.0, 3.0, 1.5):
+        assert _dp_oracle(walk, np.arange(6), p).breakpoints.tolist() == [0, 1, 2, 5]
+        assert _dp_breakpoints(walk, p).tolist() == [0, 1, 2, 5]
+        with mock.patch.object(variation, "_DP_LONG", 0):
+            assert _dp_breakpoints(walk, p).tolist() == [0, 1, 2, 5]
+
+
+def _record_counts(a):
+    """Candidates of each turning point but the end, by the docstring of
+    _dp_breakpoints: the strict running records of a taken before a crosses
+    back over the point, the end excluded."""
+    step = np.sign(np.diff(a))
+    turns = np.flatnonzero((step[:-1] != 0) & (step[1:] != step[:-1])) + 1
+    c = a[np.concatenate(([0], turns, [len(a) - 1]))]
+    counts = []
+    for i in range(len(c) - 1):
+        seg = np.sign(c[i + 1] - c[i]) * (c[i + 1 : -1] - c[i])
+        back = np.flatnonzero(seg < 0)
+        seg = seg[: back[0] if len(back) else len(seg)]
+        counts.append(np.count_nonzero(seg > np.maximum.accumulate(np.r_[0.0, seg[:-1]])))
+    return np.array(counts)
+
+
+def test_short_and_long_chains_in_one_walk_match_oracle():
+    # mean-zero stretches between a climb and a fall: chains of a few
+    # candidates and chains longer than _DP_LONG alternate within one call,
+    # at the real thresholds
+    rng = np.random.default_rng(11)
+    x = np.concatenate([rng.standard_normal(2000), rng.standard_normal(2000) + 0.5,
+                        rng.standard_normal(2000), rng.standard_normal(2000) - 0.5])
+    counts = _record_counts(prefix_sums(x).values)
+    assert np.count_nonzero(counts > variation._DP_LONG) >= 100
+    assert np.count_nonzero(counts <= 8) >= len(counts) // 2
+    for p in (2.0, 1.5):
+        _check_kernel_against_oracle(x, p, 1)
+
+
+def _walks_digest(walks, p):
+    h = hashlib.sha256()
+    for x in walks:
+        h.update(_dp_breakpoints(prefix_sums(x).values, p).astype("<i8").tobytes())
+    return h.hexdigest()
+
+
+def _golden_walks(kind):
+    rng = np.random.default_rng(8)
+    if kind == "gaussian":
+        return [sample_sequence(DistributionSpec("gaussian"), n, 21) for n in (1 << 16, 1 << 18)]
+    if kind == "lattice":
+        return [rng.choice([-1.0, 0.0, 1.0], 1 << 16), rng.choice([-1.0, 1.0], 1 << 16)]
+    return [sample_sequence(DistributionSpec("gaussian"), 1 << 16, 22),
+            sample_sequence(DistributionSpec("logtail_sym"), 1 << 14, 23),
+            rng.standard_normal(1 << 12) + 0.3]
+
+
+# SHA-256 of the little-endian int64 breakpoints of each walk in turn, at
+# sizes the O(N^2) oracle cannot reach, recorded with the kernel that scored
+# every short chain in batched numpy calls
+_DP_DIGESTS = {
+    ("gaussian", 2.0): "a8032b3400a4ef32c08aea7a536629f155b5a761655ed1c86349216c6120c3ae",
+    ("lattice", 2.0): "9b76ebe70d29d85c31c8de94b5fe34ca3792cf872cb587ad7bddffca83c7eb8a",
+    ("real", 2.0): "81a3e015d71d0da984336510467c74866f7402e62230c16118399cbf68442750",
+    ("real", 1.5): "c213c048cd2ac29cfed9231e9347c8dbf8074641fb4f782aa1096102b00f5496",
+}
+
+
+@pytest.mark.parametrize("kind,p", sorted(_DP_DIGESTS))
+def test_dp_breakpoints_golden(kind, p):
+    assert _walks_digest(_golden_walks(kind), p) == _DP_DIGESTS[kind, p]
+
+
 @given(x=st.one_of(integer_data(16), gaussian_data(16)),
        p=st.sampled_from([1.0, 2.0, 3.0]))
 def test_exact_value_equals_bruteforce(x, p):

@@ -4,12 +4,18 @@
 
 Times each layer of a lab trial in process on one Gaussian walk per size
 (seed 7), at N = 2^10 ... 2^MAX_LOG2 (2^20): sampling of every kind
-(`sample:<kind>`), prefix sums, the exact DP, the blocked DP (block 4), the
+(`sample:<kind>`), prefix sums, the exact DP, the exact DP on the walk of
+the same steps plus DRIFT (`exact:drift`, whose record chains grow with N, up
+to 2^DRIFT_MAX_LOG2 since its time is O(N^2)), the blocked DP (block 4), the
 dyadic upper bound, the greedy partition and the classification of the
-exact partition. Each kernel is repeated until its repetitions take
-MIN_TOTAL_S and at least MIN_REPS ran; the file holds the median per size,
-and the exponent of N fitted by least squares to the log medians over the
-larger half of the sizes. It is written to the
+exact partition. The run makes ROUNDS passes over every kernel and size, and
+in each pass repeats a kernel until its repetitions take MIN_TOTAL_S / ROUNDS;
+the file holds, per kernel, the sizes timed, the median and the fastest
+repetition per size, and the exponents of N fitted by least squares to the
+log of each over the larger half of those sizes. On a shared host a busy
+neighbour slows the machine for seconds at a time; spread over passes, such a
+spell slows some repetitions of every kernel instead of all repetitions of
+one, and the fastest repetition is the steadier figure. It is written to the
 current directory; the sqvar on PYTHONPATH is the one timed, so pointing
 PYTHONPATH at another checkout's src times that tree.
 """
@@ -31,10 +37,12 @@ from sqvar.seqcore import KINDS, DistributionSpec, prefix_sums, sample_sequence
 from sqvar.variation import sq_variation_blocked, sq_variation_exact, sq_variation_upper_dyadic
 
 SEED = 7
-MIN_REPS = 3
-MAX_REPS = 101
+ROUNDS = 5
+MAX_REPS = 20  # per pass
 MIN_TOTAL_S = 0.25
 MAX_LOG2 = 20
+DRIFT = 0.3
+DRIFT_MAX_LOG2 = 16
 
 
 def _kernels(n: int):
@@ -42,6 +50,10 @@ def _kernels(n: int):
     samples = sample_sequence(DistributionSpec("gaussian"), n, SEED)
     walk = prefix_sums(samples)
     exact = sq_variation_exact(walk)
+    drift = []
+    if n <= 1 << DRIFT_MAX_LOG2:
+        drift_walk = prefix_sums(samples + DRIFT)
+        drift.append(("exact:drift", lambda: sq_variation_exact(drift_walk)))
     params = GreedyParams(2, 4, 0.25, 0.5)
     specs = [DistributionSpec(kind, tail_exponent=2.5 if kind == "pareto_sym" else None)
              for kind in KINDS]
@@ -50,6 +62,7 @@ def _kernels(n: int):
           for spec in specs),
         ("prefix_sums", lambda: prefix_sums(samples)),
         ("exact", lambda: sq_variation_exact(walk)),
+        *drift,
         ("blocked", lambda: sq_variation_blocked(walk, 4)),
         ("dyadic", lambda: sq_variation_upper_dyadic(walk)),
         ("greedy", lambda: greedy_partition(walk, params)),
@@ -58,13 +71,13 @@ def _kernels(n: int):
     ]
 
 
-def _median_time(fn) -> tuple[float, int]:
+def _times(fn) -> list[float]:
     times: list[float] = []
-    while len(times) < MIN_REPS or (sum(times) < MIN_TOTAL_S and len(times) < MAX_REPS):
+    while not times or (sum(times) < MIN_TOTAL_S / ROUNDS and len(times) < MAX_REPS):
         t0 = time.perf_counter()
         fn()
         times.append(time.perf_counter() - t0)
-    return statistics.median(times), len(times)
+    return times
 
 
 def _exponent(sizes: list[int], medians: list[float]) -> float:
@@ -87,22 +100,31 @@ def main(argv: list[str] | None = None) -> dict:
     ap.add_argument("--label", required=True)
     args = ap.parse_args(argv)
     sizes = [1 << k for k in range(10, MAX_LOG2 + 1)]
+    layers = {n: _kernels(n) for n in sizes}
+    timed: dict[tuple[str, int], list[float]] = {}
+    for _ in range(ROUNDS):
+        for n in sizes:
+            for name, fn in layers[n]:
+                timed.setdefault((name, n), []).extend(_times(fn))
     kernels: dict[str, dict] = {}
-    for n in sizes:
-        for name, fn in _kernels(n):
-            median, reps = _median_time(fn)
-            row = kernels.setdefault(name, {"median_s": [], "reps": []})
-            row["median_s"].append(float(f"{median:.6g}"))
-            row["reps"].append(reps)
+    for (name, n), times in timed.items():
+        row = kernels.setdefault(name, {"sizes": [], "median_s": [], "min_s": [], "reps": []})
+        row["sizes"].append(n)
+        row["median_s"].append(float(f"{statistics.median(times):.6g}"))
+        row["min_s"].append(float(f"{min(times):.6g}"))
+        row["reps"].append(len(times))
     for row in kernels.values():
-        row["exponent"] = _exponent(sizes, row["median_s"])
+        row["exponent"] = _exponent(row["sizes"], row["median_s"])
+        row["exponent_min"] = _exponent(row["sizes"], row["min_s"])
     out = {
         "label": args.label,
         "context": {"nproc": os.cpu_count(), "cpu_model": _cpu_model(),
                     "python": platform.python_version(), "numpy": np.__version__},
-        "walk": f"gaussian:sigma=1, seed {SEED}, one walk per size; pareto_sym at a = 2.5",
+        "walk": (f"gaussian:sigma=1, seed {SEED}, one walk per size; exact:drift on the "
+                 f"same steps + {DRIFT}; pareto_sym at a = 2.5"),
         "sizes": sizes,
-        "fit": "least-squares slope of log median_s against log N over the larger half of sizes",
+        "fit": ("least-squares slope of log median_s (exponent) and of log min_s "
+                "(exponent_min) against log N over the larger half of a row's sizes"),
         "kernels": kernels,
     }
     with open(f"BENCH_{args.label}.json", "w", encoding="utf-8") as fh:
