@@ -52,6 +52,15 @@ def _is_number(tok: str) -> bool:
         return False
 
 
+def _write_out(text: str, out: str | None) -> None:
+    """Write text to the file named by --out, or to stdout without one."""
+    if out:
+        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _cmd_compute(args) -> int:
     x = _read_numbers(args.input)
     if len(x) == 0:
@@ -80,12 +89,7 @@ def _cmd_summarize(args) -> int:
 def _cmd_plotdata(args) -> int:
     with open(args.input, encoding="utf-8") as fh:
         records = labcli.records_from_csv(fh.read())
-    text = labcli.emit_plotdata(records, args.kind)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(labcli.emit_plotdata(records, args.kind), args.out)
     return 0
 
 
@@ -131,15 +135,24 @@ _DEFAULT_GRIDS = {
 
 
 def _read_grid(path: str | None, check: str) -> list[tuple]:
+    """Grid points as wide as _DEFAULT_GRIDS[check], skipping lines that start with a
+    non-number; a ValueError names a line of another width or with a non-number."""
     if path is None:
         return _DEFAULT_GRIDS[check]
+    width = len(_DEFAULT_GRIDS[check][0])
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or not _is_number(line.split(",")[0]):
+        for k, line in enumerate(fh, 1):
+            tokens = line.replace(",", " ").split()
+            if not tokens or not _is_number(tokens[0]):
                 continue
-            out.append(tuple(float(v) for v in line.replace(",", " ").split()))
+            if len(tokens) != width:
+                raise ValueError(f"grid line {k}: --check {check} needs rows of width {width}, "
+                                 f"got {len(tokens)}")
+            bad = next((tok for tok in tokens if not _is_number(tok)), None)
+            if bad is not None:
+                raise ValueError(f"grid line {k}: {bad!r} is not a number")
+            out.append(tuple(float(v) for v in tokens))
     return out
 
 
@@ -182,12 +195,7 @@ def _cmd_bounds(args) -> int:
             if isinstance(v, bool) else str(v)
             for v in row
         ))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_out("\n".join(lines) + "\n", args.out)
     if any(line.endswith("false") for line in lines[1:]):
         raise InvariantViolation("empirical value exceeded its bound")
     return 0
@@ -257,10 +265,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("greedy", help="constructive lower-bound partition of one sample")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--spec", default="gaussian:sigma=1")
-    p.add_argument("--s", type=int, default=2)
-    p.add_argument("--c", type=int, default=4)
-    p.add_argument("--alpha", type=float, default=0.25)
-    p.add_argument("--eps3", type=float, default=0.5)
+    p.add_argument("--s", type=int, default=greedy.GreedyParams.s)
+    p.add_argument("--c", type=int, default=greedy.GreedyParams.c_copies)
+    p.add_argument("--alpha", type=float, default=greedy.GreedyParams.alpha)
+    p.add_argument("--eps3", type=float, default=greedy.GreedyParams.epsilon3)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_greedy)
 

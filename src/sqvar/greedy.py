@@ -10,7 +10,6 @@ window-optimal cut points.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,10 +21,10 @@ from .variation import Partition, VariationResult, partition_value
 
 @dataclass(frozen=True)
 class GreedyParams:
-    s: int
-    c_copies: int
-    alpha: float
-    epsilon3: float
+    s: int = 2
+    c_copies: int = 4
+    alpha: float = 0.25
+    epsilon3: float = 0.5
 
     def __post_init__(self):
         if self.s <= 1:
@@ -154,8 +153,6 @@ def greedy_partition(x, params: GreedyParams) -> VariationResult:
     walk = prefix_sums(x)
     n = walk.n
     if n < params.s * params.s:
-        warnings.warn("N below s^2; returning the trivial single-interval partition",
-                      RuntimeWarning, stacklevel=2)
         return partition_value(walk, Partition(np.array([0, n])))
     cover = select_cover_intervals(n, params.s, params.c_copies)
     threshold = 2.0 * (1.0 - params.epsilon3) * math.log(math.log(n))

@@ -10,11 +10,9 @@ parallelism; rows are always ordered by (n, trial_index).
 from __future__ import annotations
 
 import configparser
-import io
 import json
 import math
 import os
-import time
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -76,12 +74,9 @@ class TrialRecord:
     bad_len: int | None = None
     b_param: float | None = None
     eps_param: float | None = None
-    wall_time_ms: float | None = None
 
 
-# wall_time_ms varies between reruns, so the byte-identical CSV contract
-# keeps it out of the persisted header.
-CSV_COLUMNS = [f.name for f in fields(TrialRecord) if f.name != "wall_time_ms"]
+CSV_COLUMNS = [f.name for f in fields(TrialRecord)]
 _INT_COLUMNS = {"trial_index", "n", "seed", "good_len", "medium_len", "bad_len"}
 
 
@@ -91,7 +86,6 @@ def _norm(n: int, sigma: float) -> float:
 
 def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord:
     """One grid cell: sample, run the requested algorithms, classify."""
-    t0 = time.perf_counter()
     seed = mix_seed(config.master_seed, n, trial_index)
     samples = sample_sequence(config.spec, n, seed)
     walk = prefix_sums(samples)
@@ -132,8 +126,7 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
     rec = TrialRecord(
         trial_index=trial_index, n=n, seed=seed,
         v2_exact=exact, v2_blocked=blocked, v2_dyadic_upper=dyadic, v2_greedy=greedy_v,
-        ratio=ratio, ratio_lo=ratio_lo, ratio_hi=ratio_hi, s_n_sq=sn,
-        wall_time_ms=(time.perf_counter() - t0) * 1e3, **cls,
+        ratio=ratio, ratio_lo=ratio_lo, ratio_hi=ratio_hi, s_n_sq=sn, **cls,
     )
     _check_record(rec, config.spec)
     return rec
@@ -157,11 +150,6 @@ def _check_record(rec: TrialRecord, spec: DistributionSpec) -> None:
             )
 
 
-def _worker(args) -> TrialRecord:
-    config, n, t = args
-    return run_trial(config, n, t)
-
-
 def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
     """All grid cells, ordered by (n, trial_index) regardless of scheduling."""
     tasks = [(config, n, t) for n in config.n_grid for t in range(config.trials)]
@@ -171,10 +159,11 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
     except ValueError:
         raise ValueError(f"SQVAR_THREADS must be an integer, got {threads!r}") from None
     if workers == 1 or len(tasks) <= 1:
-        return [run_trial(c, n, t) for c, n, t in tasks]
+        return [run_trial(*task) for task in tasks]
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_worker, tasks, chunksize=max(1, len(tasks) // (4 * workers))))
+        chunk = max(1, len(tasks) // (4 * workers))
+        return list(pool.map(run_trial, *zip(*tasks), chunksize=chunk))
 
 
 # --- persistence -------------------------------------------------------------
@@ -212,7 +201,7 @@ def records_from_csv(text: str) -> list[TrialRecord]:
             except ValueError:
                 raise ValueError(f"records line {k} column {col!r} is not a number: "
                                  f"{raw!r}") from None
-        out.append(TrialRecord(wall_time_ms=None, **kwargs))
+        out.append(TrialRecord(**kwargs))
     return out
 
 
@@ -228,7 +217,14 @@ def write_outputs(records: list[TrialRecord], config: ExperimentConfig) -> None:
 
 # --- config files ------------------------------------------------------------
 
-def parse_config(path_or_text: str, is_text: bool = False) -> ExperimentConfig:
+_CONFIG_KEYS = {
+    "experiment": ("spec", "n_grid", "trials", "master_seed", "algorithms", "output", "jsonl"),
+    "greedy": ("s", "c", "alpha", "eps3"),
+    "classify": ("eps", "b"),
+}
+
+
+def parse_config(path: str) -> ExperimentConfig:
     """Read the INI-style experiment description.
 
     [experiment] spec (default gaussian:sigma=1), n_grid (required, comma or
@@ -236,27 +232,32 @@ def parse_config(path_or_text: str, is_text: bool = False) -> ExperimentConfig:
     a comma list of exact, blocked or blocked:<block> with block 4 by
     default, dyadic_upper, greedy), output (records.csv), jsonl (false: also
     write a JSON-lines mirror of the records).
-    [greedy] s (2), c (4), alpha (0.25), eps3 (0.5); required when greedy runs.
+    [greedy] s, c, alpha, eps3, defaulting to the GreedyParams fields s,
+    c_copies, alpha, epsilon3; the section is required when greedy runs.
     [classify] eps (0.1), b (default_bad_threshold()); when present, trials
     with n >= 16 and an exact or blocked partition are classified.
+    Any other section or key is refused by name.
     """
     cp = configparser.ConfigParser()
     try:
-        if is_text:
-            cp.read_file(io.StringIO(path_or_text))
-        else:
-            with open(path_or_text, encoding="utf-8") as fh:
-                cp.read_file(fh)
+        with open(path, encoding="utf-8") as fh:
+            cp.read_file(fh)
     except configparser.Error as exc:  # e.g. keys before any section header
         raise ValueError(f"config is not valid INI: {exc.message.splitlines()[0]}") from exc
     if not cp.has_section("experiment"):
         raise ValueError("config has no [experiment] section")
+    for name in cp.sections():
+        if name not in _CONFIG_KEYS:
+            raise ValueError(f"config has an unknown section [{name}]")
+        unknown = [key for key in cp[name] if key not in _CONFIG_KEYS[name]]
+        if unknown:
+            raise ValueError(f"config [{name}] has unknown keys: {', '.join(unknown)}")
     exp = cp["experiment"]
     for key in ("n_grid", "trials"):
         if key not in exp:
             raise ValueError(f"config [experiment] is missing the required key {key!r}")
     algorithms = []
-    block = 4
+    block = ExperimentConfig.block
     for token in exp.get("algorithms", "exact").split(","):
         token = token.strip()
         if not token:
@@ -273,10 +274,10 @@ def parse_config(path_or_text: str, is_text: bool = False) -> ExperimentConfig:
     if cp.has_section("greedy"):
         g = cp["greedy"]
         gp = GreedyParams(
-            s=g.getint("s", 2),
-            c_copies=g.getint("c", 4),
-            alpha=g.getfloat("alpha", 0.25),
-            epsilon3=g.getfloat("eps3", 0.5),
+            s=g.getint("s", GreedyParams.s),
+            c_copies=g.getint("c", GreedyParams.c_copies),
+            alpha=g.getfloat("alpha", GreedyParams.alpha),
+            epsilon3=g.getfloat("eps3", GreedyParams.epsilon3),
         )
     class_eps = class_b = None
     if cp.has_section("classify"):
@@ -304,33 +305,35 @@ def parse_config(path_or_text: str, is_text: bool = False) -> ExperimentConfig:
 
 # --- summaries ---------------------------------------------------------------
 
-def _quartiles(vals: list[float]) -> tuple[float, float, float]:
-    q1, q2, q3 = np.percentile(np.asarray(vals), [25.0, 50.0, 75.0], method="linear")
-    return float(q1), float(q2), float(q3)
+def _over_exact(v2: float | None, r: TrialRecord) -> float | None:
+    return v2 / r.v2_exact if v2 is not None and r.v2_exact else None
+
+
+# The per-record lab statistics, each None where a record lacks it.
+STATS = {
+    "ratio": lambda r: r.ratio,
+    "medium_frac": lambda r: None if r.medium_len is None else r.medium_len / r.n,
+    "bad_stat": lambda r: (None if r.bad_sum is None
+                           else r.bad_sum / (r.n * math.log(math.log(r.n)))),
+    "greedy_over_exact": lambda r: _over_exact(r.v2_greedy, r),
+    "dyadic_over_exact": lambda r: _over_exact(r.v2_dyadic_upper, r),
+    "blocked_over_exact": lambda r: _over_exact(r.v2_blocked, r),
+}
 
 
 def summarize(records: list[TrialRecord]) -> list[dict]:
-    """Per-n quartiles of the ratio, class statistics, and the greedy gap."""
+    """Per-n quartiles <stat>_q1, <stat>_median, <stat>_q3 of each of STATS."""
     if not records:
         raise ValueError("no records to summarize")
     rows = []
     for n in sorted({r.n for r in records}):
         grp = [r for r in records if r.n == n]
         row: dict = {"n": n, "count": len(grp)}
-        ratios = [r.ratio for r in grp if r.ratio is not None]
-        if ratios:
-            row["ratio_q1"], row["ratio_median"], row["ratio_q3"] = _quartiles(ratios)
-        bad = [r.bad_sum / (n * math.log(math.log(n)))
-               for r in grp if r.bad_sum is not None]
-        if bad:
-            row["bad_stat_median"] = _quartiles(bad)[1]
-        med = [r.medium_len / n for r in grp if r.medium_len is not None]
-        if med:
-            row["medium_frac_median"] = _quartiles(med)[1]
-        gaps = [r.v2_greedy / r.v2_exact for r in grp
-                if r.v2_greedy is not None and r.v2_exact]
-        if gaps:
-            row["greedy_over_exact_median"] = _quartiles(gaps)[1]
+        for name, stat in STATS.items():
+            vals = [v for v in map(stat, grp) if v is not None]
+            if vals:
+                q = np.percentile(np.asarray(vals), [25.0, 50.0, 75.0], method="linear")
+                row[f"{name}_q1"], row[f"{name}_median"], row[f"{name}_q3"] = map(float, q)
         rows.append(row)
     return rows
 
@@ -353,33 +356,24 @@ def format_summary(rows: list[dict]) -> str:
     return "\n".join(out)
 
 
-PLOT_KINDS = ("ratio_vs_n", "class_vs_n", "bound_gap")
+# Each plot kind and the statistics it prints after n, in header order.
+PLOT_KINDS = {
+    "ratio_vs_n": ("ratio",),
+    "class_vs_n": ("medium_frac", "bad_stat"),
+    "bound_gap": ("dyadic_over_exact", "blocked_over_exact"),
+}
 
 
 def emit_plotdata(records: list[TrialRecord], kind: str) -> str:
-    """Tidy whitespace-separated numeric text, one row per applicable record."""
+    """Space-separated n and the kind's statistics, for each record that has them."""
     if not records:
         raise ValueError("no records to emit")
-    if kind == "ratio_vs_n":
-        header = "n ratio"
-        rows = [(r.n, r.ratio) for r in records if r.ratio is not None]
-    elif kind == "class_vs_n":
-        header = "n medium_frac bad_stat"
-        rows = [
-            (r.n, r.medium_len / r.n, r.bad_sum / (r.n * math.log(math.log(r.n))))
-            for r in records
-            if r.medium_len is not None and r.bad_sum is not None
-        ]
-    elif kind == "bound_gap":
-        header = "n dyadic_over_exact blocked_over_exact"
-        rows = [
-            (r.n, r.v2_dyadic_upper / r.v2_exact, r.v2_blocked / r.v2_exact)
-            for r in records
-            if r.v2_exact and r.v2_dyadic_upper is not None and r.v2_blocked is not None
-        ]
-    else:
-        raise ValueError(f"unknown plot kind {kind!r}; expected one of {PLOT_KINDS}")
-    lines = [header]
-    for row in rows:
-        lines.append(" ".join(_cell(v) for v in row))
+    if kind not in PLOT_KINDS:
+        raise ValueError(f"unknown plot kind {kind!r}; expected one of {tuple(PLOT_KINDS)}")
+    names = PLOT_KINDS[kind]
+    lines = [" ".join(("n", *names))]
+    for r in records:
+        vals = [STATS[name](r) for name in names]
+        if None not in vals:
+            lines.append(" ".join(_cell(v) for v in (r.n, *vals)))
     return "\n".join(lines) + "\n"

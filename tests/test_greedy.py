@@ -1,5 +1,6 @@
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -154,7 +155,8 @@ def test_greedy_zero_input():
 
 
 def test_greedy_below_s_squared_is_trivial():
-    with pytest.warns(RuntimeWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         res = greedy_partition(np.ones(3), PARAMS)
     assert res.partition.breakpoints.tolist() == [0, 3]
     assert res.value == 9.0

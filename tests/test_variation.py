@@ -541,7 +541,6 @@ def test_optimal_pieces_alternate_at_extremes(x, p):
         assert b[k - 1] + first == b[k]
 
 
-@pytest.mark.filterwarnings("ignore:N below s")
 @given(x=st.one_of(integer_data(400), gaussian_data(400)), block=st.integers(1, 8))
 def test_sandwich(x, block):
     walk = prefix_sums(x)

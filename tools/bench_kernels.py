@@ -54,7 +54,7 @@ def _kernels(n: int):
     if n <= 1 << DRIFT_MAX_LOG2:
         drift_walk = prefix_sums(samples + DRIFT)
         drift.append(("exact:drift", lambda: sq_variation_exact(drift_walk)))
-    params = GreedyParams(2, 4, 0.25, 0.5)
+    params = GreedyParams()
     specs = [DistributionSpec(kind, tail_exponent=2.5 if kind == "pareto_sym" else None)
              for kind in KINDS]
     return [
