@@ -108,7 +108,7 @@ def _cmd_families(args) -> int:
     elif args.scheme == "l":
         if not args.s or not args.c:
             raise ValueError("scheme l requires --s and --c")
-        for fam in families.build_L(args.s, args.c, k_max=16):
+        for fam in families.build_L(args.s, args.c):
             rows.append(families.check_family_disjoint(fam))
         rows.append(families.check_L_gaps(args.s, args.c))
     failures = 0
@@ -135,24 +135,33 @@ _DEFAULT_GRIDS = {
 
 
 def _read_grid(path: str | None, check: str) -> list[tuple]:
-    """Grid points as wide as _DEFAULT_GRIDS[check], skipping lines that start with a
-    non-number; a ValueError names a line of another width or with a non-number."""
+    """Grid points typed column by column like _DEFAULT_GRIDS[check] (a length, k
+    or ell is an int), skipping lines that start with a non-number; a ValueError
+    names the line and token of another width, a non-number, a non-finite value
+    or a non-integral int."""
     if path is None:
         return _DEFAULT_GRIDS[check]
-    width = len(_DEFAULT_GRIDS[check][0])
+    types = [type(v) for v in _DEFAULT_GRIDS[check][0]]
     out = []
     with open(path, encoding="utf-8") as fh:
         for k, line in enumerate(fh, 1):
             tokens = line.replace(",", " ").split()
             if not tokens or not _is_number(tokens[0]):
                 continue
-            if len(tokens) != width:
-                raise ValueError(f"grid line {k}: --check {check} needs rows of width {width}, "
-                                 f"got {len(tokens)}")
-            bad = next((tok for tok in tokens if not _is_number(tok)), None)
-            if bad is not None:
-                raise ValueError(f"grid line {k}: {bad!r} is not a number")
-            out.append(tuple(float(v) for v in tokens))
+            if len(tokens) != len(types):
+                raise ValueError(f"grid line {k}: --check {check} needs rows of width "
+                                 f"{len(types)}, got {len(tokens)}")
+            point = []
+            for tok, typ in zip(tokens, types):
+                if not _is_number(tok):
+                    raise ValueError(f"grid line {k}: {tok!r} is not a number")
+                value = float(tok)
+                if not math.isfinite(value):
+                    raise ValueError(f"grid line {k}: {tok!r} is not finite")
+                if typ is int and not value.is_integer():
+                    raise ValueError(f"grid line {k}: {tok!r} is not an integer")
+                point.append(typ(value))
+            out.append(tuple(point))
     return out
 
 
@@ -164,7 +173,7 @@ def _cmd_bounds(args) -> int:
     for idx, point in enumerate(grid):
         seed = mix_seed(args.seed, idx)
         if args.check == "bernstein":
-            t, length = point[0], int(point[1])
+            t, length = point
             m = spec.almost_sure_bound()
             if not math.isfinite(m):
                 raise ValueError("bernstein comparison needs a bounded spec")
@@ -175,19 +184,19 @@ def _cmd_bounds(args) -> int:
             ok = emp.frequency <= bd + 3.0 * emp.std_err
             row = (t, emp.frequency, bd, emp.std_err, ok)
         elif args.check == "etemadi":
-            a, length = point[0], int(point[1])
+            a, length = point
             lhs, rhs = bounds.etemadi_check(spec, length, a, args.trials, seed)
             ok = lhs.frequency <= rhs + 3.0 * lhs.std_err
             row = (a, lhs.frequency, rhs, lhs.std_err, ok)
         elif args.check == "berry-esseen":
-            k = int(point[0])
+            (k,) = point
             d = bounds.berry_esseen_distance(spec, k, args.trials, seed)
             se = 0.5 / math.sqrt(args.trials)
             ok = prev is None or d <= prev + 2.0 * se
             prev = d
             row = (k, d, float("nan"), se, ok)
         else:  # rosenthal
-            ell = int(point[0])
+            (ell,) = point
             r = bounds.rosenthal_ratio(spec, args.p, ell, args.trials, seed)
             row = (ell, r, float("nan"), float("nan"), "report-only")
         lines.append(",".join(

@@ -1,22 +1,21 @@
 """Leveled interval families and constructive cover queries.
 
-Three constructions: the dyadic family plus its half shifts, the geometric
-(1+eps')-ratio families with fractional shifts, and the geometrically
-growing families with C shifted copies used by the constructive
-lower-bound partition.
+Three constructions: the geometric (1+eps')-ratio families H with
+fractional shifts, the dyadic family F and its half shifts Fs, which are
+H_0 and H_1 at eps' = 1, and the geometrically growing families with C
+shifted copies used by the constructive lower-bound partition.
 
 Geometric shifted families keep every aligned interval whose start lies in
 (0, (1+eps')^n], including ones whose right end overshoots the nominal top;
 without those right-edge intervals the advertised cover (containment with
-blow-up below (1+eps')^2) does not exist for intervals near the top. At
-eps' = 1 the fitting intervals coincide exactly with the dyadic family and
-its half shifts.
+blow-up below (1+eps')^2) does not exist for intervals near the top. F and
+Fs drop them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 _REL_TOL = 1e-9  # endpoint comparisons are scaled by this
 
@@ -60,28 +59,14 @@ class IntervalFamily:
 
 
 def build_F_Fs(n: int) -> tuple[IntervalFamily, IntervalFamily]:
-    """The dyadic family (levels 0..n) and its half shifts (levels 1..n-1)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    f_levels = {}
-    for i in range(n + 1):
-        ln = 1 << i
-        f_levels[i] = tuple(
-            RealInterval(float((c - 1) * ln), float(c * ln))
-            for c in range(1, (1 << (n - i)) + 1)
-        )
-    fs_levels = {}
-    for i in range(1, n):
-        ln = 1 << i
-        half = 1 << (i - 1)
-        fs_levels[i] = tuple(
-            RealInterval(float((c - 1) * ln + half), float(c * ln + half))
-            for c in range(1, (1 << (n - i)))
-        )
-    return (
-        IntervalFamily(scheme="F", n=n, levels=f_levels),
-        IntervalFamily(scheme="Fs", n=n, levels=fs_levels),
-    )
+    """The dyadic family (levels 0..n) and its half shifts (levels 1..n-1):
+    H_0 and H_1 at eps' = 1, less the H_1 intervals that end past 2^n. The
+    endpoints are exact, and build_H's start tolerance drops none while 2^n < 1e9.
+    """
+    h0, h1 = build_H(1.0, n)
+    top = float(1 << n)
+    fs_levels = {i: tuple(iv for iv in ivs if iv.end <= top) for i, ivs in h1.levels.items()}
+    return replace(h0, scheme="F"), IntervalFamily(scheme="Fs", n=n, levels=fs_levels)
 
 
 def cover_dyadic(iprime: RealInterval, n: int) -> RealInterval:
@@ -198,13 +183,12 @@ def build_L(s: int, c_copies: int, k_max: int | None = None) -> list[IntervalFam
     """Shifted geometric families L_0..L_{C-1} with one size-s^k interval per k.
 
     L_0 tiles (0, 1], (1, 1+s], (1+s, 1+s+s^2], ...; L_i shifts each interval
-    right by i*s^(k+1)/C, admitting only k with C | s^(k+1) so endpoints stay
-    integral. Enumeration stops at s^k_max; the default cap keeps every
-    endpoint exactly representable as a float.
+    right by i*s^(k+1)/C (see l_interval). Enumeration stops at s^k_max; the
+    default cap keeps every endpoint exactly representable as a float.
     """
     if s <= 1:
         raise ValueError("s must be an integer > 1")
-    m = _power_index(s, c_copies)
+    _power_index(s, c_copies)
     if k_max is None:
         k_max = 0
         while s ** (k_max + 3) <= 1 << 53:
@@ -212,13 +196,23 @@ def build_L(s: int, c_copies: int, k_max: int | None = None) -> list[IntervalFam
     fams = []
     for i in range(c_copies):
         levels = {}
-        k_lo = 0 if i == 0 else max(0, m - 1)
-        for k in range(k_lo, k_max + 1):
-            t_prev = _geom_total(s, k - 1)
-            shift = i * s ** (k + 1) // c_copies
-            levels[k] = (RealInterval(float(t_prev + shift), float(t_prev + s**k + shift)),)
+        for k in range(k_max + 1):
+            iv = l_interval(s, c_copies, i, k)
+            if iv is not None:
+                levels[k] = (RealInterval(float(iv[0]), float(iv[1])),)
         fams.append(IntervalFamily(scheme="L", n=k_max, levels=levels, shift_index=i))
     return fams
+
+
+def l_interval(s: int, c_copies: int, i: int, k: int) -> tuple[int, int] | None:
+    """The size-s^k interval of L_i as exact integers (start, end), or None
+    where L_i has none: a shifted copy (i > 0) needs C | s^(k+1), that is
+    k + 1 >= log_s C, for its shift i*s^(k+1)/C to be integral.
+    """
+    if i > 0 and s ** (k + 1) < c_copies:
+        return None
+    end = _geom_total(s, k) + i * s ** (k + 1) // c_copies
+    return end - s**k, end
 
 
 def _geom_total(s: int, k: int) -> int:
@@ -241,25 +235,30 @@ def _power_index(s: int, c_copies: int) -> int:
 
 # --- exhaustive property checks (used by `sqvar families check`) ------------
 
+def _cover_counts(intervals, cover, ratio: float, tol: float,
+                  fams: list[IntervalFamily]) -> dict:
+    """Intervals checked and violations of the cover contract: cover(iv)
+    contains iv, is shorter than ratio * iv.length and is an interval of fams."""
+    def key(iv):
+        return round(iv.start, 9), round(iv.end, 9)
+
+    members = {key(iv) for fam in fams for iv in fam.all_intervals()}
+    checked = violations = 0
+    for ip in intervals:
+        iv = cover(ip)
+        checked += 1
+        violations += not (iv.contains(ip, tol) and iv.length < ratio * ip.length + tol
+                           and key(iv) in members)
+    return {"checked": checked, "violations": violations}
+
+
 def check_dyadic_cover(n: int) -> dict:
     """Verify the cover contract on every integer subinterval of (0, 2^n]."""
-    f, fs = build_F_Fs(n)
-    members = {(iv.start, iv.end) for iv in f.all_intervals()}
-    members |= {(iv.start, iv.end) for iv in fs.all_intervals()}
+    fams = build_F_Fs(n)
     top = 1 << n
-    checked = violations = 0
-    for a in range(top):
-        for b in range(a + 1, top + 1):
-            ip = RealInterval(float(a), float(b))
-            iv = cover_dyadic(ip, n)
-            checked += 1
-            ok = (
-                iv.contains(ip)
-                and iv.length < 4 * ip.length
-                and (iv.start, iv.end) in members
-            )
-            violations += not ok
-    return {"scheme": "dyadic", "n": n, "checked": checked, "violations": violations}
+    ivs = (RealInterval(float(a), float(b)) for a in range(top) for b in range(a + 1, top + 1))
+    return {"scheme": "dyadic", "n": n,
+            **_cover_counts(ivs, lambda ip: cover_dyadic(ip, n), 4.0, 0.0, fams)}
 
 
 def check_H_cover(epsilon_prime: float, n: int, grid: int = 100) -> dict:
@@ -269,36 +268,14 @@ def check_H_cover(epsilon_prime: float, n: int, grid: int = 100) -> dict:
     intervals, which contain at least one integer.
     """
     fams = build_H(epsilon_prime, n)
-    members = set()
-    for fam in fams:
-        for iv in fam.all_intervals():
-            members.add((round(iv.start, 9), round(iv.end, 9)))
     b = 1.0 + epsilon_prime
     top = b**n
-    tol = _REL_TOL * top
-    checked = violations = 0
-    for ai in range(grid):
-        s = top * ai / grid
-        for bi in range(ai + 1, grid + 1):
-            e = top * bi / grid
-            if e - s < 1.0:
-                continue
-            ip = RealInterval(s, e)
-            iv = cover_H(ip, epsilon_prime, n)
-            checked += 1
-            ok = (
-                iv.contains(ip, tol)
-                and iv.length < b * b * ip.length + tol
-                and (round(iv.start, 9), round(iv.end, 9)) in members
-            )
-            violations += not ok
-    return {
-        "scheme": "H",
-        "eps": epsilon_prime,
-        "n": n,
-        "checked": checked,
-        "violations": violations,
-    }
+    spans = ((top * ai / grid, top * bi / grid)
+             for ai in range(grid) for bi in range(ai + 1, grid + 1))
+    ivs = (RealInterval(s, e) for s, e in spans if e - s >= 1.0)
+    return {"scheme": "H", "eps": epsilon_prime, "n": n,
+            **_cover_counts(ivs, lambda ip: cover_H(ip, epsilon_prime, n), b * b,
+                            _REL_TOL * top, fams)}
 
 
 def check_family_disjoint(fam: IntervalFamily) -> dict:
@@ -312,14 +289,11 @@ def check_family_disjoint(fam: IntervalFamily) -> dict:
     return {"scheme": fam.scheme, "shift": fam.shift_index, "overlaps": overlaps}
 
 
-def check_L_gaps(s: int, c_copies: int, k_max: int = 20) -> dict:
+def check_L_gaps(s: int, c_copies: int) -> dict:
     """Verify the exact gap law inside each shifted copy: the gap before the
     size-s^k interval equals i * (s^(k+1) - s^k) / C."""
-    while s ** (k_max + 3) > 1 << 53:
-        k_max -= 1
-    fams = build_L(s, c_copies, k_max=k_max)
     bad = 0
-    for fam in fams:
+    for fam in build_L(s, c_copies):
         i = fam.shift_index
         ks = sorted(fam.levels)
         for k0, k1 in zip(ks, ks[1:]):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import _geom_total, _power_index
+from .families import _geom_total, _power_index, l_interval
 from .seqcore import prefix_sums
 from .variation import Partition, VariationResult, partition_value
 
@@ -116,27 +116,26 @@ def a_event_holds(x, j: int, window: int, n_ref: int, epsilon3: float) -> bool:
 
 
 def select_cover_intervals(n_total: int, s: int, c_copies: int) -> list[tuple[int, int]]:
-    """The right-to-left chain of disjoint geometric intervals below n_total.
+    """The right-to-left chain of disjoint L-family intervals below n_total.
 
-    Each step takes the shifted size-s^k interval ending at the bracketed
-    point at or below the previous left endpoint; the walk stops when the
-    remaining span drops below s or the wanted shifted interval does not
-    exist in its family (shift not divisible). Returned ascending.
+    Each step brackets the previous left endpoint between 1 + ... + s^k and
+    1 + ... + s^(k+1) and takes the size-s^k interval of the copy L_i with the
+    largest shift i*s^(k+1)/C that keeps its end at or below it; the walk stops
+    when the remaining span drops below s or that copy has no interval of this
+    size. Returned ascending.
     """
-    m = _power_index(s, c_copies)
+    _power_index(s, c_copies)
     out: list[tuple[int, int]] = []
     pos = n_total
     while pos >= s:
         k = 0
         while _geom_total(s, k + 1) <= pos:
             k += 1
-        shift_unit = s ** (k + 1)
-        i = (pos - _geom_total(s, k)) * c_copies // shift_unit
-        if i > 0 and (k + 1) < m:
-            break  # the shifted interval of this size does not exist
-        end = _geom_total(s, k) + i * shift_unit // c_copies
-        out.append((end - s**k, end))
-        pos = end - s**k
+        iv = l_interval(s, c_copies, (pos - _geom_total(s, k)) * c_copies // s ** (k + 1), k)
+        if iv is None:
+            break
+        out.append(iv)
+        pos = iv[0]
     out.reverse()
     return out
 
@@ -183,7 +182,6 @@ def greedy_partition(x, params: GreedyParams) -> VariationResult:
     return partition_value(walk, Partition(np.array(bps, dtype=np.int64)))
 
 
-def covered_length(n_total: int, s: int, c_copies: int, min_size: int = 1) -> int:
-    """Total length of selected cover intervals of size >= min_size."""
-    return sum(b - a for a, b in select_cover_intervals(n_total, s, c_copies)
-               if b - a >= min_size)
+def covered_length(n_total: int, s: int, c_copies: int) -> int:
+    """Total length of the selected cover intervals."""
+    return sum(b - a for a, b in select_cover_intervals(n_total, s, c_copies))

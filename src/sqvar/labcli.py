@@ -238,7 +238,7 @@ def parse_config(path: str) -> ExperimentConfig:
     with n >= 16 and an exact or blocked partition are classified.
     Any other section or key is refused by name.
     """
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(default_section="")  # no default: [DEFAULT] is unknown
     try:
         with open(path, encoding="utf-8") as fh:
             cp.read_file(fh)

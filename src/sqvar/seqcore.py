@@ -74,12 +74,14 @@ class DistributionSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be > 0")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and > 0, got {self.sigma!r}")
         if self.kind == "pareto_sym":
             a = self.tail_exponent
             if a is None or a <= 2:
                 raise ValueError("pareto_sym tail exponent must be > 2: variance infinite")
+            if not math.isfinite(a):
+                raise ValueError(f"pareto_sym tail exponent must be finite, got a = {a!r}")
             mo = float(a)
         elif self.kind == "logtail_sym":
             mo = 2.0

@@ -1,7 +1,9 @@
+import hashlib
 import math
 
 import pytest
 
+from sqvar import cli
 from sqvar.families import (
     RealInterval,
     build_F_Fs,
@@ -172,7 +174,7 @@ def test_L_one_interval_per_size_and_disjoint():
 
 def test_L_gap_law():
     for s, c in ((2, 4), (2, 8), (3, 9), (5, 25)):
-        assert check_L_gaps(s, c, k_max=12)["gap_violations"] == 0
+        assert check_L_gaps(s, c)["gap_violations"] == 0
 
 
 def test_real_interval_validation():
@@ -181,3 +183,21 @@ def test_real_interval_validation():
         RealInterval(2.0, 2.0)
     with pytest.raises(ValueError):
         RealInterval(-1.0, 1.0)
+
+
+@pytest.mark.parametrize("argv,digest", [
+    ("--scheme dyadic --n 8", "78710d7fed633cb66921ee032b65729831ea983dea18295278609c20e6d87d19"),
+    ("--scheme h --eps 0.25 --n 7",
+     "eba921f94f96b0ed671f47216b0b9e4fe6a67b91c66b64279175f48a108b8c8a"),
+    ("--scheme h --eps 0.5 --n 7",
+     "eafbc6579348f79c1486d6f377417ea899e89b81f54344f6ebb5e02a3a8b7754"),
+    ("--scheme h --eps 1.0 --n 7",
+     "bd2e9a085330336da06885b858f6230d2166e65f1569403425f159babaa63461"),
+    ("--scheme l --s 2 --c 4", "cf46f1f892b40b749fa1b6968dd356d9f29bd3e32ebd5993ef160cd6c8eefb5b"),
+    ("--scheme l --s 3 --c 9", "64951983ca9fd8d51bc0bf38fbe44b5d9a15b295ecb005f685c670f254cfc237"),
+])
+def test_families_check_golden(capsys, argv, digest):
+    # SHA-256 of `sqvar families check` stdout: any change to a family, a cover
+    # or a check that alters a printed byte fails here
+    assert cli.main(["families", "check", *argv.split()]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sqvar import greedy
+from sqvar.families import build_L
 from sqvar.greedy import (
     GreedyParams,
     a_event_holds,
@@ -126,6 +127,16 @@ def test_select_cover_respects_divisibility():
     assert cover  # large N proceeds
     for a, b in cover:
         assert (b - a) & (b - a - 1) == 0  # power of two sizes
+
+
+def test_cover_chain_reads_the_L_family():
+    # every interval greedy covers with is an interval of the family that
+    # `sqvar families check --scheme l` certifies
+    for s, c in ((2, 4), (2, 8), (3, 9)):
+        members = {(iv.start, iv.end) for fam in build_L(s, c) for iv in fam.all_intervals()}
+        for n_total in range(16, 5001):
+            cover = select_cover_intervals(n_total, s, c)
+            assert {(float(a), float(b)) for a, b in cover} <= members, n_total
 
 
 def test_cover_gap_bound_per_step():

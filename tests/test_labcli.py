@@ -344,8 +344,11 @@ def test_cli_simulate_greedy_small_n(tmp_path, capsys):
      "[experiment] has unknown keys: allow_large"),
     (lambda s: s.replace("eps3 =", "epsilon3 ="), "[greedy] has unknown keys: epsilon3"),
     (lambda s: s.replace("[classify]", "[clasify]"), "unknown section [clasify]"),
+    (lambda s: "[DEFAULT]\ntrials = 3\n" + s, "unknown section [DEFAULT]"),
+    (lambda s: "[DEFAULT]\nn_grid = 64\n" + s.replace("n_grid = 64, 128\n", ""),
+     "unknown section [DEFAULT]"),
 ], ids=["no-header", "no-section", "no-n_grid", "no-trials", "misspelt-key", "stale-key",
-        "greedy-key", "unknown-section"])
+        "greedy-key", "unknown-section", "default-key", "default-n_grid"])
 def test_cli_simulate_config_missing(tmp_path, capsys, edit, named):
     ini = tmp_path / "exp.ini"
     ini.write_text(edit(CONFIG_TEXT.format(out=tmp_path / "r.csv")))
@@ -445,7 +448,12 @@ def test_cli_bounds_small(tmp_path):
     ("bernstein", "8,x\n", "grid line 1: 'x' is not a number"),
     ("bernstein", "8,16,3\n", "grid line 1: --check bernstein needs rows of width 2, got 3"),
     ("rosenthal", "# ell\n10,100\n", "grid line 2: --check rosenthal needs rows of width 1, got 2"),
-], ids=["short", "non-numeric", "long", "long-rosenthal"])
+    ("bernstein", "8,16.5\n", "grid line 1: '16.5' is not an integer"),
+    ("berry-esseen", "k\n4\n4.5\n", "grid line 3: '4.5' is not an integer"),
+    ("etemadi", "nan,16\n", "grid line 1: 'nan' is not finite"),
+    ("etemadi", "inf,16\n", "grid line 1: 'inf' is not finite"),
+], ids=["short", "non-numeric", "long", "long-rosenthal", "fractional-length", "fractional-k",
+        "nan", "inf"])
 def test_cli_bounds_bad_grid(tmp_path, capsys, check, text, where):
     grid = tmp_path / "grid.csv"
     grid.write_text(text)
@@ -453,6 +461,21 @@ def test_cli_bounds_bad_grid(tmp_path, capsys, check, text, where):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"sqvar: error: {where}\n"
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["bounds", "--check", "etemadi", "--spec", "pareto:a=nan", "--trials", "100"],
+     "pareto_sym tail exponent must be finite, got a = nan"),
+    (["bounds", "--check", "rosenthal", "--spec", "gaussian:sigma=inf", "--trials", "100"],
+     "sigma must be finite and > 0, got inf"),
+    (["greedy", "--n", "64", "--spec", "gaussian:sigma=inf"],
+     "sigma must be finite and > 0, got inf"),
+], ids=["etemadi-a-nan", "rosenthal-sigma-inf", "greedy-sigma-inf"])
+def test_cli_non_finite_spec(capsys, argv, named):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"sqvar: error: {named}\n"
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -588,16 +611,25 @@ def test_cli_bounds_rosenthal_report_only(capsys):
 
 
 def test_cli_chain_warning_free(tmp_path):
-    # simulate (every algorithm, classify, JSON-lines mirror), summarize and
-    # every plotdata kind, with warnings raised as errors and dev-mode checks
+    # simulate (every algorithm, classify, JSON-lines mirror), summarize, every
+    # plotdata kind, the three family schemes, the four bound checks, greedy and
+    # compute, with warnings raised as errors and dev-mode checks
     out = tmp_path / "records.csv"
     ini = tmp_path / "exp.ini"
     ini.write_text(CONFIG_TEXT.format(out=out).replace("[classify]", "jsonl = true\n\n[classify]"))
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = {k: v for k, v in os.environ.items() if k != "SQVAR_THREADS"}
     env["PYTHONPATH"] = os.path.abspath(src)
+    values = tmp_path / "values.txt"
+    values.write_text("x\n1\n-2.5\n0\n3\n-1\n")
     steps = [["simulate", "--config", str(ini)], ["summarize", "--input", str(out)]]
     steps += [["plotdata", "--input", str(out), "--kind", kind] for kind in PLOT_KINDS]
+    steps += [["families", "check", "--scheme", "dyadic", "--n", "4"],
+              ["families", "check", "--scheme", "h", "--n", "5"],
+              ["families", "check", "--scheme", "l", "--s", "2", "--c", "4"]]
+    steps += [["bounds", "--check", check, "--trials", "200"]
+              for check in ("bernstein", "etemadi", "berry-esseen", "rosenthal")]
+    steps += [["greedy", "--n", "64"], ["compute", "--input", str(values)]]
     for argv in steps:
         proc = subprocess.run(
             [sys.executable, "-X", "dev", "-W", "error", "-m", "sqvar.cli", *argv],
