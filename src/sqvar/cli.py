@@ -93,26 +93,28 @@ def _cmd_plotdata(args) -> int:
     return 0
 
 
-def _cmd_families(args) -> int:
-    rows = []
+def _family_rows(args):
     if args.scheme == "dyadic":
         for n in range(1, args.n + 1):
-            rows.append(families.check_dyadic_cover(n))
+            yield families.check_dyadic_cover(n)
         f, fs = families.build_F_Fs(args.n)
-        rows.append(families.check_family_disjoint(f))
-        rows.append(families.check_family_disjoint(fs))
+        yield families.check_family_disjoint(f)
+        yield families.check_family_disjoint(fs)
     elif args.scheme == "h":
         for fam in families.build_H(args.eps, args.n):
-            rows.append(families.check_family_disjoint(fam))
-        rows.append(families.check_H_cover(args.eps, args.n))
+            yield families.check_family_disjoint(fam)
+        yield families.check_H_cover(args.eps, args.n)
     elif args.scheme == "l":
         if not args.s or not args.c:
             raise ValueError("scheme l requires --s and --c")
         for fam in families.build_L(args.s, args.c):
-            rows.append(families.check_family_disjoint(fam))
-        rows.append(families.check_L_gaps(args.s, args.c))
+            yield families.check_family_disjoint(fam)
+        yield families.check_L_gaps(args.s, args.c)
+
+
+def _cmd_families(args) -> int:
     failures = 0
-    for row in rows:
+    for row in _family_rows(args):  # printed as checked: an error still shows the rows before it
         bad = row.get("violations", 0) + row.get("overlaps", 0) + row.get("gap_violations", 0)
         failures += bad
         state = "PASS" if bad == 0 else "FAIL"

@@ -54,7 +54,7 @@ class VariationResult:
 
 
 def _power(d: np.ndarray, p: float) -> np.ndarray:
-    """|d|^p elementwise; the one rule that every DP score and value uses."""
+    """|d|^p elementwise: every partition value, and the DP score of a long chain."""
     return d * d if p == 2.0 else np.abs(d) ** p
 
 
@@ -76,8 +76,7 @@ def partition_value(x, partition: Partition, p: float = 2.0) -> VariationResult:
     return VariationResult(value, partition, contr)
 
 
-_DP_PASS = 1 << 10  # off p = 2, short chains of this many points are scored per numpy call
-_DP_LONG = 1 << 8  # a chain with more candidates is scored on its own, by numpy
+_DP_LONG = 1 << 8  # a chain with more candidates is scored in one numpy call
 
 
 def _dp_breakpoints(a: np.ndarray, p: float) -> np.ndarray:
@@ -97,20 +96,21 @@ def _dp_breakpoints(a: np.ndarray, p: float) -> np.ndarray:
     reached in float64: two records whose differences from a[i] round to one
     float, each followed by the same rounded score, tie on both counts.
 
-    Every candidate is scored as |a_j - a_i|^p + G[j] by the one rule of
-    _power, and the candidates of a point are compared in one order, from
-    the end to the nearest record, a later one winning a tie in score and
-    count. At p = 2 a short chain is scored in the stack walk itself, d * d
-    being the same float in Python as in numpy. Off p = 2 the short chains of
-    a pass are scored in one numpy call, since numpy's float64 ** differs
-    from libm's pow on some inputs and scalar scoring would change the bits.
+    Every candidate is scored as |a_j - a_i|^p + G[j], and the candidates of
+    a point are compared in one order, from the end to the nearest record, a
+    later one winning a tie in score and count. A chain of at most _DP_LONG
+    candidates is scored in the stack walk itself, by d * d at p = 2 and by
+    Python's abs(d) ** p off 2; a longer one is scored in one numpy call by
+    _power. At p = 2 both give the same float; off 2 numpy's ** can differ
+    from Python's in the last bit, which changes a partition only where two
+    candidates tie to within an ulp.
 
     The time is the total chain length. On a mean-zero walk the chains are
     short (about 8 candidates per turning point at N = 1e6, Gaussian) and the
     time is near-linear; on a walk with drift the chains grow with N and the
     time is O(N^2), each long chain scored in one numpy call as the full DP
-    scores a row. Memory is O(N): one pass holds at most _DP_PASS chains of at
-    most _DP_LONG candidates each.
+    scores a row. Memory is O(N): the two stacks, their numpy copies and the
+    per-point scores.
     """
     step = np.sign(np.diff(a))  # turn: a strict step in, another step out
     turns = np.flatnonzero((step[:-1] != 0) & (step[1:] != step[:-1])) + 1
@@ -141,53 +141,29 @@ def _dp_breakpoints(a: np.ndarray, p: float) -> np.ndarray:
     rise, end = vals[1] > vals[0], vals[0]
     hm, lm = np.zeros(m + 1, dtype=np.int64), np.zeros(m + 1, dtype=np.int64)
     gn, cn = np.zeros(m + 1), np.zeros(m + 1, dtype=np.int64)
-    q = done = 0
-    while q < m:
-        points, dst, first, long = [], [], [0], False
-        for q in range(q + 1, min(q + _DP_PASS, m) + 1):
-            v = vals[q]
-            if rise:
-                while hval[highs[-1]] <= v:
-                    highs.pop()
-                chain, stop = lows, highs[-1]
-            else:
-                while lval[lows[-1]] >= v:
-                    lows.pop()
-                chain, stop = highs, lows[-1]
-            pos = bisect_right(chain, stop)  # chain[pos:] lies right of stop
-            n = len(chain)
-            if n - pos > _DP_LONG:
-                long = True
-            elif square:  # the end q' = 0, then the chain from the farthest up
-                d = end - v
-                best, fewest, pick = d * d, 0, 0
-                for j in chain[pos:]:
-                    d = vals[j] - v
-                    w = d * d + g[j]
-                    if w > best or (w == best and cnt[j] <= fewest):
-                        best, fewest, pick = w, cnt[j], j
-                g[q], cnt[q], prev[q] = best, fewest + 1, pick
-            else:
-                dst.append(0)  # the candidates, in the same order
-                dst += chain[pos:]
-                first.append(len(dst))
-                points.append(q)
-            rise = hval[q + 1] > v
-            (lows if rise else highs).append(q)
-            if long:
-                break
-        if points:
-            d = b[dst] - np.repeat(b[points], np.diff(first))
-            w = _power(d, p).tolist()
-            for r, k in enumerate(points):
-                best, fewest, pick = -math.inf, 0, 0
-                for e in range(first[r], first[r + 1]):
-                    j = dst[e]
-                    v = w[e] + g[j]
-                    if v > best or (v == best and cnt[j] <= fewest):
-                        best, fewest, pick = v, cnt[j], j
-                g[k], cnt[k], prev[k] = best, fewest + 1, pick
-        if long:
+    done = 0
+    for q in range(1, m + 1):
+        v = vals[q]
+        if rise:
+            while hval[highs[-1]] <= v:
+                highs.pop()
+            chain, stop = lows, highs[-1]
+        else:
+            while lval[lows[-1]] >= v:
+                lows.pop()
+            chain, stop = highs, lows[-1]
+        pos = bisect_right(chain, stop)  # chain[pos:] lies right of stop
+        n = len(chain)
+        if n - pos <= _DP_LONG:  # the end q' = 0, then the chain from the farthest up
+            d = end - v
+            best, fewest, pick = d * d if square else abs(d) ** p, 0, 0
+            for j in chain[pos:]:
+                d = vals[j] - v
+                w = (d * d if square else abs(d) ** p) + g[j]
+                if w > best or (w == best and cnt[j] <= fewest):
+                    best, fewest, pick = w, cnt[j], j
+            g[q], cnt[q], prev[q] = best, fewest + 1, pick
+        else:
             # each point is pushed once, so the copy still agrees with the
             # stack up to the first position where it differs
             mirror = hm if chain is highs else lm
@@ -195,12 +171,14 @@ def _dp_breakpoints(a: np.ndarray, p: float) -> np.ndarray:
             mirror[lo:n] = chain[lo:n]
             gn[done:q], cn[done:q], done = g[done:q], cnt[done:q], q
             js = np.append(0, mirror[pos:n])
-            w = _power(b[js] - vals[q], p)
+            w = _power(b[js] - v, p)
             w += gn[js]
             best = w.max()
             ok, cj = w == best, cn[js]
             fewest = cj[ok].min()
             g[q], cnt[q], prev[q] = float(best), int(fewest) + 1, int(js[ok & (cj == fewest)].max())
+        rise = hval[q + 1] > v
+        (lows if rise else highs).append(q)
 
     bps = [m]
     while bps[-1] != 0:
@@ -220,7 +198,10 @@ def p_variation_exact(x, p: float) -> VariationResult:
     if not (math.isfinite(p) and p >= 1):
         raise ValueError("p must be finite and >= 1")
     walk = prefix_sums(x)
-    part = Partition(_dp_breakpoints(walk.values, float(p)))
+    try:  # Python's float ** raises where numpy's gives inf
+        part = Partition(_dp_breakpoints(walk.values, float(p)))
+    except OverflowError:
+        raise ValueError(f"variation value overflows float64 (p={p:g})") from None
     return partition_value(walk, part, float(p))
 
 

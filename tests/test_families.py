@@ -201,3 +201,12 @@ def test_families_check_golden(capsys, argv, digest):
     # or a check that alters a printed byte fails here
     assert cli.main(["families", "check", *argv.split()]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_families_check_prints_rows_before_a_cover_error(capsys):
+    # at eps' = 0.3 the H cover check meets a sliver cover_H refuses: the
+    # disjointness rows computed before it are printed all the same
+    assert cli.main(["families", "check", "--scheme", "h", "--eps", "0.3", "--n", "7"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "".join(f"PASS  scheme=H shift={k} overlaps=0\n" for k in range(4))
+    assert captured.err.startswith("sqvar: error: ") and captured.err.count("\n") == 1

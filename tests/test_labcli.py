@@ -613,7 +613,8 @@ def test_cli_bounds_rosenthal_report_only(capsys):
 def test_cli_chain_warning_free(tmp_path):
     # simulate (every algorithm, classify, JSON-lines mirror), summarize, every
     # plotdata kind, the three family schemes, the four bound checks, greedy and
-    # compute, with warnings raised as errors and dev-mode checks
+    # compute (at p = 2, and off 2 on short and on long record chains), with
+    # warnings raised as errors and dev-mode checks
     out = tmp_path / "records.csv"
     ini = tmp_path / "exp.ini"
     ini.write_text(CONFIG_TEXT.format(out=out).replace("[classify]", "jsonl = true\n\n[classify]"))
@@ -622,6 +623,9 @@ def test_cli_chain_warning_free(tmp_path):
     env["PYTHONPATH"] = os.path.abspath(src)
     values = tmp_path / "values.txt"
     values.write_text("x\n1\n-2.5\n0\n3\n-1\n")
+    drift = tmp_path / "drift.txt"  # chains longer than _DP_LONG, scored by numpy
+    increments = np.random.default_rng(3).standard_normal(3000) + 0.5
+    drift.write_text("\n".join(map(repr, increments.tolist())))
     steps = [["simulate", "--config", str(ini)], ["summarize", "--input", str(out)]]
     steps += [["plotdata", "--input", str(out), "--kind", kind] for kind in PLOT_KINDS]
     steps += [["families", "check", "--scheme", "dyadic", "--n", "4"],
@@ -629,7 +633,9 @@ def test_cli_chain_warning_free(tmp_path):
               ["families", "check", "--scheme", "l", "--s", "2", "--c", "4"]]
     steps += [["bounds", "--check", check, "--trials", "200"]
               for check in ("bernstein", "etemadi", "berry-esseen", "rosenthal")]
-    steps += [["greedy", "--n", "64"], ["compute", "--input", str(values)]]
+    steps += [["greedy", "--n", "64"], ["compute", "--input", str(values)],
+              ["compute", "--input", str(values), "--p", "3"],
+              ["compute", "--input", str(drift), "--p", "1.5"]]
     for argv in steps:
         proc = subprocess.run(
             [sys.executable, "-X", "dev", "-W", "error", "-m", "sqvar.cli", *argv],

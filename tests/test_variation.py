@@ -454,7 +454,9 @@ def _golden_walks(kind):
 _DP_DIGESTS = {
     ("gaussian", 2.0): "a8032b3400a4ef32c08aea7a536629f155b5a761655ed1c86349216c6120c3ae",
     ("lattice", 2.0): "9b76ebe70d29d85c31c8de94b5fe34ca3792cf872cb587ad7bddffca83c7eb8a",
+    ("lattice", 3.0): "04e2e866b189f007169a5faa4fa521bbaf929bd0409b317c38fc4ce7a1a67fb1",
     ("real", 2.0): "81a3e015d71d0da984336510467c74866f7402e62230c16118399cbf68442750",
+    ("real", 3.0): "a6687ca17c93a0b9ae0b19f066b9264016d3da81664d0c9eb5555e5e7f94b32c",
     ("real", 1.5): "c213c048cd2ac29cfed9231e9347c8dbf8074641fb4f782aa1096102b00f5496",
 }
 
@@ -497,9 +499,8 @@ def test_kernel_matches_oracle_on_gaussian(x, p, block):
                    st.tuples(gaussian_data(200), st.sampled_from([2.0, 3.0]))),
        block=st.integers(1, 5))
 def test_long_chain_path_matches_oracle(xp, block):
-    # every chain of two or more candidates is scored on its own, and a pass
-    # of short chains holds at most three points
-    with mock.patch.multiple(variation, _DP_LONG=1, _DP_PASS=3):
+    # every chain of two or more candidates is scored on its own, by numpy
+    with mock.patch.object(variation, "_DP_LONG", 1):
         _check_kernel_against_oracle(*xp, block)
 
 
