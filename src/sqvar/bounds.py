@@ -19,21 +19,6 @@ _CHUNK = 1 << 22  # elements per Monte Carlo block
 
 
 @dataclass(frozen=True)
-class BoundQuery:
-    """Inputs to the maximal tail bound: threshold t, total variance of the
-    partial sum, a.s. bound M on each summand, and the number of summands."""
-
-    t: float
-    sum_var: float
-    m_bound: float
-    length: int
-
-    def __post_init__(self):
-        if self.t <= 0 or self.sum_var <= 0 or self.m_bound <= 0 or self.length < 1:
-            raise ValueError("need t > 0, sum_var > 0, M > 0, L >= 1")
-
-
-@dataclass(frozen=True)
 class EmpiricalTail:
     threshold: float
     frequency: float
@@ -44,9 +29,15 @@ class EmpiricalTail:
         return math.sqrt(self.frequency * (1.0 - self.frequency) / self.trials)
 
 
-def bernstein_maximal_bound(q: BoundQuery) -> float:
-    """P[max_l |S_l| > t] <= 2 exp(-(t^2/2) / (sum_var + M t / 3)), capped at 1."""
-    expo = -(q.t * q.t / 2.0) / (q.sum_var + q.m_bound * q.t / 3.0)
+def bernstein_maximal_bound(t: float, sum_var: float, m_bound: float) -> float:
+    """P[max_l |S_l| > t] <= 2 exp(-(t^2/2) / (sum_var + M t / 3)), capped at 1,
+    for a threshold t, the total variance sum_var of the partial sum and an
+    a.s. bound M = m_bound on each summand; a ValueError names any of them
+    that is not > 0 (NaN included)."""
+    for name, value in (("t", t), ("sum_var", sum_var), ("m_bound", m_bound)):
+        if not value > 0:
+            raise ValueError(f"bernstein bound needs {name} > 0, got {value!r}")
+    expo = -(t * t / 2.0) / (sum_var + m_bound * t / 3.0)
     return min(1.0, 2.0 * math.exp(expo))
 
 

@@ -180,9 +180,7 @@ def _cmd_bounds(args) -> int:
             if not math.isfinite(m):
                 raise ValueError("bernstein comparison needs a bounded spec")
             emp = bounds.maximal_tail_empirical(spec, length, t, args.trials, seed)
-            bd = bounds.bernstein_maximal_bound(
-                bounds.BoundQuery(t=t, sum_var=length * spec.sigma**2, m_bound=m, length=length)
-            )
+            bd = bounds.bernstein_maximal_bound(t, length * spec.sigma**2, m)
             ok = emp.frequency <= bd + 3.0 * emp.std_err
             row = (t, emp.frequency, bd, emp.std_err, ok)
         elif args.check == "etemadi":
@@ -255,7 +253,8 @@ def build_parser() -> _Parser:
     fc = fsub.add_parser("check")
     fc.add_argument("--scheme", choices=("dyadic", "h", "l"), required=True)
     fc.add_argument("--n", type=int, default=7)
-    fc.add_argument("--eps", type=float, default=0.5)
+    fc.add_argument("--eps", type=float, default=0.5,
+                    help="eps' = 1/k for an integer k >= 1, e.g. 1, 0.5, 0.3333333333333333")
     fc.add_argument("--s", type=int)
     fc.add_argument("--c", type=int)
     fc.set_defaults(func=_cmd_families)

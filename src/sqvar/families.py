@@ -1,15 +1,17 @@
 """Leveled interval families and constructive cover queries.
 
-Three constructions: the geometric (1+eps')-ratio families H with
-fractional shifts, the dyadic family F and its half shifts Fs, which are
-H_0 and H_1 at eps' = 1, and the geometrically growing families with C
-shifted copies used by the constructive lower-bound partition.
+Three constructions: the geometric (1+eps')-ratio families H_0..H_k with
+fractional shifts, for eps' = 1/k; the dyadic family F and its half shifts
+Fs, which are H_0 and H_1 at eps' = 1; and the geometrically growing
+families with C shifted copies used by the constructive lower-bound
+partition. One cover rule, cover_H, serves H at every eps' = 1/k and F, Fs
+at eps' = 1.
 
 Geometric shifted families keep every aligned interval whose start lies in
 (0, (1+eps')^n], including ones whose right end overshoots the nominal top;
 without those right-edge intervals the advertised cover (containment with
 blow-up below (1+eps')^2) does not exist for intervals near the top. F and
-Fs drop them.
+Fs drop them, and the dyadic covers never need them.
 """
 
 from __future__ import annotations
@@ -69,44 +71,27 @@ def build_F_Fs(n: int) -> tuple[IntervalFamily, IntervalFamily]:
     return replace(h0, scheme="F"), IntervalFamily(scheme="Fs", n=n, levels=fs_levels)
 
 
-def cover_dyadic(iprime: RealInterval, n: int) -> RealInterval:
-    """An interval of the dyadic-or-shifted family containing iprime with
-    length below 4x, by the constructive case split: either the aligned
-    interval one level up contains it, or it straddles a single grid point
-    and the half shift around that point does.
-    """
-    top = float(1 << n)
-    if iprime.start < 0 or iprime.end > top:
-        raise ValueError(f"interval must lie within (0, {top:g}]")
-    i = max(0, math.ceil(math.log2(iprime.length) - 1e-12))
-    if i >= n - 1:
-        return RealInterval(0.0, top)
-    ln = 1 << (i + 1)
-    c = math.floor(iprime.start / ln)
-    if iprime.end <= (c + 1) * ln:
-        return RealInterval(float(c * ln), float((c + 1) * ln))
-    g = (c + 1) * ln  # the straddled grid point
-    half = 1 << i
-    return RealInterval(float(g - half), float(g + half))
-
-
 def shift_count(epsilon_prime: float) -> int:
-    """Largest shift index h = floor((1+eps')/eps' - 1)."""
-    return int(math.floor((1.0 + epsilon_prime) / epsilon_prime - 1.0 + 1e-9))
+    """k = 1/eps', the number of shifted copies H_1..H_k; a ValueError names any
+    eps' that is not 1/k for an integer k >= 1, to a relative 1e-9."""
+    inv = 1.0 / epsilon_prime if epsilon_prime > 0 else math.nan
+    k = round(inv) if math.isfinite(inv) else 0
+    if k < 1 or abs(inv - k) > 1e-9 * k:
+        raise ValueError(f"eps' must be 1/k for an integer k >= 1, got eps' = {epsilon_prime!r}")
+    return k
 
 
 def build_H(epsilon_prime: float, n: int) -> list[IntervalFamily]:
-    """Geometric families H_0..H_h with ratio (1+eps') and fractional shifts."""
-    if not 0 < epsilon_prime <= 1:
-        raise ValueError("epsilon_prime must satisfy 0 < eps' <= 1")
+    """Geometric families H_0..H_k with ratio (1+eps') and fractional shifts,
+    for eps' = 1/k."""
+    k = shift_count(epsilon_prime)
     if n < 1:
         raise ValueError("n must be >= 1")
     b = 1.0 + epsilon_prime
     top = b**n
     tol = _REL_TOL * top
-    h = shift_count(epsilon_prime)
     fams = []
-    for j in range(h + 1):
+    for j in range(k + 1):
         levels = {}
         lo, hi = (0, n) if j == 0 else (1, n - 1)
         for i in range(lo, hi + 1):
@@ -123,60 +108,39 @@ def build_H(epsilon_prime: float, n: int) -> list[IntervalFamily]:
 
 
 def cover_H(iprime: RealInterval, epsilon_prime: float, n: int) -> RealInterval:
-    """A geometric-family interval containing iprime with length below
-    (1+eps')^2 times iprime's, via the shifted-grid bracket one level up.
+    """An interval of H_0..H_k (eps' = 1/k) containing iprime, |iprime| >= 1,
+    and shorter than (1+eps')^2 |iprime|.
 
-    Endpoint ties resolve to the smaller shift. When (1+eps')/eps' is an
-    integer (it is for eps' in {1, 1/2, 1/4, ...} and for every value the
-    asymptotic argument needs) the bracket always lands in the family; for
-    other eps' the truncated shift count leaves slivers near block ends, and
-    a scan of both ratio-safe levels recovers most of those. A ValueError
-    reports an interval with no admissible cover.
+    With i the smallest level whose length (1+eps')^i is at least |iprime|,
+    the cover is the level-(i+1) interval of the smallest shift that contains
+    iprime, or the top interval (0, (1+eps')^n] once i >= n - 1. At eps' = 1
+    this is the dyadic split, within F and Fs: the aligned interval one level
+    up, else the half shift around the grid point iprime straddles.
+
+    A cover always exists: level i+1 has length (k+1) eps'(1+eps')^i, so its
+    k + 1 shifts start an interval at every multiple of eps'(1+eps')^i, and
+    the one starting at the last such point at or below iprime.start contains
+    iprime, as |iprime| + eps'(1+eps')^i <= (1+eps')^(i+1). When no shift
+    below k contains iprime, that interval is H_k's, returned untested. The
+    ratio holds as |iprime| > (1+eps')^(i-1), or |iprime| >= 1 at i = 0.
     """
-    if not 0 < epsilon_prime <= 1:
-        raise ValueError("epsilon_prime must satisfy 0 < eps' <= 1")
+    k = shift_count(epsilon_prime)
     b = 1.0 + epsilon_prime
     top = b**n
     tol = _REL_TOL * top
     if iprime.start < 0 or iprime.end > top + tol:
         raise ValueError(f"interval must lie within (0, {top:g}]")
-    i = 0
-    while b**i < iprime.length - tol:
+    i, length = 0, iprime.length
+    while b**i < length - tol:
         i += 1
     if i >= n - 1:
         return RealInterval(0.0, top)
     ln = b ** (i + 1)
-    step = epsilon_prime * b**i
-    if iprime.start <= tol:
-        return RealInterval(0.0, ln)
-    h = shift_count(epsilon_prime)
-    # grid point strictly below the start, ties to the smaller k
-    m = math.ceil(iprime.start / step - tol) - 1
-    steps_per_block = (1.0 + epsilon_prime) / epsilon_prime
-    if abs(steps_per_block - round(steps_per_block)) < 1e-9:
-        c, k = divmod(m, int(round(steps_per_block)))
-        start = c * ln + k * step
-        cand = RealInterval(start, start + ln)
-        if cand.contains(iprime, tol):
-            return cand
-    # non-integer step grids: scan the two levels whose length keeps the ratio
-    for lev in (i + 1, i):
-        size = b**lev
-        if size < iprime.length - tol or size >= b * b * iprime.length + tol:
-            continue
-        kmax = 0 if lev == 0 else h
-        for k in range(kmax + 1):
-            shift = k * epsilon_prime * b ** (lev - 1) if k else 0.0
-            c = math.floor((iprime.start - shift) / size + tol)
-            if c < 0:
-                continue
-            cand = RealInterval(c * size + shift, (c + 1) * size + shift)
-            if cand.contains(iprime, tol):
-                return cand
-    raise ValueError(
-        "no admissible cover: the truncated shift grid at this eps' leaves "
-        "slivers; choose eps' with integer (1+eps')/eps'"
-    )
+    for j in range(k + 1):
+        shift = j * epsilon_prime * b**i
+        c = math.floor((iprime.start + tol - shift) / ln)
+        if j == k or c >= 0 and iprime.end <= (c + 1) * ln + shift + tol:
+            return RealInterval(c * ln + shift, (c + 1) * ln + shift)
 
 
 def build_L(s: int, c_copies: int, k_max: int | None = None) -> list[IntervalFamily]:
@@ -258,7 +222,7 @@ def check_dyadic_cover(n: int) -> dict:
     top = 1 << n
     ivs = (RealInterval(float(a), float(b)) for a in range(top) for b in range(a + 1, top + 1))
     return {"scheme": "dyadic", "n": n,
-            **_cover_counts(ivs, lambda ip: cover_dyadic(ip, n), 4.0, 0.0, fams)}
+            **_cover_counts(ivs, lambda ip: cover_H(ip, 1.0, n), 4.0, 0.0, fams)}
 
 
 def check_H_cover(epsilon_prime: float, n: int, grid: int = 100) -> dict:

@@ -222,6 +222,22 @@ _CONFIG_KEYS = {
     "greedy": ("s", "c", "alpha", "eps3"),
     "classify": ("eps", "b"),
 }
+_TYPE_NAMES = {int: "an integer", float: "a number", bool: "a boolean"}
+
+
+def _parse(section: configparser.SectionProxy, key: str, typ: type, text: str):
+    """text, the value of section[key] or one token of it, read as typ; a
+    ValueError names the section, the key and the text."""
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()] if typ is bool else typ(text)
+    except (KeyError, ValueError):
+        raise ValueError(f"config [{section.name}] {key}: {text!r} is not "
+                         f"{_TYPE_NAMES[typ]}") from None
+
+
+def _get(section: configparser.SectionProxy, key: str, typ: type, default=None):
+    """section[key] read as typ by _parse, or default when the key is absent."""
+    return _parse(section, key, typ, section[key]) if key in section else default
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -273,33 +289,36 @@ def parse_config(path: str) -> ExperimentConfig:
     gp = None
     if cp.has_section("greedy"):
         g = cp["greedy"]
-        gp = GreedyParams(
-            s=g.getint("s", GreedyParams.s),
-            c_copies=g.getint("c", GreedyParams.c_copies),
-            alpha=g.getfloat("alpha", GreedyParams.alpha),
-            epsilon3=g.getfloat("eps3", GreedyParams.epsilon3),
-        )
+        values = dict(s=_get(g, "s", int, GreedyParams.s),
+                      c_copies=_get(g, "c", int, GreedyParams.c_copies),
+                      alpha=_get(g, "alpha", float, GreedyParams.alpha),
+                      epsilon3=_get(g, "eps3", float, GreedyParams.epsilon3))
+        try:
+            gp = GreedyParams(**values)
+        except ValueError as exc:
+            raise ValueError(f"config [greedy] {exc}") from None
     class_eps = class_b = None
     if cp.has_section("classify"):
         c = cp["classify"]
-        class_eps = c.getfloat("eps", 0.1)
-        class_b = c.getfloat("b", classify.default_bad_threshold())
+        class_eps = _get(c, "eps", float, 0.1)
+        class_b = _get(c, "b", float, classify.default_bad_threshold())
         try:
             classify.check_thresholds(class_eps, class_b)
         except ValueError as exc:
             raise ValueError(f"config [classify] {exc}") from None
     return ExperimentConfig(
         spec=DistributionSpec.from_string(exp.get("spec", "gaussian:sigma=1")),
-        n_grid=tuple(int(v) for v in exp["n_grid"].replace(",", " ").split()),
-        trials=exp.getint("trials"),
-        master_seed=exp.getint("master_seed", 0),
+        n_grid=tuple(_parse(exp, "n_grid", int, v)
+                     for v in exp["n_grid"].replace(",", " ").split()),
+        trials=_get(exp, "trials", int),
+        master_seed=_get(exp, "master_seed", int, 0),
         algorithms=tuple(algorithms),
         block=block,
         greedy_params=gp,
         class_eps=class_eps,
         class_b=class_b,
         output_path=exp.get("output", "records.csv"),
-        jsonl_mirror=exp.getboolean("jsonl", False),
+        jsonl_mirror=_get(exp, "jsonl", bool, False),
     )
 
 

@@ -38,6 +38,8 @@ _SHORT = {
     "logtail_sym": "logtail",
 }
 _FROM_SHORT = {v: k for k, v in _SHORT.items()}
+_PARAM_FIELDS = {"sigma": "sigma", "s": "sigma",
+                 "a": "tail_exponent", "tail": "tail_exponent", "tail_exponent": "tail_exponent"}
 
 
 def _splitmix64(z: int) -> int:
@@ -144,12 +146,13 @@ class DistributionSpec:
                 continue
             key, _, val = f.partition("=")
             key = key.strip().lower()
-            if key in ("sigma", "s"):
-                kwargs["sigma"] = float(val)
-            elif key in ("a", "tail", "tail_exponent"):
-                kwargs["tail_exponent"] = float(val)
-            else:
+            if key not in _PARAM_FIELDS:
                 raise ValueError(f"unknown distribution parameter {key!r} in {text!r}")
+            try:
+                kwargs[_PARAM_FIELDS[key]] = float(val)
+            except ValueError:
+                raise ValueError(f"distribution parameter {key!r} in {text!r} is not a "
+                                 f"number: {val.strip()!r}") from None
         return DistributionSpec(kind, **kwargs)
 
 

@@ -4,7 +4,6 @@ import pytest
 from scipy.special import ndtr
 
 from sqvar.bounds import (
-    BoundQuery,
     bernstein_maximal_bound,
     berry_esseen_distance,
     etemadi_check,
@@ -18,22 +17,24 @@ UNI = DistributionSpec("uniform_centered")
 
 
 def test_bernstein_closed_form():
-    q = BoundQuery(t=30.0, sum_var=100.0, m_bound=1.0, length=100)
-    assert bernstein_maximal_bound(q) == pytest.approx(2.0 * math.exp(-450.0 / 110.0))
-    assert bernstein_maximal_bound(q) == pytest.approx(0.0334480, abs=5e-7)
+    bound = bernstein_maximal_bound(30.0, 100.0, 1.0)
+    assert bound == pytest.approx(2.0 * math.exp(-450.0 / 110.0))
+    assert bound == pytest.approx(0.0334480, abs=5e-7)
     # exponent -> 0 caps the bound at 1
-    assert bernstein_maximal_bound(BoundQuery(t=1e-9, sum_var=1.0, m_bound=1.0, length=1)) == 1.0
+    assert bernstein_maximal_bound(1e-9, 1.0, 1.0) == 1.0
+    for args, named in (((0.0, 1.0, 1.0), "t > 0, got 0.0"),
+                        ((1.0, -1.0, 1.0), "sum_var > 0, got -1.0"),
+                        ((1.0, 1.0, math.nan), "m_bound > 0, got nan")):
+        with pytest.raises(ValueError, match=named):
+            bernstein_maximal_bound(*args)
 
 
 def test_bernstein_monotonicity():
-    base = dict(sum_var=50.0, m_bound=2.0, length=50)
-    vals = [bernstein_maximal_bound(BoundQuery(t=t, **base)) for t in (5, 10, 20, 40)]
+    vals = [bernstein_maximal_bound(t, 50.0, 2.0) for t in (5, 10, 20, 40)]
     assert vals == sorted(vals, reverse=True)
-    by_m = [bernstein_maximal_bound(BoundQuery(t=20.0, sum_var=50.0, m_bound=m, length=50))
-            for m in (0.5, 1.0, 2.0, 4.0)]
+    by_m = [bernstein_maximal_bound(20.0, 50.0, m) for m in (0.5, 1.0, 2.0, 4.0)]
     assert by_m == sorted(by_m)
-    by_var = [bernstein_maximal_bound(BoundQuery(t=20.0, sum_var=v, m_bound=1.0, length=50))
-              for v in (10.0, 50.0, 200.0)]
+    by_var = [bernstein_maximal_bound(20.0, v, 1.0) for v in (10.0, 50.0, 200.0)]
     assert by_var == sorted(by_var)
 
 
@@ -53,9 +54,7 @@ def test_maximal_tail_under_bernstein():
         m = spec.almost_sure_bound()
         for t, ell in ((8.0, 64), (12.0, 64), (10.0, 128)):
             emp = maximal_tail_empirical(spec, ell, t, 20_000, 42)
-            bound = bernstein_maximal_bound(
-                BoundQuery(t=t, sum_var=float(ell), m_bound=m, length=ell)
-            )
+            bound = bernstein_maximal_bound(t, float(ell), m)
             assert emp.frequency <= bound + 3.0 * emp.std_err
 
 

@@ -14,7 +14,6 @@ from sqvar.families import (
     check_dyadic_cover,
     check_family_disjoint,
     cover_H,
-    cover_dyadic,
     shift_count,
 )
 
@@ -45,12 +44,12 @@ def test_F_level_shapes():
 
 
 def test_cover_dyadic_examples():
-    # N=16: (5,6] sits in (4,6]; (3,5] straddles 4 and needs the half shift
-    assert cover_dyadic(RealInterval(5, 6), 4) == RealInterval(4.0, 6.0)
-    assert cover_dyadic(RealInterval(3, 5), 4) == RealInterval(2.0, 6.0)
-    assert cover_dyadic(RealInterval(0, 16), 4) == RealInterval(0.0, 16.0)
+    # N=16 at eps'=1: (5,6] sits in (4,6]; (3,5] straddles 4 and needs the half shift
+    assert cover_H(RealInterval(5, 6), 1.0, 4) == RealInterval(4.0, 6.0)
+    assert cover_H(RealInterval(3, 5), 1.0, 4) == RealInterval(2.0, 6.0)
+    assert cover_H(RealInterval(0, 16), 1.0, 4) == RealInterval(0.0, 16.0)
     with pytest.raises(ValueError):
-        cover_dyadic(RealInterval(3, 17), 4)
+        cover_H(RealInterval(3, 17), 1.0, 4)
 
 
 def test_cover_dyadic_exhaustive():
@@ -73,6 +72,8 @@ def test_build_H_shift_count_and_reduction():
     assert shift_count(1.0) == 1
     assert shift_count(0.5) == 2
     assert shift_count(0.25) == 4
+    assert shift_count(0.3333333333333333) == 3
+    assert shift_count(1 / 5) == 5
     fams = build_H(1.0, 5)
     assert len(fams) == 2
     f, _ = build_F_Fs(5)
@@ -103,35 +104,18 @@ def test_cover_H_examples():
         cover_H(RealInterval(0.0, 100.0), 0.5, 3)
 
 
-def test_cover_H_random_containment_awkward_ratio():
-    # non-integer (1+eps)/eps: the truncated shift grid leaves rare slivers,
-    # so the contract is "valid cover or a ValueError", never a wrong cover
-    import numpy as np
-
-    rng = np.random.default_rng(42)
-    eps, n = 0.3, 10
-    top = (1 + eps) ** n
-    refused = 0
-    for _ in range(500):
-        ln = rng.uniform(1.0, top / 4)
-        s = rng.uniform(0, top - ln)
-        ip = RealInterval(s, s + ln)
-        try:
-            iv = cover_H(ip, eps, n)
-        except ValueError:
-            refused += 1
-            continue
-        assert iv.contains(ip, 1e-9 * top)
-        assert iv.length < (1 + eps) ** 2 * ip.length + 1e-9 * top
-    assert refused < 25  # slivers are rare
+def _members(eps, n):
+    return {(round(iv.start, 9), round(iv.end, 9))
+            for fam in build_H(eps, n) for iv in fam.all_intervals()}
 
 
 def test_cover_H_random_containment_standard_ratios():
     import numpy as np
 
     rng = np.random.default_rng(43)
-    for eps, n in ((0.25, 10), (0.5, 10), (1.0, 8)):
+    for eps, n in ((0.2, 10), (0.25, 10), (1 / 3, 10), (0.5, 10), (1.0, 8)):
         top = (1 + eps) ** n
+        members = _members(eps, n)
         for _ in range(300):
             ln = rng.uniform(1.0, top / 4)
             s = rng.uniform(0, top - ln)
@@ -139,13 +123,27 @@ def test_cover_H_random_containment_standard_ratios():
             iv = cover_H(ip, eps, n)
             assert iv.contains(ip, 1e-9 * top)
             assert iv.length < (1 + eps) ** 2 * ip.length + 1e-9 * top
+            assert (round(iv.start, 9), round(iv.end, 9)) in members
 
 
 def test_cover_H_grid():
-    for eps in (0.25, 0.5, 1.0):
+    for eps in (0.2, 0.25, 1 / 3, 0.5, 1.0):
         for n in (4, 7):
             report = check_H_cover(eps, n, grid=40)
-            assert report["violations"] == 0
+            assert report["violations"] == 0  # contained, ratio kept, a build_H interval
+
+
+def test_eps_prime_not_a_reciprocal_integer_refused(capsys):
+    # the cover lemma needs eps' = 1/k: every entry point refuses 0.3 by name
+    named = "eps' must be 1/k for an integer k >= 1, got eps' = 0.3"
+    with pytest.raises(ValueError, match=named):
+        build_H(0.3, 7)
+    with pytest.raises(ValueError, match=named):
+        cover_H(RealInterval(1.0, 2.0), 0.3, 7)
+    assert cli.main(["families", "check", "--scheme", "h", "--eps", "0.3", "--n", "7"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"sqvar: error: {named}\n"
 
 
 def test_build_L_shapes():
@@ -193,6 +191,8 @@ def test_real_interval_validation():
      "eafbc6579348f79c1486d6f377417ea899e89b81f54344f6ebb5e02a3a8b7754"),
     ("--scheme h --eps 1.0 --n 7",
      "bd2e9a085330336da06885b858f6230d2166e65f1569403425f159babaa63461"),
+    ("--scheme h --eps 0.3333333333333333 --n 7",
+     "241598f7069f0369e34dc56ffcf172cedc99031b78233f486fff3e7f1eadbb08"),
     ("--scheme l --s 2 --c 4", "cf46f1f892b40b749fa1b6968dd356d9f29bd3e32ebd5993ef160cd6c8eefb5b"),
     ("--scheme l --s 3 --c 9", "64951983ca9fd8d51bc0bf38fbe44b5d9a15b295ecb005f685c670f254cfc237"),
 ])
@@ -202,11 +202,3 @@ def test_families_check_golden(capsys, argv, digest):
     assert cli.main(["families", "check", *argv.split()]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
-
-def test_families_check_prints_rows_before_a_cover_error(capsys):
-    # at eps' = 0.3 the H cover check meets a sliver cover_H refuses: the
-    # disjointness rows computed before it are printed all the same
-    assert cli.main(["families", "check", "--scheme", "h", "--eps", "0.3", "--n", "7"]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == "".join(f"PASS  scheme=H shift={k} overlaps=0\n" for k in range(4))
-    assert captured.err.startswith("sqvar: error: ") and captured.err.count("\n") == 1

@@ -347,8 +347,22 @@ def test_cli_simulate_greedy_small_n(tmp_path, capsys):
     (lambda s: "[DEFAULT]\ntrials = 3\n" + s, "unknown section [DEFAULT]"),
     (lambda s: "[DEFAULT]\nn_grid = 64\n" + s.replace("n_grid = 64, 128\n", ""),
      "unknown section [DEFAULT]"),
+    (lambda s: s.replace("n_grid = 64, 128", "n_grid = 16, 1.5"),
+     "config [experiment] n_grid: '1.5' is not an integer"),
+    (lambda s: s.replace("trials = 3", "trials = x"),
+     "config [experiment] trials: 'x' is not an integer"),
+    (lambda s: s.replace("master_seed = 99", "master_seed = 1e3"),
+     "config [experiment] master_seed: '1e3' is not an integer"),
+    (lambda s: s.replace("trials = 3\n", "trials = 3\njsonl = maybe\n"),
+     "config [experiment] jsonl: 'maybe' is not a boolean"),
+    (lambda s: s.replace("\ns = 2\n", "\ns = x\n"), "config [greedy] s: 'x' is not an integer"),
+    (lambda s: s.replace("alpha = 0.25", "alpha = 0.7"),
+     "config [greedy] alpha must lie in (0, 1/2)"),
+    (lambda s: s.replace("eps = 0.1", "eps = x"), "config [classify] eps: 'x' is not a number"),
 ], ids=["no-header", "no-section", "no-n_grid", "no-trials", "misspelt-key", "stale-key",
-        "greedy-key", "unknown-section", "default-key", "default-n_grid"])
+        "greedy-key", "unknown-section", "default-key", "default-n_grid", "n_grid-float",
+        "trials-word", "master_seed-float", "jsonl-word", "greedy-s-word", "greedy-alpha-range",
+        "classify-eps-word"])
 def test_cli_simulate_config_missing(tmp_path, capsys, edit, named):
     ini = tmp_path / "exp.ini"
     ini.write_text(edit(CONFIG_TEXT.format(out=tmp_path / "r.csv")))
@@ -470,7 +484,14 @@ def test_cli_bounds_bad_grid(tmp_path, capsys, check, text, where):
      "sigma must be finite and > 0, got inf"),
     (["greedy", "--n", "64", "--spec", "gaussian:sigma=inf"],
      "sigma must be finite and > 0, got inf"),
-], ids=["etemadi-a-nan", "rosenthal-sigma-inf", "greedy-sigma-inf"])
+    (["bounds", "--check", "etemadi", "--spec", "pareto:a", "--trials", "100"],
+     "distribution parameter 'a' in 'pareto:a' is not a number: ''"),
+    (["greedy", "--n", "64", "--spec", "gaussian:sigma"],
+     "distribution parameter 'sigma' in 'gaussian:sigma' is not a number: ''"),
+    (["greedy", "--n", "64", "--spec", "gaussian:sigma=x"],
+     "distribution parameter 'sigma' in 'gaussian:sigma=x' is not a number: 'x'"),
+], ids=["etemadi-a-nan", "rosenthal-sigma-inf", "greedy-sigma-inf", "etemadi-a-missing",
+        "greedy-sigma-missing", "greedy-sigma-word"])
 def test_cli_non_finite_spec(capsys, argv, named):
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
@@ -612,9 +633,9 @@ def test_cli_bounds_rosenthal_report_only(capsys):
 
 def test_cli_chain_warning_free(tmp_path):
     # simulate (every algorithm, classify, JSON-lines mirror), summarize, every
-    # plotdata kind, the three family schemes, the four bound checks, greedy and
-    # compute (at p = 2, and off 2 on short and on long record chains), with
-    # warnings raised as errors and dev-mode checks
+    # plotdata kind, the three family schemes (h at eps' = 1/2 and 1/3), the
+    # four bound checks, greedy and compute (at p = 2, and off 2 on short and
+    # on long record chains), with warnings raised as errors and dev-mode checks
     out = tmp_path / "records.csv"
     ini = tmp_path / "exp.ini"
     ini.write_text(CONFIG_TEXT.format(out=out).replace("[classify]", "jsonl = true\n\n[classify]"))
@@ -630,6 +651,7 @@ def test_cli_chain_warning_free(tmp_path):
     steps += [["plotdata", "--input", str(out), "--kind", kind] for kind in PLOT_KINDS]
     steps += [["families", "check", "--scheme", "dyadic", "--n", "4"],
               ["families", "check", "--scheme", "h", "--n", "5"],
+              ["families", "check", "--scheme", "h", "--eps", "0.3333333333333333", "--n", "7"],
               ["families", "check", "--scheme", "l", "--s", "2", "--c", "4"]]
     steps += [["bounds", "--check", check, "--trials", "200"]
               for check in ("bernstein", "etemadi", "berry-esseen", "rosenthal")]
