@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from sqvar import cli
+from sqvar import cli, families
 from sqvar.families import (
     RealInterval,
     build_F_Fs,
@@ -109,6 +109,33 @@ def _members(eps, n):
             for fam in build_H(eps, n) for iv in fam.all_intervals()}
 
 
+def test_cover_H_random_containment_awkward_ratio():
+    # eps' = 0.3 leaves a truncated shift grid: refused by name on every draw,
+    # never a wrong cover; eps' = 1/7 and 1/9 have no exact float grid yet
+    # every draw is covered by a build_H interval
+    import numpy as np
+
+    rng = np.random.default_rng(42)
+    n = 10
+    top = 1.3 ** n
+    for _ in range(500):
+        ln = rng.uniform(1.0, top / 4)
+        s = rng.uniform(0, top - ln)
+        with pytest.raises(ValueError, match="eps' must be 1/k"):
+            cover_H(RealInterval(s, s + ln), 0.3, n)
+    for eps, n in ((1 / 7, 40), (1 / 9, 40)):
+        top = (1 + eps) ** n
+        members = _members(eps, n)
+        for _ in range(500):
+            ln = rng.uniform(1.0, top / 4)
+            s = rng.uniform(0, top - ln)
+            ip = RealInterval(s, s + ln)
+            iv = cover_H(ip, eps, n)
+            assert iv.contains(ip, 1e-9 * top)
+            assert iv.length < (1 + eps) ** 2 * ip.length + 1e-9 * top
+            assert (round(iv.start, 9), round(iv.end, 9)) in members
+
+
 def test_cover_H_random_containment_standard_ratios():
     import numpy as np
 
@@ -202,3 +229,15 @@ def test_families_check_golden(capsys, argv, digest):
     assert cli.main(["families", "check", *argv.split()]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
+
+def test_families_check_prints_rows_before_a_cover_error(capsys, monkeypatch):
+    # rows print as they are checked: an error in the H cover check still
+    # leaves the disjointness rows computed before it on stdout
+    def no_cover(epsilon_prime, n, grid=100):
+        raise ValueError("no cover")
+
+    monkeypatch.setattr(families, "check_H_cover", no_cover)
+    assert cli.main(["families", "check", "--scheme", "h", "--eps", "0.25", "--n", "7"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "".join(f"PASS  scheme=H shift={k} overlaps=0\n" for k in range(5))
+    assert captured.err == "sqvar: error: no cover\n"
