@@ -122,8 +122,8 @@ def rosenthal_ratio(
     Rosenthal's inequality says this stays below a constant depending only
     on p; the empirical numerator uses `trials` independent sums.
     """
-    if p <= 2:
-        raise ValueError("Rosenthal ratio needs p > 2")
+    if not (math.isfinite(p) and p > 2):
+        raise ValueError(f"Rosenthal ratio needs a finite p > 2, got p = {p!r}")
     if not spec.has_abs_moment(p):
         raise ValueError(f"spec has infinite absolute moment of order {p}")
     if ell < 1 or trials < 1:

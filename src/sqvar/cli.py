@@ -8,7 +8,15 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
+
+# No kernel calls BLAS, so keep OpenBLAS from starting a busy-waiting worker
+# per core when numpy loads; a value the caller set wins. This must run before
+# the first numpy import of the process, which is why the package `sqvar`
+# exports nothing. Every module below is imported eagerly, so that a caller
+# that wraps functions after `import sqvar.cli` finds them all loaded.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

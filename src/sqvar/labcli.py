@@ -42,15 +42,18 @@ class ExperimentConfig:
     jsonl_mirror: bool = False
 
     def __post_init__(self):
+        """A ValueError starts with the config key at fault, which parse_config
+        prefixes with its section."""
         if self.trials < 0:
-            raise ValueError("trials must be >= 0")
+            raise ValueError(f"trials: must be >= 0, got {self.trials}")
         if list(self.n_grid) != sorted(set(self.n_grid)) or any(n < 1 for n in self.n_grid):
-            raise ValueError("n_grid must be strictly increasing positive integers")
+            raise ValueError(f"n_grid: must be strictly increasing positive integers, "
+                             f"got {', '.join(map(str, self.n_grid))}")
         bad = set(self.algorithms) - {"exact", "blocked", "dyadic_upper", "greedy"}
         if bad:
-            raise ValueError(f"unknown algorithms: {sorted(bad)}")
+            raise ValueError(f"algorithms: unknown {', '.join(map(repr, sorted(bad)))}")
         if "greedy" in self.algorithms and self.greedy_params is None:
-            raise ValueError("greedy requested but no greedy parameters given")
+            raise ValueError("algorithms: greedy needs greedy parameters, a [greedy] section")
 
 
 @dataclass(frozen=True)
@@ -306,8 +309,12 @@ def parse_config(path: str) -> ExperimentConfig:
             classify.check_thresholds(class_eps, class_b)
         except ValueError as exc:
             raise ValueError(f"config [classify] {exc}") from None
-    return ExperimentConfig(
-        spec=DistributionSpec.from_string(exp.get("spec", "gaussian:sigma=1")),
+    try:
+        spec = DistributionSpec.from_string(exp.get("spec", "gaussian:sigma=1"))
+    except ValueError as exc:
+        raise ValueError(f"config [experiment] spec: {exc}") from None
+    values = dict(
+        spec=spec,
         n_grid=tuple(_parse(exp, "n_grid", int, v)
                      for v in exp["n_grid"].replace(",", " ").split()),
         trials=_get(exp, "trials", int),
@@ -320,6 +327,10 @@ def parse_config(path: str) -> ExperimentConfig:
         output_path=exp.get("output", "records.csv"),
         jsonl_mirror=_get(exp, "jsonl", bool, False),
     )
+    try:
+        return ExperimentConfig(**values)
+    except ValueError as exc:
+        raise ValueError(f"config [experiment] {exc}") from None
 
 
 # --- summaries ---------------------------------------------------------------

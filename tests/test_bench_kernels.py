@@ -27,11 +27,15 @@ def test_writes_one_row_per_kernel_and_size(bench_kernels, tmp_path, monkeypatch
     assert out["label"] == "smoke" and out["sizes"] == [1024, 2048, 4096]
     samples = [f"sample:{kind}" for kind in KINDS]
     assert list(out["kernels"]) == [*samples, "prefix_sums", "exact", "exact:drift", "blocked",
-                                    "dyadic", "greedy", "classify"]
+                                    "dyadic", "greedy", "classify", "process:compute"]
     for name, row in out["kernels"].items():
-        sizes = [1024, 2048] if name == "exact:drift" else out["sizes"]
+        sizes = {"exact:drift": [1024, 2048], "process:compute": [16384, 32768]}.get(
+            name, out["sizes"])
         assert row["sizes"] == sizes and len(row["median_s"]) == len(row["min_s"]) == len(sizes)
         assert all(0 < t <= u for t, u in zip(row["min_s"], row["median_s"]))
         assert all(r >= bench_kernels.ROUNDS for r in row["reps"])
         assert isinstance(row["exponent"], float) and isinstance(row["exponent_min"], float)
+    process = out["kernels"]["process:compute"]
+    assert process["reps"] == [bench_kernels.ROUNDS] * 2
+    assert all(0 < t <= u for t, u in zip(process["cpu_min_s"], process["cpu_median_s"]))
 

@@ -113,3 +113,10 @@ def test_rosenthal_rejects_infinite_moment():
         rosenthal_ratio(DistributionSpec("pareto_sym", tail_exponent=3.0), 4.0, 10, 100, 0)
     with pytest.raises(ValueError):
         rosenthal_ratio(RAD, 2.0, 10, 100, 0)
+
+
+@pytest.mark.parametrize("p", [math.inf, math.nan])
+def test_rosenthal_rejects_non_finite_p(p):
+    # named before the moment check, which would blame the spec for p = nan
+    with pytest.raises(ValueError, match=f"finite p > 2, got p = {p!r}"):
+        rosenthal_ratio(RAD, p, 10, 100, 0)

@@ -359,10 +359,20 @@ def test_cli_simulate_greedy_small_n(tmp_path, capsys):
     (lambda s: s.replace("alpha = 0.25", "alpha = 0.7"),
      "config [greedy] alpha must lie in (0, 1/2)"),
     (lambda s: s.replace("eps = 0.1", "eps = x"), "config [classify] eps: 'x' is not a number"),
+    (lambda s: s.replace("gaussian:sigma=1", "pareto:a"),
+     "config [experiment] spec: distribution parameter 'a' in 'pareto:a' is not a number: ''"),
+    (lambda s: s.replace("n_grid = 64, 128", "n_grid = 16, -4"),
+     "config [experiment] n_grid: must be strictly increasing positive integers, got 16, -4"),
+    (lambda s: s.replace("trials = 3", "trials = -1"),
+     "config [experiment] trials: must be >= 0, got -1"),
+    (lambda s: s.replace("algorithms = exact, blocked:4, dyadic_upper, greedy",
+                         "algorithms = exact, foo"),
+     "config [experiment] algorithms: unknown 'foo'"),
 ], ids=["no-header", "no-section", "no-n_grid", "no-trials", "misspelt-key", "stale-key",
         "greedy-key", "unknown-section", "default-key", "default-n_grid", "n_grid-float",
         "trials-word", "master_seed-float", "jsonl-word", "greedy-s-word", "greedy-alpha-range",
-        "classify-eps-word"])
+        "classify-eps-word", "spec-missing-value", "n_grid-negative", "trials-negative",
+        "algorithms-unknown"])
 def test_cli_simulate_config_missing(tmp_path, capsys, edit, named):
     ini = tmp_path / "exp.ini"
     ini.write_text(edit(CONFIG_TEXT.format(out=tmp_path / "r.csv")))
@@ -608,6 +618,37 @@ def test_cli_imports_no_scipy_or_process_pool(tmp_path):
     assert proc.stdout.splitlines()[-1] == "LOADED []"
 
 
+def _fresh_python(code: str, openblas_threads: str | None = None) -> str:
+    """The stdout of `python -c code` with src on PYTHONPATH and
+    OPENBLAS_NUM_THREADS unset, or set to openblas_threads."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.path.abspath(src)
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_package_import_loads_no_numpy():
+    # numpy may load only after sqvar.cli has set the BLAS threading
+    assert _fresh_python("import sys, sqvar; print('numpy' in sys.modules)") == "False"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_cli_import_starts_no_thread():
+    # OpenBLAS left to itself starts one worker per core as numpy loads
+    code = "import os, sqvar.cli; print(len(os.listdir('/proc/self/task')))"
+    assert _fresh_python(code) == "1"
+
+
+def test_cli_import_keeps_caller_blas_threads():
+    code = "import os, sqvar.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _fresh_python(code, "2") == "2"
+
+
 def test_cli_compute_closes_input(tmp_path):
     path = tmp_path / "x.csv"
     path.write_text("2\n1\n-3\n")
@@ -629,6 +670,14 @@ def test_cli_bounds_rosenthal_report_only(capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 5
     assert all(ln.split(",")[-1] == "report-only" for ln in lines[1:])
+
+
+@pytest.mark.parametrize("p", ["inf", "nan"])
+def test_cli_bounds_rosenthal_non_finite_p(capsys, p):
+    assert cli.main(["bounds", "--check", "rosenthal", "--p", p, "--trials", "100"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"sqvar: error: Rosenthal ratio needs a finite p > 2, got p = {p}\n"
 
 
 def test_cli_chain_warning_free(tmp_path):

@@ -12,7 +12,13 @@ exact partition. The run makes ROUNDS passes over every kernel and size, and
 in each pass repeats a kernel until its repetitions take MIN_TOTAL_S / ROUNDS;
 the file holds, per kernel, the sizes timed, the median and the fastest
 repetition per size, and the exponents of N fitted by least squares to the
-log of each over the larger half of those sizes. On a shared host a busy
+log of each over the larger half of those sizes. The `process:compute` row is
+the cost of a whole process: once per pass and size it runs a fresh
+`python -m sqvar.cli compute --p 3` on a {-1, 0, 1} file of N = 2^14 and 2^15
+values (seed 7) and records its wall time, and its user + sys CPU time as
+`cpu_median_s` and `cpu_min_s`. The child runs the sqvar that this process
+imported, with SQVAR_THREADS=1 and without OPENBLAS_NUM_THREADS, so that it
+pays the start-up a user's shell would. On a shared host a busy
 neighbour slows the machine for seconds at a time; spread over passes, such a
 spell slows some repetitions of every kernel instead of all repetitions of
 one, and the fastest repetition is the steadier figure. It is written to the
@@ -27,10 +33,14 @@ import json
 import os
 import platform
 import statistics
+import subprocess
+import sys
+import tempfile
 import time
 
 import numpy as np
 
+import sqvar
 from sqvar.classify import ClassParams, classify_partition, default_bad_threshold
 from sqvar.greedy import GreedyParams, greedy_partition
 from sqvar.seqcore import KINDS, DistributionSpec, prefix_sums, sample_sequence
@@ -43,6 +53,7 @@ MIN_TOTAL_S = 0.25
 MAX_LOG2 = 20
 DRIFT = 0.3
 DRIFT_MAX_LOG2 = 16
+PROCESS_SIZES = (1 << 14, 1 << 15)
 
 
 def _kernels(n: int):
@@ -69,6 +80,22 @@ def _kernels(n: int):
         ("classify", lambda: classify_partition(
             exact, ClassParams(0.1, default_bad_threshold(), n))),
     ]
+
+
+def _compute_process(path: str) -> tuple[float, float]:
+    """(wall s, user + sys CPU s) of one fresh `sqvar compute --p 3` on path."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(sqvar.__file__)))
+    env["SQVAR_THREADS"] = "1"
+    argv = [sys.executable, "-m", "sqvar.cli", "compute", "--p", "3", "--input", path]
+    t0 = time.perf_counter()
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
+    _, status, ru = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    if proc.returncode != 0:
+        raise RuntimeError(f"`sqvar compute` on {path} exited {proc.returncode}")
+    return wall, ru.ru_utime + ru.ru_stime
 
 
 def _times(fn) -> list[float]:
@@ -102,10 +129,20 @@ def main(argv: list[str] | None = None) -> dict:
     sizes = [1 << k for k in range(10, MAX_LOG2 + 1)]
     layers = {n: _kernels(n) for n in sizes}
     timed: dict[tuple[str, int], list[float]] = {}
-    for _ in range(ROUNDS):
-        for n in sizes:
-            for name, fn in layers[n]:
-                timed.setdefault((name, n), []).extend(_times(fn))
+    cpu: dict[int, list[float]] = {}
+    with tempfile.TemporaryDirectory() as work:
+        rng = np.random.default_rng(SEED)
+        lattices = {n: os.path.join(work, f"lattice_{n}.txt") for n in PROCESS_SIZES}
+        for n, path in lattices.items():
+            np.savetxt(path, rng.integers(-1, 2, n), fmt="%d")
+        for _ in range(ROUNDS):
+            for n in sizes:
+                for name, fn in layers[n]:
+                    timed.setdefault((name, n), []).extend(_times(fn))
+            for n, path in lattices.items():
+                wall, cpu_s = _compute_process(path)
+                timed.setdefault(("process:compute", n), []).append(wall)
+                cpu.setdefault(n, []).append(cpu_s)
     kernels: dict[str, dict] = {}
     for (name, n), times in timed.items():
         row = kernels.setdefault(name, {"sizes": [], "median_s": [], "min_s": [], "reps": []})
@@ -113,6 +150,9 @@ def main(argv: list[str] | None = None) -> dict:
         row["median_s"].append(float(f"{statistics.median(times):.6g}"))
         row["min_s"].append(float(f"{min(times):.6g}"))
         row["reps"].append(len(times))
+    row = kernels["process:compute"]
+    row["cpu_median_s"] = [float(f"{statistics.median(cpu[n]):.6g}") for n in row["sizes"]]
+    row["cpu_min_s"] = [float(f"{min(cpu[n]):.6g}") for n in row["sizes"]]
     for row in kernels.values():
         row["exponent"] = _exponent(row["sizes"], row["median_s"])
         row["exponent_min"] = _exponent(row["sizes"], row["min_s"])
@@ -121,7 +161,8 @@ def main(argv: list[str] | None = None) -> dict:
         "context": {"nproc": os.cpu_count(), "cpu_model": _cpu_model(),
                     "python": platform.python_version(), "numpy": np.__version__},
         "walk": (f"gaussian:sigma=1, seed {SEED}, one walk per size; exact:drift on the "
-                 f"same steps + {DRIFT}; pareto_sym at a = 2.5"),
+                 f"same steps + {DRIFT}; pareto_sym at a = 2.5; process:compute on "
+                 f"{{-1, 0, 1}} files, seed {SEED}, one fresh process per pass and size"),
         "sizes": sizes,
         "fit": ("least-squares slope of log median_s (exponent) and of log min_s "
                 "(exponent_min) against log N over the larger half of a row's sizes"),
