@@ -120,7 +120,8 @@ def rosenthal_ratio(
     """(E|S_l|^p)^(1/p) divided by max{(l E|X|^p)^(1/p), (l E X^2)^(1/2)}.
 
     Rosenthal's inequality says this stays below a constant depending only
-    on p; the empirical numerator uses `trials` independent sums.
+    on p; the empirical numerator uses `trials` independent sums. A ValueError
+    names p where a moment overflows float64.
     """
     if not (math.isfinite(p) and p > 2):
         raise ValueError(f"Rosenthal ratio needs a finite p > 2, got p = {p!r}")
@@ -129,8 +130,11 @@ def rosenthal_ratio(
     if ell < 1 or trials < 1:
         raise ValueError("need ell >= 1 and trials >= 1")
     acc = 0.0
-    for block in _iter_chunks(spec, ell, trials, seed):
-        acc += float(np.sum(np.abs(block.sum(axis=1)) ** p))
+    with np.errstate(over="ignore"):  # checked just below
+        for block in _iter_chunks(spec, ell, trials, seed):
+            acc += float(np.sum(np.abs(block.sum(axis=1)) ** p))
+    if not math.isfinite(acc):
+        raise ValueError(f"empirical E|S_l|^p overflows float64 at p = {p!r}")
     numer = (acc / trials) ** (1.0 / p)
     denom = max(
         (ell * spec.abs_moment(p)) ** (1.0 / p),

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqcore import prefix_sums
+from .seqcore import PrefixSums
 from .variation import VariationResult
 
 
@@ -80,13 +80,13 @@ def classify_partition(scored: VariationResult, params: ClassParams) -> ClassBre
     )
 
 
-def subinterval_max_sq(x, start: int, end: int) -> float:
+def subinterval_max_sq(walk: PrefixSums, start: int, end: int) -> float:
     """max over subintervals (a, b] of (start, end] of S_(a,b]^2, in O(end-start).
 
     For each right endpoint the best left endpoint is the running min or max
     of the prefix values, so one scan suffices.
     """
-    s = prefix_sums(x).values[start : end + 1]
+    s = walk.values[start : end + 1]
     run_min = np.minimum.accumulate(s[:-1])
     run_max = np.maximum.accumulate(s[:-1])
     hi = s[1:] - run_min
@@ -94,9 +94,9 @@ def subinterval_max_sq(x, start: int, end: int) -> float:
     return float(np.maximum(hi * hi, lo * lo).max())
 
 
-def subinterval_max_sq_bruteforce(x, start: int, end: int) -> float:
+def subinterval_max_sq_bruteforce(walk: PrefixSums, start: int, end: int) -> float:
     """O(|I|^2) oracle for subinterval_max_sq."""
-    s = prefix_sums(x).values
+    s = walk.values
     best = 0.0
     for a in range(start, end):
         for b in range(a + 1, end + 1):

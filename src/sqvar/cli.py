@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bounds, families, greedy, labcli, variation
 from .labcli import InvariantViolation
-from .seqcore import DistributionSpec, mix_seed, sample_sequence
+from .seqcore import DistributionSpec, mix_seed, prefix_sums, sample_sequence
 
 USAGE_ERROR, INVARIANT_ERROR, IO_ERROR = 1, 2, 3
 
@@ -73,8 +73,9 @@ def _cmd_compute(args) -> int:
     x = _read_numbers(args.input)
     if len(x) == 0:
         raise ValueError("no numeric input values found")
+    walk = prefix_sums(x)
     with np.errstate(over="ignore"):  # an overflowing value raises ValueError instead
-        res = variation.p_variation_exact(x, args.p)
+        res = variation.p_variation_exact(walk, args.p)
     print(res.to_json())
     return 0
 
@@ -223,10 +224,10 @@ def _cmd_greedy(args) -> int:
         raise ValueError("--n must be >= 16, the smallest n the lab normalizes "
                          "by 2 sigma^2 n lnln n")
     spec = DistributionSpec.from_string(args.spec)
-    samples = sample_sequence(spec, args.n, args.seed)
+    walk = prefix_sums(sample_sequence(spec, args.n, args.seed))
     params = greedy.GreedyParams(s=args.s, c_copies=args.c, alpha=args.alpha,
                                  epsilon3=args.eps3)
-    res = greedy.greedy_partition(samples, params)
+    res = greedy.greedy_partition(walk, params)
     denom = labcli._norm(args.n, spec.sigma)
     print(f"value={res.value:.17g} ratio={res.value / denom:.17g} "
           f"breakpoints={len(res.partition.breakpoints)}")

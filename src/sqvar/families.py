@@ -81,6 +81,16 @@ def shift_count(epsilon_prime: float) -> int:
     return k
 
 
+def _top(epsilon_prime: float, n: int) -> float:
+    """(1+eps')^n, the right end of the H families; a ValueError names eps'
+    and n where it is not a finite float."""
+    try:
+        return (1.0 + epsilon_prime) ** n
+    except OverflowError:
+        raise ValueError(f"(1+eps')^n overflows float64 at eps' = {epsilon_prime!r}, "
+                         f"n = {n}") from None
+
+
 def build_H(epsilon_prime: float, n: int) -> list[IntervalFamily]:
     """Geometric families H_0..H_k with ratio (1+eps') and fractional shifts,
     for eps' = 1/k."""
@@ -88,7 +98,7 @@ def build_H(epsilon_prime: float, n: int) -> list[IntervalFamily]:
     if n < 1:
         raise ValueError("n must be >= 1")
     b = 1.0 + epsilon_prime
-    top = b**n
+    top = _top(epsilon_prime, n)
     tol = _REL_TOL * top
     fams = []
     for j in range(k + 1):
@@ -126,7 +136,7 @@ def cover_H(iprime: RealInterval, epsilon_prime: float, n: int) -> RealInterval:
     """
     k = shift_count(epsilon_prime)
     b = 1.0 + epsilon_prime
-    top = b**n
+    top = _top(epsilon_prime, n)
     tol = _REL_TOL * top
     if iprime.start < 0 or iprime.end > top + tol:
         raise ValueError(f"interval must lie within (0, {top:g}]")

@@ -4,7 +4,9 @@ The builder selects a chain of disjoint geometric intervals right to left,
 then walks left to right: gaps become single partition pieces, and inside a
 selected interval each position either contributes a singleton (when the
 local two-cut payoff is below the iterated-logarithm threshold) or the two
-window-optimal cut points.
+window-optimal cut points. Every function here takes the walk as a
+PrefixSums, which seqcore builds and validates once per input, and reads
+windows of its values.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .families import _geom_total, _power_index, l_interval
-from .seqcore import prefix_sums
+from .seqcore import PrefixSums
 from .variation import Partition, VariationResult, partition_value
 
 
@@ -74,13 +76,12 @@ def _two_cut_rows(s_seg: np.ndarray):
     return row_best, row_i1
 
 
-def best_two_cut(x, j: int, window: int) -> TwoCut:
+def best_two_cut(walk: PrefixSums, j: int, window: int) -> TwoCut:
     """Maximize (S_{i1+j}-S_j)^2 + (S_{i2+j}-S_{i1+j})^2 over 1<=i1<=i2<=window.
 
     Ties break to the smallest i2, then the smallest i1, matching the
     exhaustive scan order. The same scan gives `rate` for the window event.
     """
-    walk = prefix_sums(x)
     if j < 0 or window < 1 or j + window > walk.n:
         raise ValueError("window must satisfy 0 <= j and j + window <= N")
     s = walk.values[j : j + window + 1]
@@ -90,9 +91,8 @@ def best_two_cut(x, j: int, window: int) -> TwoCut:
     return TwoCut(i1=int(row_i1[i2 - 1]), i2=i2, value=float(row_best[i2 - 1]), rate=rate)
 
 
-def best_two_cut_bruteforce(x, j: int, window: int) -> TwoCut:
+def best_two_cut_bruteforce(walk: PrefixSums, j: int, window: int) -> TwoCut:
     """O(window^2) oracle scanning i2 ascending, then i1 ascending."""
-    walk = prefix_sums(x)
     if j < 0 or window < 1 or j + window > walk.n:
         raise ValueError("window must satisfy 0 <= j and j + window <= N")
     s = walk.values[j : j + window + 1]
@@ -107,12 +107,12 @@ def best_two_cut_bruteforce(x, j: int, window: int) -> TwoCut:
     return TwoCut(i1=i1 + 1, i2=i2 + 1, value=float(table[i2, i1]), rate=rate)
 
 
-def a_event_holds(x, j: int, window: int, n_ref: int, epsilon3: float) -> bool:
+def a_event_holds(walk: PrefixSums, j: int, window: int, n_ref: int, epsilon3: float) -> bool:
     """True when every normalized two-cut payoff in the window stays below
     2 (1 - eps3) lnln(n_ref); the greedy walk then settles for a singleton."""
     if n_ref < 16:
         raise ValueError("n_ref must be >= 16")
-    return best_two_cut(x, j, window).rate < 2.0 * (1.0 - epsilon3) * math.log(math.log(n_ref))
+    return best_two_cut(walk, j, window).rate < 2.0 * (1.0 - epsilon3) * math.log(math.log(n_ref))
 
 
 def select_cover_intervals(n_total: int, s: int, c_copies: int) -> list[tuple[int, int]]:
@@ -140,7 +140,7 @@ def select_cover_intervals(n_total: int, s: int, c_copies: int) -> list[tuple[in
     return out
 
 
-def greedy_partition(x, params: GreedyParams) -> VariationResult:
+def greedy_partition(walk: PrefixSums, params: GreedyParams) -> VariationResult:
     """Lower-bound partition from the cover chain plus local two-cut search.
 
     Inside a covered interval of size `size`, positions advance by singletons
@@ -149,7 +149,6 @@ def greedy_partition(x, params: GreedyParams) -> VariationResult:
     cover start. Sequences shorter than s^2 fall back to the single-interval
     partition.
     """
-    walk = prefix_sums(x)
     n = walk.n
     if n < params.s * params.s:
         return partition_value(walk, Partition(np.array([0, n])))

@@ -3,8 +3,9 @@
 All distributions are symmetric about zero and rescaled so the population
 variance equals sigma**2. Sampling is driven by a counter-based generator
 (Philox) keyed by a 64-bit seed, so regenerating with the same
-(spec, n, seed) triple reproduces the samples bit for bit. scipy is loaded
-only for the log-tail absolute moments at p != 2.
+(spec, n, seed) triple reproduces the samples bit for bit. prefix_sums turns
+samples into the walk that every kernel takes; it is called once per input,
+where the samples enter (a lab trial, `sqvar compute`, `sqvar greedy`).
 
 Log-tail magnitudes are inverse-CDF draws: the root of x*ln(e+x) = 1/sqrt(u)
 for u in (0, 1]. Its bits are defined by a float bisection, and are computed
@@ -17,14 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
-# E X^2 of the unscaled log-tail law: _logtail_raw_abs_moment(2.0) bit for bit,
-# pinned so that sampling neither loads scipy nor depends on its quadrature.
+# E X^2 of the unscaled log-tail law, pinned; tests check it against a
+# quadrature of the tail, to 2 ulps.
 _LOGTAIL_VARIANCE = float.fromhex("0x1.a524fdae73c1ap+1")
 
 KINDS = ("rademacher", "gaussian", "uniform_centered", "pareto_sym", "logtail_sym")
@@ -106,26 +106,33 @@ class DistributionSpec:
         return math.inf
 
     def abs_moment(self, p: float) -> float:
-        """E|X|^p in closed form (quadrature for the log-tail kind)."""
+        """E|X|^p in closed form; the log-tail kind has it only at p = 2 (and
+        inf above). A ValueError names p where the value overflows float64."""
         if p < 0:
-            raise ValueError("moment order must be >= 0")
+            raise ValueError(f"moment order must be >= 0, got p = {p!r}")
         if not self.has_abs_moment(p):
             return math.inf
         s = self.sigma
-        if self.kind == "rademacher":
-            return s**p
-        if self.kind == "gaussian":
-            return s**p * 2 ** (p / 2) * math.gamma((p + 1) / 2) / math.sqrt(math.pi)
-        if self.kind == "uniform_centered":
-            a = s * math.sqrt(3.0)
-            return a**p / (p + 1)
-        if self.kind == "pareto_sym":
-            a = self.tail_exponent
-            scale = s / math.sqrt(a / (a - 2))
-            return scale**p * a / (a - p)
-        # logtail_sym: rescaled so the variance is sigma**2
-        scale = s / math.sqrt(_LOGTAIL_VARIANCE)
-        return scale**p * (_LOGTAIL_VARIANCE if p == 2 else _logtail_raw_abs_moment(p))
+        try:
+            if self.kind == "rademacher":
+                value = s**p
+            elif self.kind == "gaussian":
+                value = s**p * 2 ** (p / 2) * math.gamma((p + 1) / 2) / math.sqrt(math.pi)
+            elif self.kind == "uniform_centered":
+                value = (s * math.sqrt(3.0)) ** p / (p + 1)
+            elif self.kind == "pareto_sym":
+                a = self.tail_exponent
+                value = (s / math.sqrt(a / (a - 2))) ** p * a / (a - p)
+            elif p == 2:  # logtail_sym, rescaled so the variance is sigma**2
+                value = (s / math.sqrt(_LOGTAIL_VARIANCE)) ** p * _LOGTAIL_VARIANCE
+            else:
+                raise ValueError(f"log-tail E|X|^p is computed only at p = 2 (inf above), "
+                                 f"got p = {p!r}")
+        except OverflowError:  # Python's float ** raises where a product gives inf
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(f"E|X|^p overflows float64 at p = {p!r}")
+        return value
 
     def to_string(self) -> str:
         parts = [_SHORT[self.kind]]
@@ -161,7 +168,7 @@ class PrefixSums:
     """The walk: values[k] = x_1 + ... + x_k, with values[0] = 0.
 
     Built by prefix_sums(), which guarantees a non-empty, finite, read-only
-    array; every kernel accepts a walk in place of the samples.
+    array; every kernel takes a walk, and only a walk, and reads values and n.
     """
 
     values: np.ndarray
@@ -175,35 +182,6 @@ class PrefixSums:
 
 
 # --- log-tail distribution: P[|X| > x] = min(1, x^-2 (ln(e+x))^-2) ----------
-
-@lru_cache(maxsize=None)
-def _logtail_x0() -> float:
-    # x0 solves x * ln(e + x) = 1; the tail function equals 1 below x0.
-    from scipy.optimize import brentq
-    return float(brentq(lambda x: x * math.log(math.e + x) - 1.0, 0.1, 1.0, xtol=1e-14))
-
-
-@lru_cache(maxsize=None)
-def _logtail_raw_abs_moment(p: float) -> float:
-    """E|X|^p = x0^p + int_{x0}^inf p x^{p-3} ln^-2(e+x) dx, finite for p <= 2.
-
-    Integrated after u = ln(e+x), where the integrand becomes the cleanly
-    decaying p e^{(p-2)u} (1 - e^{1-u})^{p-3} / u^2.
-    """
-    from scipy.integrate import quad
-    if p > 2:
-        return math.inf
-    x0 = _logtail_x0()
-    if p == 0:
-        return 1.0
-    u0 = math.log(math.e + x0)
-
-    def integrand(u: float) -> float:
-        return p * math.exp((p - 2.0) * u) * (1.0 - math.exp(1.0 - u)) ** (p - 3.0) / (u * u)
-
-    val, _ = quad(integrand, u0, np.inf, limit=200)
-    return x0**p + val
-
 
 # The log-tail quantile solves x*ln(e+x) = 1/sqrt(u) to the bits of a
 # bisection without running it; see _logtail_quantile for the proof.
@@ -384,13 +362,11 @@ _EXTENDED_CUTOFF = 1 << 20  # accumulate long sums in extended precision
 def prefix_sums(x) -> PrefixSums:
     """The walk S_0..S_N of a 1-d array-like of samples, S_0 = 0.
 
-    A PrefixSums passes through unchanged, so a caller builds the walk once
-    and hands it to every kernel. Raises ValueError on empty or non-1-d input
-    and on a non-finite partial sum, which catches NaN/inf samples and
+    The one place where samples become a walk: a caller builds it once per
+    input and hands it to every kernel. Raises ValueError on empty or non-1-d
+    input and on a non-finite partial sum, which catches NaN/inf samples and
     overflow of the running sum alike.
     """
-    if isinstance(x, PrefixSums):
-        return x
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1 or len(arr) == 0:
         raise ValueError("expected a non-empty 1-d sample vector")

@@ -8,6 +8,9 @@ Norvaisa, "Computation of p-variation", Lithuanian Math. J. 58, 2018). On a
 mean-zero walk that takes near-linear time, on a walk with drift O(N^2). The
 same kernel on a subsampled walk gives the blocked lower bound, and an O(N)
 max/min pyramid over the dyadic families gives a certified upper bound.
+
+Every function here takes the walk S_0..S_N as a PrefixSums, which seqcore
+builds and validates once per input, and reads its values; none sums samples.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqcore import prefix_sums
+from .seqcore import PrefixSums
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -58,13 +62,12 @@ def _power(d: np.ndarray, p: float) -> np.ndarray:
     return d * d if p == 2.0 else np.abs(d) ** p
 
 
-def partition_value(x, partition: Partition, p: float = 2.0) -> VariationResult:
+def partition_value(walk: PrefixSums, partition: Partition, p: float = 2.0) -> VariationResult:
     """Evaluate sum of |S_I|^p over a given partition's intervals.
 
     Every exact, blocked and greedy value is scored here, so this is where a
     value too large for float64 is refused.
     """
-    walk = prefix_sums(x)
     if partition.n != walk.n:
         raise ValueError("partition does not match the sequence length")
     s = walk.values
@@ -186,18 +189,17 @@ def _dp_breakpoints(a: np.ndarray, p: float) -> np.ndarray:
     return idx[m - np.array(bps)]
 
 
-def sq_variation_exact(x) -> VariationResult:
+def sq_variation_exact(walk: PrefixSums) -> VariationResult:
     """Exact maximal square variation, with the fewest intervals and then the
     lexicographically smallest breakpoints among the optimal partitions."""
-    return p_variation_exact(x, 2.0)
+    return p_variation_exact(walk, 2.0)
 
 
-def p_variation_exact(x, p: float) -> VariationResult:
+def p_variation_exact(walk: PrefixSums, p: float) -> VariationResult:
     """Exact maximal p-variation for p >= 1 by the turning-point and record-chain
     DP, under the same tie rule; p = 2 matches sq_variation_exact bit for bit."""
     if not (math.isfinite(p) and p >= 1):
         raise ValueError("p must be finite and >= 1")
-    walk = prefix_sums(x)
     try:  # Python's float ** raises where numpy's gives inf
         part = Partition(_dp_breakpoints(walk.values, float(p)))
     except OverflowError:
@@ -205,12 +207,11 @@ def p_variation_exact(x, p: float) -> VariationResult:
     return partition_value(walk, part, float(p))
 
 
-def sq_variation_blocked(x, block: int) -> VariationResult:
+def sq_variation_blocked(walk: PrefixSums, block: int) -> VariationResult:
     """Lower bound: DP restricted to breakpoints at multiples of `block`.
 
     block=1 is the exact DP; block=N forces the single interval (0, N].
     """
-    walk = prefix_sums(x)
     n = walk.n
     if not 1 <= block <= n:
         raise ValueError("need 1 <= block <= N")
@@ -226,9 +227,8 @@ def sq_variation_blocked(x, block: int) -> VariationResult:
 _BF_CAP = 22
 
 
-def sq_variation_bruteforce(x, p: float = 2.0) -> float:
+def sq_variation_bruteforce(walk: PrefixSums, p: float = 2.0) -> float:
     """Independent oracle: enumerate all 2^(N-1) breakpoint subsets."""
-    walk = prefix_sums(x)
     n = walk.n
     if n > _BF_CAP:
         raise ValueError(f"brute force limited to N <= {_BF_CAP}")
@@ -254,7 +254,7 @@ def sq_variation_bruteforce(x, p: float = 2.0) -> float:
     return best
 
 
-def sq_variation_upper_dyadic(x) -> float:
+def sq_variation_upper_dyadic(walk: PrefixSums) -> float:
     """Certified upper bound 12 * sum of per-interval prefix maxima.
 
     Every partition interval embeds in a dyadic or half-shifted family
@@ -269,7 +269,6 @@ def sq_variation_upper_dyadic(x) -> float:
     time, with the current level and its temporaries as extra memory, and adds
     the level sums aligned first, then shifted, each in increasing i.
     """
-    walk = prefix_sums(x)
     n = walk.n
     npow = 1 << max(0, (n - 1).bit_length())
     s = walk.values

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import pytest
 from scipy.special import ndtr
 
+from sqvar import cli
 from sqvar.bounds import (
     bernstein_maximal_bound,
     berry_esseen_distance,
@@ -120,3 +122,18 @@ def test_rosenthal_rejects_non_finite_p(p):
     # named before the moment check, which would blame the spec for p = nan
     with pytest.raises(ValueError, match=f"finite p > 2, got p = {p!r}"):
         rosenthal_ratio(RAD, p, 10, 100, 0)
+
+
+@pytest.mark.parametrize("spec,p", [("rademacher:sigma=1", "1e308"), ("gaussian:sigma=1", "400"),
+                                    ("gaussian:sigma=1", "305")])
+def test_rosenthal_overflow_fails_by_name(spec, p, capsys):
+    # rademacher: the empirical |S_l|^p overflows; gaussian: E|X|^p, where
+    # math.gamma raises (p = 400) or the product rounds to inf (p = 305)
+    argv = ["bounds", "--check", "rosenthal", "--spec", spec, "--p", p, "--trials", "100"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy overflow warning either
+        assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("sqvar: error: ") and captured.err.count("\n") == 1
+    assert f"p = {float(p)!r}" in captured.err

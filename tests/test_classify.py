@@ -11,14 +11,14 @@ from sqvar.classify import (
     subinterval_max_sq,
     subinterval_max_sq_bruteforce,
 )
-from sqvar.seqcore import DistributionSpec, sample_sequence
+from sqvar.seqcore import DistributionSpec, prefix_sums, sample_sequence
 from sqvar.variation import Partition, partition_value, sq_variation_exact
 
 PARAMS = ClassParams(epsilon=0.1, b_threshold=100.0, n_ref=10**6)
 
 
 def _single(value: float):
-    return partition_value(np.array([value]), Partition(np.array([0, 1])))
+    return partition_value(prefix_sums([value]), Partition(np.array([0, 1])))
 
 
 def test_singleton_thresholds():
@@ -52,7 +52,7 @@ def test_default_bad_threshold():
 def test_partition_conservation():
     for trial in range(10):
         seq = sample_sequence(DistributionSpec("gaussian"), 256, trial)
-        res = sq_variation_exact(seq)
+        res = sq_variation_exact(prefix_sums(seq))
         br = classify_partition(res, ClassParams(0.1, 8.0, 256))
         assert br.total == pytest.approx(res.value, rel=1e-9)
         assert br.good_len + br.medium_len + br.bad_len == 256
@@ -60,7 +60,7 @@ def test_partition_conservation():
 
 def test_monotone_in_epsilon():
     seq = sample_sequence(DistributionSpec("gaussian"), 512, 3)
-    res = sq_variation_exact(seq)
+    res = sq_variation_exact(prefix_sums(seq))
     prev_good = -1.0
     for eps in (0.05, 0.2, 0.8, 2.0):
         br = classify_partition(res, ClassParams(eps, 50.0, 512))
@@ -69,7 +69,7 @@ def test_monotone_in_epsilon():
 
 
 def _maximal_breakdown(x, params):
-    return classify_partition(sq_variation_exact(x), params)
+    return classify_partition(sq_variation_exact(prefix_sums(x)), params)
 
 
 def test_stats_trivial_cases():
@@ -87,7 +87,7 @@ def test_stat_upper_bound():
     for trial in range(5):
         seq = sample_sequence(DistributionSpec("rademacher"), 128, trial)
         params = ClassParams(0.1, 4.0, 128)
-        v = sq_variation_exact(seq).value
+        v = sq_variation_exact(prefix_sums(seq)).value
         assert _maximal_breakdown(seq, params).bad_sum <= v + 1e-12
 
 
@@ -95,23 +95,21 @@ def test_subinterval_max_matches_bruteforce():
     rng = np.random.default_rng(0)
     for trial in range(30):
         n = int(rng.integers(2, 60))
-        x = rng.standard_normal(n)
+        walk = prefix_sums(rng.standard_normal(n))
         a = int(rng.integers(0, n - 1))
         b = int(rng.integers(a + 1, n))
-        assert subinterval_max_sq(x, a, b) == pytest.approx(
-            subinterval_max_sq_bruteforce(x, a, b), rel=1e-12
+        assert subinterval_max_sq(walk, a, b) == pytest.approx(
+            subinterval_max_sq_bruteforce(walk, a, b), rel=1e-12
         )
 
 
 def test_tilde_sandwich():
     # prefix-anchored maximum ~Y satisfies ~Y <= Y <= 4 ~Y
     rng = np.random.default_rng(1)
-    from sqvar.seqcore import prefix_sums
-
     for trial in range(20):
-        x = rng.standard_normal(128)
-        s = prefix_sums(x).values
-        y = subinterval_max_sq(x, 0, 128)
+        walk = prefix_sums(rng.standard_normal(128))
+        s = walk.values
+        y = subinterval_max_sq(walk, 0, 128)
         tilde = float(np.max((s[1:] - s[0]) ** 2))
         assert tilde <= y + 1e-12
         assert y <= 4.0 * tilde + 1e-12
@@ -133,6 +131,6 @@ BREAKDOWN_DIGESTS = {
 @pytest.mark.parametrize("n,seed", sorted(BREAKDOWN_DIGESTS))
 def test_breakdown_golden(n, seed):
     x = sample_sequence(DistributionSpec("gaussian"), n, seed)
-    br = classify_partition(sq_variation_exact(x), ClassParams(0.1, 8.0, n))
+    br = classify_partition(sq_variation_exact(prefix_sums(x)), ClassParams(0.1, 8.0, n))
     digest = hashlib.sha256(repr(dataclasses.astuple(br)).encode()).hexdigest()
     assert digest == BREAKDOWN_DIGESTS[n, seed]

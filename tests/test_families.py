@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import pytest
 
@@ -168,6 +169,19 @@ def test_eps_prime_not_a_reciprocal_integer_refused(capsys):
     with pytest.raises(ValueError, match=named):
         cover_H(RealInterval(1.0, 2.0), 0.3, 7)
     assert cli.main(["families", "check", "--scheme", "h", "--eps", "0.3", "--n", "7"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"sqvar: error: {named}\n"
+
+
+def test_families_check_overflow_names_eps_and_n(capsys):
+    # (1+eps')^n past float64 is refused by name, not by an OverflowError
+    named = "(1+eps')^n overflows float64 at eps' = 1.0, n = 1100"
+    with pytest.raises(ValueError, match=re.escape(named)):
+        build_H(1.0, 1100)
+    with pytest.raises(ValueError, match=re.escape(named)):
+        cover_H(RealInterval(1.0, 2.0), 1.0, 1100)
+    assert cli.main(["families", "check", "--scheme", "h", "--eps", "1", "--n", "1100"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"sqvar: error: {named}\n"

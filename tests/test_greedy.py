@@ -36,24 +36,27 @@ def test_params_validation():
 
 
 def test_best_two_cut_example():
-    cut = best_two_cut([1.0, -2.0, 3.0], 0, 3)
+    walk = prefix_sums([1.0, -2.0, 3.0])
+    cut = best_two_cut(walk, 0, 3)
     assert (cut.i1, cut.i2, cut.value) == (2, 3, 10.0)
-    brute = best_two_cut_bruteforce([1.0, -2.0, 3.0], 0, 3)
+    brute = best_two_cut_bruteforce(walk, 0, 3)
     assert (brute.i1, brute.i2, brute.value) == (2, 3, 10.0)
 
 
 def test_best_two_cut_zero_ties():
-    cut = best_two_cut(np.zeros(8), 2, 5)
+    walk = prefix_sums(np.zeros(8))
+    cut = best_two_cut(walk, 2, 5)
     assert (cut.i1, cut.i2, cut.value) == (1, 1, 0.0)
-    brute = best_two_cut_bruteforce(np.zeros(8), 2, 5)
+    brute = best_two_cut_bruteforce(walk, 2, 5)
     assert (brute.i1, brute.i2) == (1, 1)
 
 
 def test_best_two_cut_window_errors():
+    walk = prefix_sums(np.zeros(4))
     with pytest.raises(ValueError):
-        best_two_cut(np.zeros(4), 2, 3)
+        best_two_cut(walk, 2, 3)
     with pytest.raises(ValueError):
-        best_two_cut(np.zeros(4), 0, 0)
+        best_two_cut(walk, 0, 0)
 
 
 def test_fast_path_equals_bruteforce():
@@ -67,9 +70,9 @@ def test_fast_path_equals_bruteforce():
         spec = kinds[case % len(kinds)]
         w = int(rng.integers(1, 129))
         j = int(rng.integers(0, 32))
-        seq = sample_sequence(spec, j + w, 9000 + case)
-        fast = best_two_cut(seq, j, w)
-        brute = best_two_cut_bruteforce(seq, j, w)
+        walk = prefix_sums(sample_sequence(spec, j + w, 9000 + case))
+        fast = best_two_cut(walk, j, w)
+        brute = best_two_cut_bruteforce(walk, j, w)
         assert (fast.i1, fast.i2) == (brute.i1, brute.i2)
         assert (fast.value, fast.rate) == (brute.value, brute.rate)
 
@@ -79,14 +82,14 @@ def test_fast_path_tie_agreement_on_lattice_values():
     rng = np.random.default_rng(3)
     for case in range(300):
         w = int(rng.integers(1, 40))
-        x = rng.integers(-2, 3, size=w).astype(float)
-        fast = best_two_cut(x, 0, w)
-        brute = best_two_cut_bruteforce(x, 0, w)
+        walk = prefix_sums(rng.integers(-2, 3, size=w).astype(float))
+        fast = best_two_cut(walk, 0, w)
+        brute = best_two_cut_bruteforce(walk, 0, w)
         assert fast == brute
 
 
-def _a_event_bruteforce(x, j, w, n_ref, eps3):
-    s = prefix_sums(x).values
+def _a_event_bruteforce(walk, j, w, n_ref, eps3):
+    s = walk.values
     best = -np.inf
     for i2 in range(1, w + 1):
         for i1 in range(1, i2 + 1):
@@ -96,16 +99,16 @@ def _a_event_bruteforce(x, j, w, n_ref, eps3):
 
 
 def test_a_event_cases():
-    assert a_event_holds(np.zeros(64), 0, 32, 1024, 0.5) is True
+    assert a_event_holds(prefix_sums(np.zeros(64)), 0, 32, 1024, 0.5) is True
     spike = np.zeros(64)
     spike[0] = 10.0  # ratio at i2=1 is 100 >> threshold
-    assert a_event_holds(spike, 0, 32, 1024, 0.5) is False
+    assert a_event_holds(prefix_sums(spike), 0, 32, 1024, 0.5) is False
     rng = np.random.default_rng(4)
     for case in range(200):
         w = int(rng.integers(1, 64))
-        seq = sample_sequence(DistributionSpec("gaussian"), w, case)
-        assert a_event_holds(seq, 0, w, 4096, 0.3) == _a_event_bruteforce(
-            seq, 0, w, 4096, 0.3
+        walk = prefix_sums(sample_sequence(DistributionSpec("gaussian"), w, case))
+        assert a_event_holds(walk, 0, w, 4096, 0.3) == _a_event_bruteforce(
+            walk, 0, w, 4096, 0.3
         )
 
 
@@ -159,7 +162,7 @@ def test_cover_gap_bound_per_step():
 
 
 def test_greedy_zero_input():
-    res = greedy_partition(np.zeros(256), PARAMS)
+    res = greedy_partition(prefix_sums(np.zeros(256)), PARAMS)
     assert res.value == 0.0
     b = res.partition.breakpoints
     assert b[0] == 0 and b[-1] == 256 and np.all(np.diff(b) > 0)
@@ -168,7 +171,7 @@ def test_greedy_zero_input():
 def test_greedy_below_s_squared_is_trivial():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        res = greedy_partition(np.ones(3), PARAMS)
+        res = greedy_partition(prefix_sums(np.ones(3)), PARAMS)
     assert res.partition.breakpoints.tolist() == [0, 3]
     assert res.value == 9.0
 
@@ -182,9 +185,9 @@ def test_greedy_dominated_by_exact():
     for trial in range(30):
         spec = kinds[trial % len(kinds)]
         n = [100, 500, 1024, 4096][trial % 4]
-        seq = sample_sequence(spec, n, 500 + trial)
-        g = greedy_partition(seq, PARAMS)
-        e = sq_variation_exact(seq)
+        walk = prefix_sums(sample_sequence(spec, n, 500 + trial))
+        g = greedy_partition(walk, PARAMS)
+        e = sq_variation_exact(walk)
         assert g.value <= e.value + 1e-9
         b = g.partition.breakpoints
         assert b[0] == 0 and b[-1] == n and np.all(np.diff(b) > 0)
@@ -198,8 +201,8 @@ def test_greedy_ratio_trend():
     for n in (1 << 10, 1 << 12, 1 << 14):
         vals = []
         for t in range(48):
-            seq = sample_sequence(DistributionSpec("gaussian"), n, 7000 + t)
-            vals.append(greedy_partition(seq, params).value / (2 * n * math.log(math.log(n))))
+            walk = prefix_sums(sample_sequence(DistributionSpec("gaussian"), n, 7000 + t))
+            vals.append(greedy_partition(walk, params).value / (2 * n * math.log(math.log(n))))
         medians.append(float(np.median(vals)))
     assert medians == sorted(medians)
     # these seeds give medians 0.694, 0.724 and 0.741 (N = 2^10, 2^12, 2^14),
@@ -212,11 +215,11 @@ def test_greedy_small_n_below_lnln_floor():
     # positive, so greedy runs and stays below the exact value
     for n in range(4, 16):
         for seed in range(3):
-            x = sample_sequence(DistributionSpec("gaussian"), n, 100 * n + seed)
-            g = greedy_partition(x, PARAMS)
+            walk = prefix_sums(sample_sequence(DistributionSpec("gaussian"), n, 100 * n + seed))
+            g = greedy_partition(walk, PARAMS)
             b = g.partition.breakpoints
             assert b[0] == 0 and b[-1] == n and np.all(np.diff(b) > 0)
-            assert g.value <= sq_variation_exact(x).value + 1e-9
+            assert g.value <= sq_variation_exact(walk).value + 1e-9
 
 
 # SHA-256 of the little-endian int64 greedy breakpoints under PARAMS for
@@ -234,8 +237,8 @@ GREEDY_DIGESTS = {
 
 @pytest.mark.parametrize("n,seed", sorted(GREEDY_DIGESTS))
 def test_greedy_breakpoints_golden(n, seed):
-    x = sample_sequence(DistributionSpec("gaussian"), n, seed)
-    b = greedy_partition(x, PARAMS).partition.breakpoints
+    walk = prefix_sums(sample_sequence(DistributionSpec("gaussian"), n, seed))
+    b = greedy_partition(walk, PARAMS).partition.breakpoints
     assert hashlib.sha256(b.astype("<i8").tobytes()).hexdigest() == GREEDY_DIGESTS[n, seed]
 
 
@@ -243,9 +246,9 @@ def test_greedy_scans_each_window_once(monkeypatch):
     starts, scans = [], []
     real_cut, real_rows = greedy.best_two_cut, greedy._two_cut_rows
 
-    def cut(x, j, window):
+    def cut(walk, j, window):
         starts.append(j)
-        return real_cut(x, j, window)
+        return real_cut(walk, j, window)
 
     def rows(s_seg):
         scans.append(len(s_seg))
@@ -257,7 +260,7 @@ def test_greedy_scans_each_window_once(monkeypatch):
     monkeypatch.setattr(greedy, "best_two_cut", cut)
     monkeypatch.setattr(greedy, "_two_cut_rows", rows)
     monkeypatch.setattr(greedy, "a_event_holds", event)
-    greedy_partition(sample_sequence(DistributionSpec("gaussian"), 4096, 3), PARAMS)
+    greedy_partition(prefix_sums(sample_sequence(DistributionSpec("gaussian"), 4096, 3)), PARAMS)
     # every window step starts at a new position, and each is scanned once
     assert starts and starts == sorted(set(starts))
     assert len(scans) == len(starts)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from sqvar import cli, labcli, variation
+from sqvar import cli, labcli, seqcore, variation
 from sqvar.labcli import (
     CSV_COLUMNS,
     PLOT_KINDS,
@@ -289,6 +289,43 @@ def test_cli_simulate_identical_bytes(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["summarize", "--input", str(out)]) == 0
     assert "ratio_median" in capsys.readouterr().out
+
+
+def _count_walks(monkeypatch) -> list[int]:
+    """Wrap every sqvar module's binding of seqcore.prefix_sums, as the
+    benchmark's probe does; the returned list receives each call's length."""
+    real, calls = seqcore.prefix_sums, []
+
+    def counting(x):
+        calls.append(len(x))
+        return real(x)
+
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and (name == "sqvar" or name.startswith("sqvar.")):
+            for attr, val in list(vars(mod).items()):
+                if val is real:
+                    monkeypatch.setattr(mod, attr, counting)
+    return calls
+
+
+def test_one_walk_per_input(tmp_path, capsys, monkeypatch):
+    # every kernel of a trial (all four algorithms and the classification)
+    # reads the one walk that the trial built; compute and greedy build one
+    calls = _count_walks(monkeypatch)
+    monkeypatch.setenv("SQVAR_THREADS", "1")
+    out = tmp_path / "records.csv"
+    ini = tmp_path / "exp.ini"
+    ini.write_text(CONFIG_TEXT.format(out=out))
+    assert cli.main(["simulate", "--config", str(ini)]) == 0
+    assert calls == [64] * 3 + [128] * 3
+    calls.clear()
+    path = tmp_path / "x.csv"
+    path.write_text("2\n1\n-3\n")
+    assert cli.main(["compute", "--input", str(path)]) == 0
+    assert calls == [3]
+    calls.clear()
+    assert cli.main(["greedy", "--n", "256"]) == 0
+    assert calls == [256]
 
 
 def test_cli_plotdata(tmp_path, capsys):

@@ -11,7 +11,6 @@ from sqvar.seqcore import (
     _LOGTAIL_VARIANCE,
     DistributionSpec,
     _logtail_quantile,
-    _logtail_raw_abs_moment,
     mix_seed,
     prefix_sums,
     sample_sequence,
@@ -171,8 +170,22 @@ def test_log_error_fits_the_window():
     assert 4 + 4 * c < seqcore._WINDOW + 1
 
 
+def _logtail_raw_variance() -> float:
+    """E X^2 of the unscaled log-tail law by quadrature: x0^2 plus the integral
+    of 2 x^-1 ln^-2(e+x) over (x0, inf), x0 the root of x ln(e+x) = 1 below
+    which P[|X| > x] = 1. Integrated after u = ln(e+x), where the integrand
+    becomes the cleanly decaying 2 (1 - e^{1-u})^-1 / u^2."""
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
+    x0 = float(brentq(lambda x: x * math.log(math.e + x) - 1.0, 0.1, 1.0, xtol=1e-14))
+    val, _ = quad(lambda u: 2.0 * (1.0 - math.exp(1.0 - u)) ** -1.0 / (u * u),
+                  math.log(math.e + x0), np.inf, limit=200)
+    return x0**2.0 + val
+
+
 def test_logtail_variance_pinned_to_quadrature():
-    assert abs(_LOGTAIL_VARIANCE - _logtail_raw_abs_moment(2.0)) <= 2 * math.ulp(_LOGTAIL_VARIANCE)
+    assert abs(_LOGTAIL_VARIANCE - _logtail_raw_variance()) <= 2 * math.ulp(_LOGTAIL_VARIANCE)
     assert DistributionSpec("logtail_sym", sigma=3.0).abs_moment(2.0) == pytest.approx(9.0)
 
 
@@ -242,6 +255,9 @@ def test_abs_moment_closed_forms():
     lt = DistributionSpec("logtail_sym")
     assert lt.abs_moment(2.0) == pytest.approx(1.0, rel=1e-9)
     assert lt.abs_moment(3.0) == math.inf
+    for p in (0.0, 1.0, 1.5):  # computed only where a command needs it
+        with pytest.raises(ValueError, match=f"got p = {p!r}$"):
+            lt.abs_moment(p)
 
 
 def test_prefix_sums_basics():

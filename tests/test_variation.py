@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 from unittest import mock
 
@@ -13,7 +12,6 @@ from sqvar.greedy import GreedyParams, greedy_partition
 from sqvar.seqcore import DistributionSpec, prefix_sums, sample_sequence
 from sqvar.variation import (
     Partition,
-    VariationResult,
     _dp_breakpoints,
     p_variation_exact,
     partition_value,
@@ -33,49 +31,49 @@ KINDS = [
 
 
 def test_single_element():
-    res = sq_variation_exact([2.5])
+    res = sq_variation_exact(prefix_sums([2.5]))
     assert res.value == 6.25
     assert res.partition.breakpoints.tolist() == [0, 1]
 
 
 def test_worked_examples():
-    res = sq_variation_exact([2, 1, -3])
+    res = sq_variation_exact(prefix_sums([2, 1, -3]))
     assert res.value == 18.0
     assert res.partition.breakpoints.tolist() == [0, 2, 3]
-    res = sq_variation_exact([3, -1, 2])
+    res = sq_variation_exact(prefix_sums([3, -1, 2]))
     assert res.value == 16.0
     assert res.partition.breakpoints.tolist() == [0, 3]
 
 
 def test_bruteforce_tiny_cases():
-    assert sq_variation_bruteforce([1, 1]) == 4.0
-    assert sq_variation_bruteforce([1, -1]) == 2.0
-    assert sq_variation_bruteforce([2, 1, -3]) == 18.0
+    assert sq_variation_bruteforce(prefix_sums([1, 1])) == 4.0
+    assert sq_variation_bruteforce(prefix_sums([1, -1])) == 2.0
+    assert sq_variation_bruteforce(prefix_sums([2, 1, -3])) == 18.0
     with pytest.raises(ValueError):
-        sq_variation_bruteforce(np.zeros(23))
+        sq_variation_bruteforce(prefix_sums(np.zeros(23)))
 
 
 def test_exact_equals_bruteforce_random():
     for i, spec in enumerate(KINDS):
         for trial in range(100):
             n = 1 + (trial % 12)
-            seq = sample_sequence(spec, n, 1000 * i + trial)
-            assert sq_variation_exact(seq).value == pytest.approx(
-                sq_variation_bruteforce(seq), abs=1e-9
+            walk = prefix_sums(sample_sequence(spec, n, 1000 * i + trial))
+            assert sq_variation_exact(walk).value == pytest.approx(
+                sq_variation_bruteforce(walk), abs=1e-9
             )
 
 
 def test_tie_break_fewest_then_lex():
     # all-zero data: any partition scores 0; canonical answer is one interval
-    res = sq_variation_exact(np.zeros(6))
+    res = sq_variation_exact(prefix_sums(np.zeros(6)))
     assert res.partition.breakpoints.tolist() == [0, 6]
     # [1, -1, 1]: best value 3 only via singletons
-    res = sq_variation_exact([1.0, -1.0, 1.0])
+    res = sq_variation_exact(prefix_sums([1.0, -1.0, 1.0]))
     assert res.value == 3.0
     assert res.partition.breakpoints.tolist() == [0, 1, 2, 3]
     # two optimal partitions of [1,1]: (0,2] wins over singletons? value differs
     # here, so craft a genuine tie: x = [1, 0] has V2=1 via (0,2] or (0,1]+(1,2]
-    res = sq_variation_exact([1.0, 0.0])
+    res = sq_variation_exact(prefix_sums([1.0, 0.0]))
     assert res.value == 1.0
     assert res.partition.breakpoints.tolist() == [0, 2]
 
@@ -83,20 +81,20 @@ def test_tie_break_fewest_then_lex():
 def test_contributions_reproduce_value():
     for trial in range(20):
         seq = sample_sequence(DistributionSpec("gaussian"), 200, trial)
-        res = sq_variation_exact(seq)
+        res = sq_variation_exact(prefix_sums(seq))
         assert np.sum(res.contributions) == pytest.approx(res.value, rel=1e-12)
         b = res.partition.breakpoints
         assert b[0] == 0 and b[-1] == len(seq)
 
 
 def test_p_variation():
-    x = [2, 1, -3]
+    x = prefix_sums([2, 1, -3])
     assert p_variation_exact(x, 2.0).value == sq_variation_exact(x).value
-    res = p_variation_exact([1, -1], 1.0)
+    res = p_variation_exact(prefix_sums([1, -1]), 1.0)
     assert res.value == 2.0
     # p=3 brute-force check
     for trial in range(50):
-        seq = sample_sequence(DistributionSpec("gaussian"), 1 + trial % 10, trial)
+        seq = prefix_sums(sample_sequence(DistributionSpec("gaussian"), 1 + trial % 10, trial))
         assert p_variation_exact(seq, 3.0).value == pytest.approx(
             sq_variation_bruteforce(seq, p=3.0), abs=1e-9
         )
@@ -105,7 +103,7 @@ def test_p_variation():
 
 
 def test_p2_bitwise_agreement():
-    seq = sample_sequence(DistributionSpec("gaussian"), 300, 17)
+    seq = prefix_sums(sample_sequence(DistributionSpec("gaussian"), 300, 17))
     a = sq_variation_exact(seq)
     b = p_variation_exact(seq, 2)
     assert a.value == b.value
@@ -114,21 +112,22 @@ def test_p2_bitwise_agreement():
 
 def test_blocked_endpoints_and_bounds():
     seq = sample_sequence(DistributionSpec("gaussian"), 200, 5)
-    exact = sq_variation_exact(seq)
-    b1 = sq_variation_blocked(seq, 1)
+    walk = prefix_sums(seq)
+    exact = sq_variation_exact(walk)
+    b1 = sq_variation_blocked(walk, 1)
     assert b1.value == exact.value
     assert np.array_equal(b1.partition.breakpoints, exact.partition.breakpoints)
-    bn = sq_variation_blocked(seq, len(seq))
+    bn = sq_variation_blocked(walk, len(seq))
     total = float(np.sum(seq))
     assert bn.value == pytest.approx(total * total, rel=1e-12)
-    b4 = sq_variation_blocked(seq, 4)
+    b4 = sq_variation_blocked(walk, 4)
     assert b4.value <= exact.value
     assert np.all(np.isin(b4.partition.breakpoints[:-1] % 4, [0]))
 
 
 def test_blocked_monotone_in_block():
     for trial in range(10):
-        seq = sample_sequence(DistributionSpec("uniform_centered"), 240, trial)
+        seq = prefix_sums(sample_sequence(DistributionSpec("uniform_centered"), 240, trial))
         v2 = sq_variation_blocked(seq, 2).value
         v4 = sq_variation_blocked(seq, 4).value
         v8 = sq_variation_blocked(seq, 8).value
@@ -136,17 +135,17 @@ def test_blocked_monotone_in_block():
 
 
 def test_dyadic_upper_examples():
-    assert sq_variation_upper_dyadic([1, 1, 1, 1]) == 384.0
-    assert sq_variation_upper_dyadic([3.0]) == 108.0  # 12 c^2 >= c^2
+    assert sq_variation_upper_dyadic(prefix_sums([1, 1, 1, 1])) == 384.0
+    assert sq_variation_upper_dyadic(prefix_sums([3.0])) == 108.0  # 12 c^2 >= c^2
 
 
 def test_dyadic_upper_dominates_exact():
     for i, spec in enumerate(KINDS):
         for trial in range(10):
-            seq = sample_sequence(spec, 64, 100 * i + trial)
+            seq = prefix_sums(sample_sequence(spec, 64, 100 * i + trial))
             assert sq_variation_upper_dyadic(seq) >= sq_variation_exact(seq).value
     # non-power-of-two length goes through zero padding
-    seq = sample_sequence(DistributionSpec("gaussian"), 100, 77)
+    seq = prefix_sums(sample_sequence(DistributionSpec("gaussian"), 100, 77))
     assert sq_variation_upper_dyadic(seq) >= sq_variation_exact(seq).value
 
 
@@ -184,7 +183,7 @@ def test_dyadic_upper_matches_family_oracle():
     for n in range(1, 71):
         for x in (rng.standard_normal(n), rng.standard_normal(n) + 0.3,
                   rng.standard_normal(n) - 1.0, rng.integers(-1, 2, n).astype(float)):
-            assert sq_variation_upper_dyadic(x) == _dyadic_oracle(x), n
+            assert sq_variation_upper_dyadic(prefix_sums(x)) == _dyadic_oracle(x), n
 
 
 # SHA-256 of the newline-joined float.hex() of the bound on N = 1, 3, 4097,
@@ -204,21 +203,22 @@ def test_dyadic_upper_golden(kind):
     for n in (1, 3, 4097, 1 << 16, 1 << 18):
         for seed in (11, 12):
             x = sample_sequence(spec, n, seed)
-            hexes.append(sq_variation_upper_dyadic(x + 0.3 if kind == "drift" else x).hex())
+            walk = prefix_sums(x + 0.3 if kind == "drift" else x)
+            hexes.append(sq_variation_upper_dyadic(walk).hex())
     assert hashlib.sha256("\n".join(hexes).encode()).hexdigest() == _DYADIC_DIGESTS[kind]
 
 
 def test_lower_bounds_by_construction():
     for trial in range(20):
         seq = sample_sequence(DistributionSpec("pareto_sym", tail_exponent=4.0), 100, trial)
-        v = sq_variation_exact(seq).value
+        v = sq_variation_exact(prefix_sums(seq)).value
         assert v >= float(np.sum(seq)) ** 2 - 1e-9
         assert v >= float(np.sum(seq**2)) - 1e-9
 
 
 def test_triangle_inequality_random_pairs():
     def norm(v):
-        return np.sqrt(sq_variation_exact(v).value)
+        return np.sqrt(sq_variation_exact(prefix_sums(v)).value)
 
     for trial in range(50):
         x = sample_sequence(DistributionSpec("gaussian"), 50, trial)
@@ -247,19 +247,19 @@ def test_partition_validation():
     with pytest.raises(ValueError):
         Partition(np.array([[0, 1], [0, 2]]))
     with pytest.raises(ValueError, match="length"):
-        partition_value(np.ones(10), Partition(np.array([0, 3])))
+        partition_value(prefix_sums(np.ones(10)), Partition(np.array([0, 3])))
 
 
 def test_partition_value_json():
-    res = partition_value([1.0, 2.0], Partition(np.array([0, 2])))
+    res = partition_value(prefix_sums([1.0, 2.0]), Partition(np.array([0, 2])))
     assert res.to_json() == '{"value": 9.0, "breakpoints": [0, 2]}'
 
 
 def test_non_finite_walk_rejected():
     with pytest.raises(ValueError, match="index 1"):
-        sq_variation_upper_dyadic([1.0, np.nan, 2.0])
+        sq_variation_upper_dyadic(prefix_sums([1.0, np.nan, 2.0]))
     with pytest.raises(ValueError, match="index 2"):
-        sq_variation_exact([0.0, 1.0, -np.inf])
+        sq_variation_exact(prefix_sums([0.0, 1.0, -np.inf]))
     with pytest.raises(ValueError, match="overflows float64 at index 1"):
         prefix_sums([1e308, 1e308])
     big = np.zeros(1 << 20)  # the extended-precision branch overflows in the cast
@@ -269,33 +269,24 @@ def test_non_finite_walk_rejected():
     # finite walks whose squared sums are not
     with np.errstate(over="ignore"):
         with pytest.raises(ValueError, match="overflows"):
-            partition_value([1e200, 1e200, -1e200], Partition(np.array([0, 3])))
+            partition_value(prefix_sums([1e200, 1e200, -1e200]), Partition(np.array([0, 3])))
         with pytest.raises(ValueError, match="overflows"):
-            sq_variation_upper_dyadic([1e200])
+            sq_variation_upper_dyadic(prefix_sums([1e200]))
         with pytest.raises(ValueError, match="^dyadic upper bound overflows float64$"):
-            sq_variation_upper_dyadic(np.full(70, 1e153))
+            sq_variation_upper_dyadic(prefix_sums(np.full(70, 1e153)))
 
 
 _BOTH_SIDES = ((1 << 20) - 1, 1 << 20)  # either side of the extended-precision cutoff
 _WALK_KERNELS = {
     "exact": sq_variation_exact,
-    "blocked": lambda x: sq_variation_blocked(x, 256),
+    "blocked": lambda walk: sq_variation_blocked(walk, 256),
     "dyadic": sq_variation_upper_dyadic,
-    "greedy": lambda x: greedy_partition(x, GreedyParams(2, 4, 0.25, 0.5)),
-    "classify": lambda x: classify_partition(
-        partition_value(x, Partition(np.r_[0:len(x):4096, len(x)])),
-        ClassParams(0.1, 8.0, len(x)),
+    "greedy": lambda walk: greedy_partition(walk, GreedyParams(2, 4, 0.25, 0.5)),
+    "classify": lambda walk: classify_partition(
+        partition_value(walk, Partition(np.r_[0:walk.n:4096, walk.n])),
+        ClassParams(0.1, 8.0, walk.n),
     ),
 }
-
-
-def _fingerprint(out):
-    if isinstance(out, VariationResult):
-        return (out.value.hex(), out.partition.breakpoints.tobytes(),
-                out.contributions.tobytes())
-    if isinstance(out, float):
-        return out.hex()
-    return repr(dataclasses.astuple(out))
 
 
 @pytest.mark.parametrize(
@@ -304,9 +295,10 @@ def _fingerprint(out):
                         for n in _BOTH_SIDES],
 )
 def test_walk_matches_samples_bitwise(kernel, n, monkeypatch):
-    seq = sample_sequence(DistributionSpec("gaussian"), n, 4242)
-    walk = prefix_sums(seq)
-    assert prefix_sums(walk) is walk
+    # a kernel takes the walk that prefix_sums built once, on either side of
+    # the extended-precision cutoff, and sums nothing again: not per call,
+    # not per window
+    walk = prefix_sums(sample_sequence(DistributionSpec("gaussian"), n, 4242))
     assert walk.n == n and not walk.values.flags.writeable
 
     real_cumsum = np.cumsum
@@ -317,12 +309,8 @@ def test_walk_matches_samples_bitwise(kernel, n, monkeypatch):
         return real_cumsum(*args, **kwargs)
 
     monkeypatch.setattr(np, "cumsum", counting_cumsum)
-    fn = _WALK_KERNELS[kernel]
-    from_samples = fn(seq)
-    assert calls == [n]  # the samples are summed once per call, never per window
-    from_walk = fn(walk)
-    assert calls == [n]  # and a walk is never summed again
-    assert _fingerprint(from_walk) == _fingerprint(from_samples)
+    _WALK_KERNELS[kernel](walk)
+    assert calls == []
 
 
 # --- the O(N^2) suffix DP as the oracle of the record-chain kernel ----------
@@ -469,19 +457,21 @@ def test_dp_breakpoints_golden(kind, p):
 @given(x=st.one_of(integer_data(16), gaussian_data(16)),
        p=st.sampled_from([1.0, 2.0, 3.0]))
 def test_exact_value_equals_bruteforce(x, p):
-    value = p_variation_exact(x, p).value
+    walk = prefix_sums(x)
+    value = p_variation_exact(walk, p).value
     if np.all(x == np.round(x)):
-        assert value == sq_variation_bruteforce(x, p)
+        assert value == sq_variation_bruteforce(walk, p)
     else:
-        assert value == pytest.approx(sq_variation_bruteforce(x, p), rel=1e-12)
+        assert value == pytest.approx(sq_variation_bruteforce(walk, p), rel=1e-12)
 
 
 def _check_kernel_against_oracle(x, p, block):
-    s, allowed = prefix_sums(x).values, _allowed(len(x), block)
+    walk, allowed = prefix_sums(x), _allowed(len(x), block)
+    s = walk.values
     expected = _dp_oracle(s, allowed, p).breakpoints.tolist()
     assert allowed[_dp_breakpoints(s[allowed], p)].tolist() == expected
     if p == 2.0:
-        blocked = sq_variation_blocked(x, min(block, len(x)))
+        blocked = sq_variation_blocked(walk, min(block, len(x)))
         assert blocked.partition.breakpoints.tolist() == expected
 
 
