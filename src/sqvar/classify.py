@@ -80,12 +80,20 @@ def classify_partition(scored: VariationResult, params: ClassParams) -> ClassBre
     )
 
 
+def _check_range(walk: PrefixSums, start: int, end: int) -> None:
+    if not 0 <= start < end <= walk.n:
+        raise ValueError(f"needs 0 <= start < end <= N, got start = {start}, end = {end}, "
+                         f"N = {walk.n}")
+
+
 def subinterval_max_sq(walk: PrefixSums, start: int, end: int) -> float:
     """max over subintervals (a, b] of (start, end] of S_(a,b]^2, in O(end-start).
 
     For each right endpoint the best left endpoint is the running min or max
-    of the prefix values, so one scan suffices.
+    of the prefix values, so one scan suffices. Raises ValueError unless
+    0 <= start < end <= N.
     """
+    _check_range(walk, start, end)
     s = walk.values[start : end + 1]
     run_min = np.minimum.accumulate(s[:-1])
     run_max = np.maximum.accumulate(s[:-1])
@@ -95,7 +103,8 @@ def subinterval_max_sq(walk: PrefixSums, start: int, end: int) -> float:
 
 
 def subinterval_max_sq_bruteforce(walk: PrefixSums, start: int, end: int) -> float:
-    """O(|I|^2) oracle for subinterval_max_sq."""
+    """O(|I|^2) oracle for subinterval_max_sq, with its range check."""
+    _check_range(walk, start, end)
     s = walk.values
     best = 0.0
     for a in range(start, end):

@@ -92,6 +92,8 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
     seed = mix_seed(config.master_seed, n, trial_index)
     samples = sample_sequence(config.spec, n, seed)
     walk = prefix_sums(samples)
+    sn = float(np.sum(samples)) ** 2
+    del samples  # the walk is the only N-sized array the kernels below need
     denom = _norm(n, config.spec.sigma) if n >= 16 else None
 
     exact = blocked = dyadic = greedy_v = scored = None  # scored: exact, else blocked
@@ -108,7 +110,6 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
     if "greedy" in config.algorithms:
         greedy_v = greedy.greedy_partition(walk, config.greedy_params).value
 
-    sn = float(np.sum(samples)) ** 2
     lows = [v for v in (exact, blocked, greedy_v, sn) if v is not None]
     highs = [v for v in (exact, dyadic) if v is not None]
     ratio = exact / denom if (exact is not None and denom) else None

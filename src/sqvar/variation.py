@@ -266,8 +266,12 @@ def sq_variation_upper_dyadic(walk: PrefixSums) -> float:
     Level i holds the max and min of S over aligned blocks of 2^i steps, taken
     pairwise from level i-1, and a half-shifted level-i interval is the union
     of aligned blocks 2j+1 and 2j+2 of level i-1. One streaming pass takes O(N)
-    time, with the current level and its temporaries as extra memory, and adds
-    the level sums aligned first, then shifted, each in increasing i.
+    time and adds the level sums aligned first, then shifted, each in
+    increasing i. Beside the walk (and its zero-padded copy, when N is not a
+    power of two) it holds one buffer of 1.5 N floats: level 0 is the walk
+    itself and needs one N-sized scratch, and each later level is built in the
+    part of the buffer its parent does not occupy, with its shifted family,
+    before the parent is squared in place.
     """
     n = walk.n
     npow = 1 << max(0, (n - 1).bit_length())
@@ -276,20 +280,34 @@ def sq_variation_upper_dyadic(walk: PrefixSums) -> float:
         s = np.concatenate([s, np.full(npow - n, s[-1])])
     nlev = npow.bit_length() - 1
 
-    def tilde_sum(hi, lo, starts):  # sum of max_k (S_{a+k} - S_a)^2 over a family
-        hi, lo = hi - starts, lo - starts
-        return float(np.sum(np.maximum(np.multiply(hi, hi, out=hi), lo * lo, out=hi)))
+    # out is positional where numpy allows it: on the short top levels the
+    # keyword's parsing costs more than the arithmetic.
+    def tilde_sum(hi, lo, starts, a, b):  # sum of max_k (S_{a+k} - S_a)^2 over a family
+        np.multiply(np.subtract(hi, starts, a), a, a)  # squared before b is
+        np.multiply(np.subtract(lo, starts, b), b, b)  # written: a may be b
+        return float(np.maximum(a, b, out=a).sum())
 
-    total, shifted = 0.0, []
+    buf = np.empty(npow + npow // 2)
+    halves = buf[:npow], buf[npow:]  # level i + 1 is built in halves[i % 2]
     hi = lo = s[1:]
-    for i in range(nlev + 1):
-        total += tilde_sum(hi, lo, s[0:npow:1 << i])
+    total = tilde_sum(hi, lo, s[0:npow], halves[0], halves[0])  # hi is lo: one buffer
+    shifted = []
+    for i in range(nlev):
+        spare, m = halves[i % 2], len(hi) // 2
         if i + 1 < nlev:  # the shifted level i + 1, from blocks of 2^i
             h = 1 << i
-            shifted.append(tilde_sum(np.maximum(hi[1:-1:2], hi[2::2]),
-                                     np.minimum(lo[1:-1:2], lo[2::2]), s[h:npow - h:2 * h]))
-        if i < nlev:
-            hi, lo = np.maximum(hi[0::2], hi[1::2]), np.minimum(lo[0::2], lo[1::2])
+            a, b = spare[:m - 1], spare[m - 1:2 * m - 2]
+            np.maximum(hi[1:-1:2], hi[2::2], out=a)
+            np.minimum(lo[1:-1:2], lo[2::2], out=b)
+            shifted.append(tilde_sum(a, b, s[h:npow - h:2 * h], a, b))
+        up_hi, up_lo = spare[:m], spare[m:2 * m]
+        np.maximum(hi[0::2], hi[1::2], out=up_hi)
+        np.minimum(lo[0::2], lo[1::2], out=up_lo)
+        if i:  # level i, no longer needed, is consumed in place
+            total += tilde_sum(hi, lo, s[0:npow:1 << i], hi, lo)
+        hi, lo = up_hi, up_lo
+    if nlev:
+        total += tilde_sum(hi, lo, s[0:npow:1 << nlev], hi, lo)
     for v in shifted:
         total += v
     bound = 12.0 * total

@@ -1,7 +1,9 @@
 import importlib.util
 import json
 import os
+import resource
 
+import numpy as np
 import pytest
 
 from sqvar.seqcore import KINDS
@@ -21,6 +23,8 @@ def test_writes_one_row_per_kernel_and_size(bench_kernels, tmp_path, monkeypatch
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(bench_kernels, "MAX_LOG2", 12)
     monkeypatch.setattr(bench_kernels, "DRIFT_MAX_LOG2", 11)
+    held = np.ones(8 << 20)  # 64 MB resident here, which a child must not report
+    del held
     bench_kernels.main(["--label", "smoke"])
     with open(tmp_path / "BENCH_smoke.json", encoding="utf-8") as fh:
         out = json.load(fh)
@@ -35,7 +39,15 @@ def test_writes_one_row_per_kernel_and_size(bench_kernels, tmp_path, monkeypatch
         assert all(0 < t <= u for t, u in zip(row["min_s"], row["median_s"]))
         assert all(r >= bench_kernels.ROUNDS for r in row["reps"])
         assert isinstance(row["exponent"], float) and isinstance(row["exponent_min"], float)
+        if name != "process:compute":
+            assert len(row["peak_mb"]) == len(sizes) and all(m >= 0 for m in row["peak_mb"])
     process = out["kernels"]["process:compute"]
     assert process["reps"] == [bench_kernels.ROUNDS] * 2
     assert all(0 < t <= u for t, u in zip(process["cpu_min_s"], process["cpu_median_s"]))
+    assert "peak_mb" not in process and len(process["rss_max_mb"]) == 2
+    own_peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    assert all(1 < m < own_peak_mb for m in process["rss_max_mb"])
+    # a sample of N floats allocates at least its own 8 N bytes
+    gaussian = out["kernels"]["sample:gaussian"]
+    assert all(m >= 8 * n / (1 << 20) for m, n in zip(gaussian["peak_mb"], gaussian["sizes"]))
 

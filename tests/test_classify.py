@@ -103,6 +103,16 @@ def test_subinterval_max_matches_bruteforce():
         )
 
 
+@pytest.mark.parametrize("fn", [subinterval_max_sq, subinterval_max_sq_bruteforce])
+@pytest.mark.parametrize("start,end", [(0, 5), (-1, 2), (1, 1), (2, 1), (0, 0)])
+def test_subinterval_max_refuses_a_range_outside_the_walk(fn, start, end):
+    walk = prefix_sums([1.0, 1.0])
+    match = f"^needs 0 <= start < end <= N, got start = {start}, end = {end}, N = 2$"
+    with pytest.raises(ValueError, match=match):
+        fn(walk, start, end)
+    assert fn(walk, 0, 2) == 4.0 and fn(walk, 1, 2) == 1.0
+
+
 def test_tilde_sandwich():
     # prefix-anchored maximum ~Y satisfies ~Y <= Y <= 4 ~Y
     rng = np.random.default_rng(1)

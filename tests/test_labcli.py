@@ -4,11 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from sqvar import cli, labcli, seqcore, variation
+from sqvar import classify, cli, greedy, labcli, seqcore, variation
+from sqvar.greedy import GreedyParams
 from sqvar.labcli import (
     CSV_COLUMNS,
     PLOT_KINDS,
@@ -751,3 +753,36 @@ def test_cli_chain_warning_free(tmp_path):
         )
         assert (proc.returncode, proc.stderr) == (0, ""), argv
     assert os.path.getsize(str(out) + ".jsonl") > 0
+
+
+def test_large_trial_holds_only_the_walk_on_entry_to_each_kernel(tmp_path, monkeypatch):
+    # the lab_large trial at 2^20: what is held on entry to each kernel, above
+    # what was held before run_trial, is the walk and small change
+    n = 1 << 20
+    cfg = _config(tmp_path, n_grid=(n,), trials=1,
+                  algorithms=("blocked", "dyadic_upper", "greedy"), block=256,
+                  greedy_params=GreedyParams(), class_b=2432.0)
+    held = {}
+
+    def entry(module, name):
+        real = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            held[name] = tracemalloc.get_traced_memory()[0] - base
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapped)
+
+    for module, name in ((variation, "sq_variation_blocked"),
+                         (variation, "sq_variation_upper_dyadic"),
+                         (greedy, "greedy_partition"), (classify, "classify_partition")):
+        entry(module, name)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        run_trial(cfg, n, 0)
+    finally:
+        tracemalloc.stop()
+    assert sorted(held) == ["classify_partition", "greedy_partition",
+                            "sq_variation_blocked", "sq_variation_upper_dyadic"]
+    walk_bytes = (n + 1) * 8
+    assert all(b <= 1.2 * walk_bytes for b in held.values()), held

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -281,6 +282,71 @@ def test_prefix_sum_total_against_fsum():
         total = prefix_sums(x).values[-1]
         exact = math.fsum(x.tolist())
         assert abs(total - exact) <= 1e-12 * max(1.0, abs(exact))
+
+
+# SHA-256 of prefix_sums(sample_sequence(spec, N, 5)).values.tobytes(), recorded
+# with the one-piece longdouble cumsum (x86-64, 80-bit long double), at sizes
+# that end on, just past and well past a boundary of _CHUNK = 2^15 samples
+_BIG = 1 << 20
+_PAST = _BIG + (1 << 15) + 1
+WALK_DIGESTS = {
+    ("gaussian", _BIG): "732fd10e5b6fa4434ab3c2fff07ee45630b1d6c93974c005b2545c84d513f867",
+    ("gaussian", _BIG + 1): "968ee3d8a1b88a75b7059043aa7beb9bf4f063fd61fa65ef9a6ee4c0a13c96df",
+    ("gaussian", _PAST): "d8482bace8c374ea06005b6e718c1e1695b57b545d355aee25096eb6ff2dbc51",
+    ("gaussian", 3 * _BIG + 5): "b3dabff4aca0d7e68fc966ab91909c1b368dc48d226882ce81a51b007128b40d",
+    ("logtail", _BIG): "31e253c38317c1674063721a2898f295622cd304dc606019e4542f1048aa9f53",
+    ("logtail", _BIG + 1): "a0fe08b0766c50a686355fe525016a86d96780d5c72b410075b11bf0187b89c5",
+    ("logtail", _PAST): "d32c3e42617b7b5501c713685ffe9a65e06a0493ed868924023cfeac8c210637",
+    ("logtail", 3 * _BIG + 5): "2184e899a9acc1d5f0f02c33f9bf92d599a6ef02a31b9466b68b2899f64c70ea",
+    ("pareto", _BIG): "db5d1c3e64ef38b42b68983d6ed08a4a13d4f5440a6ca16f7c4bc396cbe276e0",
+    ("pareto", _BIG + 1): "88f6c3d6bbc359a7530d1d549d496aab7cefd88dfbe3bbb6db038d39f2d27fc6",
+    ("pareto", _PAST): "550c652ac324550a5110ee0311a82b2e7bc6520abe7a37f25c490bfba51f673f",
+    ("pareto", 3 * _BIG + 5): "ff9af7615e9073d06c34ccc01016da20c9edd2e0cd68ed668b9c496e6fea9d93",
+}
+_WALK_SPECS = {"gaussian": DistributionSpec("gaussian"),
+               "logtail": DistributionSpec("logtail_sym"),
+               "pareto": DistributionSpec("pareto_sym", tail_exponent=2.5)}
+
+
+@pytest.mark.parametrize("kind,n", sorted(WALK_DIGESTS))
+def test_extended_walk_bytes_golden(kind, n):
+    walk = prefix_sums(sample_sequence(_WALK_SPECS[kind], n, 5))
+    assert hashlib.sha256(walk.values.tobytes()).hexdigest() == WALK_DIGESTS[kind, n]
+
+
+def test_extended_walk_keeps_negative_zero():
+    x = np.zeros(_BIG)
+    x[0] = -0.0
+    x[1] = 1.0
+    values = prefix_sums(x).values
+    assert math.copysign(1.0, values[1]) == -1.0 and values[2] == 1.0
+
+
+def test_extended_walk_refuses_float64_overflow_that_longdouble_undoes():
+    x = np.zeros(_BIG)
+    x[:4] = [1e308, 1e308, -1e308, -1e308]
+    with pytest.raises(ValueError, match="^partial sum overflows float64 at index 1$"):
+        prefix_sums(x)
+
+
+def test_extended_walk_names_a_nan_in_the_last_chunk():
+    n = 3 * _BIG + 5
+    x = np.ones(n)
+    x[n - 2] = np.nan
+    with pytest.raises(ValueError, match=f"^non-finite sample nan at index {n - 2}$"):
+        prefix_sums(x)
+
+
+def test_extended_walk_holds_little_beside_the_walk():
+    x = sample_sequence(DistributionSpec("gaussian"), _BIG, 5)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        prefix_sums(x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * (_BIG + 1) * 8
 
 
 def test_spec_string_round_trip():

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -545,3 +546,16 @@ def test_sandwich(x, block):
     for name, low in lows.items():
         assert low <= exact + tol, name
     assert exact <= sq_variation_upper_dyadic(walk)
+
+
+def test_dyadic_upper_holds_little_beside_the_walk():
+    n = 1 << 20
+    walk = prefix_sums(sample_sequence(DistributionSpec("gaussian"), n, 5))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sq_variation_upper_dyadic(walk)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * (n + 1) * 8

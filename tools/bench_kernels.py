@@ -15,15 +15,21 @@ repetition per size, and the exponents of N fitted by least squares to the
 log of each over the larger half of those sizes. The `process:compute` row is
 the cost of a whole process: once per pass and size it runs a fresh
 `python -m sqvar.cli compute --p 3` on a {-1, 0, 1} file of N = 2^14 and 2^15
-values (seed 7) and records its wall time, and its user + sys CPU time as
-`cpu_median_s` and `cpu_min_s`. The child runs the sqvar that this process
-imported, with SQVAR_THREADS=1 and without OPENBLAS_NUM_THREADS, so that it
-pays the start-up a user's shell would. On a shared host a busy
-neighbour slows the machine for seconds at a time; spread over passes, such a
-spell slows some repetitions of every kernel instead of all repetitions of
-one, and the fastest repetition is the steadier figure. It is written to the
-current directory; the sqvar on PYTHONPATH is the one timed, so pointing
-PYTHONPATH at another checkout's src times that tree.
+values (seed 7) and records its wall time, its user + sys CPU time as
+`cpu_median_s` and `cpu_min_s`, and its peak resident set, from `wait4`'s
+`ru_maxrss`, as `rss_max_mb` (the largest of the passes); a bare launcher
+process starts it, so that this process's own peak does not leak into it.
+The child runs the sqvar that this process imported, with SQVAR_THREADS=1 and
+without OPENBLAS_NUM_THREADS, so that it pays the start-up a user's shell
+would. On a shared host a busy neighbour slows the machine for seconds at a
+time; spread over passes, such a spell slows some repetitions of every kernel
+instead of all repetitions of one, and the fastest repetition is the steadier
+figure. After the passes, one more call per in-process kernel and size,
+untimed, runs under tracemalloc: `peak_mb` is its peak allocation above what
+was held before it. Allocation sizes do not depend on host load, so this
+column compares across files where the times may not. MB are 2^20 bytes. The
+file is written to the current directory; the sqvar on PYTHONPATH is the one
+timed, so pointing PYTHONPATH at another checkout's src times that tree.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -82,20 +89,45 @@ def _kernels(n: int):
     ]
 
 
-def _compute_process(path: str) -> tuple[float, float]:
-    """(wall s, user + sys CPU s) of one fresh `sqvar compute --p 3` on path."""
+# Linux carries a process's peak RSS across exec into the program it runs, so
+# a child of this process, which holds every walk, would report this process's
+# peak as its own ru_maxrss. A bare interpreter spawns the child instead and
+# prints its wall time, exit code, user + sys CPU time and ru_maxrss (KiB).
+_LAUNCHER = """
+import os, sys, time
+t0 = time.perf_counter()
+pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ,
+                     file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+_, status, ru = os.wait4(pid, 0)
+print(time.perf_counter() - t0, os.waitstatus_to_exitcode(status),
+      ru.ru_utime + ru.ru_stime, ru.ru_maxrss)
+"""
+
+
+def _compute_process(path: str) -> tuple[float, float, float]:
+    """(wall s, user + sys CPU s, peak RSS MB) of one fresh `sqvar compute --p 3`
+    on path."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(sqvar.__file__)))
     env["SQVAR_THREADS"] = "1"
     argv = [sys.executable, "-m", "sqvar.cli", "compute", "--p", "3", "--input", path]
-    t0 = time.perf_counter()
-    proc = subprocess.Popen(argv, env=env, stdout=subprocess.DEVNULL)
-    _, status, ru = os.wait4(proc.pid, 0)
-    wall = time.perf_counter() - t0
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    if proc.returncode != 0:
-        raise RuntimeError(f"`sqvar compute` on {path} exited {proc.returncode}")
-    return wall, ru.ru_utime + ru.ru_stime
+    launched = subprocess.run([sys.executable, "-c", _LAUNCHER, *argv], env=env, check=True,
+                              stdout=subprocess.PIPE, text=True)
+    wall, code, cpu_s, rss_kib = launched.stdout.split()
+    if int(code) != 0:
+        raise RuntimeError(f"`sqvar compute` on {path} exited {code}")
+    return float(wall), float(cpu_s), int(rss_kib) / 1024.0
+
+
+def _peak_mb(fn) -> float:
+    """Peak bytes allocated by one call of fn above what was held before it, in MB."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / (1 << 20)
+    finally:
+        tracemalloc.stop()
 
 
 def _times(fn) -> list[float]:
@@ -130,6 +162,7 @@ def main(argv: list[str] | None = None) -> dict:
     layers = {n: _kernels(n) for n in sizes}
     timed: dict[tuple[str, int], list[float]] = {}
     cpu: dict[int, list[float]] = {}
+    rss: dict[int, list[float]] = {}
     with tempfile.TemporaryDirectory() as work:
         rng = np.random.default_rng(SEED)
         lattices = {n: os.path.join(work, f"lattice_{n}.txt") for n in PROCESS_SIZES}
@@ -140,9 +173,11 @@ def main(argv: list[str] | None = None) -> dict:
                 for name, fn in layers[n]:
                     timed.setdefault((name, n), []).extend(_times(fn))
             for n, path in lattices.items():
-                wall, cpu_s = _compute_process(path)
+                wall, cpu_s, rss_mb = _compute_process(path)
                 timed.setdefault(("process:compute", n), []).append(wall)
                 cpu.setdefault(n, []).append(cpu_s)
+                rss.setdefault(n, []).append(rss_mb)
+    peak = {(name, n): _peak_mb(fn) for n in sizes for name, fn in layers[n]}
     kernels: dict[str, dict] = {}
     for (name, n), times in timed.items():
         row = kernels.setdefault(name, {"sizes": [], "median_s": [], "min_s": [], "reps": []})
@@ -150,9 +185,12 @@ def main(argv: list[str] | None = None) -> dict:
         row["median_s"].append(float(f"{statistics.median(times):.6g}"))
         row["min_s"].append(float(f"{min(times):.6g}"))
         row["reps"].append(len(times))
+        if (name, n) in peak:
+            row.setdefault("peak_mb", []).append(float(f"{peak[name, n]:.6g}"))
     row = kernels["process:compute"]
     row["cpu_median_s"] = [float(f"{statistics.median(cpu[n]):.6g}") for n in row["sizes"]]
     row["cpu_min_s"] = [float(f"{min(cpu[n]):.6g}") for n in row["sizes"]]
+    row["rss_max_mb"] = [float(f"{max(rss[n]):.6g}") for n in row["sizes"]]
     for row in kernels.values():
         row["exponent"] = _exponent(row["sizes"], row["median_s"])
         row["exponent_min"] = _exponent(row["sizes"], row["min_s"])
@@ -163,6 +201,9 @@ def main(argv: list[str] | None = None) -> dict:
         "walk": (f"gaussian:sigma=1, seed {SEED}, one walk per size; exact:drift on the "
                  f"same steps + {DRIFT}; pareto_sym at a = 2.5; process:compute on "
                  f"{{-1, 0, 1}} files, seed {SEED}, one fresh process per pass and size"),
+        "memory": ("peak_mb: tracemalloc peak of one untimed call above what was held "
+                   "before it; rss_max_mb: largest ru_maxrss of the process:compute "
+                   "children; MB = 2^20 bytes"),
         "sizes": sizes,
         "fit": ("least-squares slope of log median_s (exponent) and of log min_s "
                 "(exponent_min) against log N over the larger half of a row's sizes"),
