@@ -253,9 +253,11 @@ def check_H_cover(epsilon_prime: float, n: int, grid: int = 100) -> dict:
 
 
 def check_family_disjoint(fam: IntervalFamily) -> dict:
-    """Count pairwise overlaps within each level (exact endpoint arithmetic)."""
+    """Count pairwise overlaps (exact endpoint arithmetic) within each level,
+    or among all intervals of an L copy, whose sizes must be disjoint too."""
     overlaps = 0
-    for lvl, ivs in fam.levels.items():
+    groups = [fam.all_intervals()] if fam.scheme == "L" else fam.levels.values()
+    for ivs in groups:
         ordered = sorted(ivs, key=lambda iv: iv.start)
         for left, right in zip(ordered, ordered[1:]):
             tol = _REL_TOL * max(1.0, abs(left.end))

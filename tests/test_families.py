@@ -6,6 +6,7 @@ import pytest
 
 from sqvar import cli, families
 from sqvar.families import (
+    IntervalFamily,
     RealInterval,
     build_F_Fs,
     build_H,
@@ -209,6 +210,13 @@ def test_L_one_interval_per_size_and_disjoint():
         for fam in build_L(s, c, k_max=8):
             assert all(len(ivs) == 1 for ivs in fam.levels.values())
             assert check_family_disjoint(fam)["overlaps"] == 0
+
+
+def test_L_overlap_across_sizes_counted():
+    # each L level holds one interval, so only a count across sizes can fail
+    fam = IntervalFamily(scheme="L", n=1, shift_index=1,
+                         levels={0: (RealInterval(0.0, 1.0),), 1: (RealInterval(0.5, 2.5),)})
+    assert check_family_disjoint(fam) == {"scheme": "L", "shift": 1, "overlaps": 1}
 
 
 def test_L_gap_law():

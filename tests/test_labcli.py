@@ -629,15 +629,22 @@ data, gauss, logtail = sys.argv[1:4]
 assert cli.main(["compute", "--input", data, "--p", "3"]) == 0
 assert cli.main(["simulate", "--config", gauss]) == 0
 assert cli.main(["simulate", "--config", logtail]) == 0
-loaded = sorted(m for m in sys.modules
-                if m.split(".")[0] == "scipy" or m == "concurrent.futures.process")
-print("LOADED", loaded)
+print("LOADED", "concurrent.futures.process" in sys.modules)
 """
 
 
-def test_cli_imports_no_scipy_or_process_pool(tmp_path):
-    # compute and a serial simulate, log-tail included, need neither scipy
-    # nor the process pool, so they must not pay for importing them
+def _run_python(script: str, *args: str) -> subprocess.CompletedProcess:
+    """`python -c script args` with src on PYTHONPATH and SQVAR_THREADS unset."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {k: v for k, v in os.environ.items() if k != "SQVAR_THREADS"}
+    env["PYTHONPATH"] = os.path.abspath(src)
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_cli_imports_no_process_pool(tmp_path):
+    # compute and a serial simulate, log-tail included, need no process pool,
+    # so they must not pay for importing it
     data = tmp_path / "x.csv"
     data.write_text("2\n1\n-3\n0.5\n")
     configs = []
@@ -646,15 +653,48 @@ def test_cli_imports_no_scipy_or_process_pool(tmp_path):
         ini.write_text(CONFIG_TEXT.format(out=tmp_path / f"{ini.stem}.csv")
                        .replace("gaussian:sigma=1", spec).replace("n_grid = 64, 128", "n_grid = 32"))
         configs.append(str(ini))
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = {k: v for k, v in os.environ.items() if k != "SQVAR_THREADS"}
-    env["PYTHONPATH"] = os.path.abspath(src)
-    proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_BUDGET_SCRIPT, str(data), *configs],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = _run_python(IMPORT_BUDGET_SCRIPT, str(data), *configs)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "LOADED []"
+    assert proc.stdout.splitlines()[-1] == "LOADED False"
+
+
+NUMPY_ONLY_SCRIPT = """
+import importlib.abc, json, sys
+
+class NumpyOnly(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] not in (*sys.stdlib_module_names, "numpy", "sqvar"):
+            raise ModuleNotFoundError(f"refused {name}", name=name)
+
+sys.meta_path.insert(0, NumpyOnly())
+from sqvar import cli
+
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+"""
+
+
+def test_every_subcommand_runs_on_numpy_alone(tmp_path):
+    # numpy is the only runtime dependency: with every other package outside
+    # the standard library refused, each subcommand still exits 0
+    data = tmp_path / "x.csv"
+    data.write_text("2\n1\n-3\n0.5\n")
+    ini = tmp_path / "lab.ini"
+    records = tmp_path / "records.csv"
+    ini.write_text(CONFIG_TEXT.format(out=records))  # all four algorithms, [classify], [greedy]
+    runs = [["compute", "--input", str(data)], ["simulate", "--config", str(ini)],
+            ["summarize", "--input", str(records)],
+            *(["plotdata", "--input", str(records), "--kind", kind,
+               "--out", str(tmp_path / f"{kind}.csv")] for kind in PLOT_KINDS),
+            ["families", "check", "--scheme", "dyadic", "--n", "4"],
+            ["families", "check", "--scheme", "h", "--n", "4"],
+            ["families", "check", "--scheme", "l", "--s", "2", "--c", "4"],
+            ["greedy", "--n", "64"],
+            *(["bounds", "--check", check, "--trials", "500",
+               "--out", str(tmp_path / f"{check}.csv")]
+              for check in ("bernstein", "etemadi", "berry-esseen", "rosenthal"))]
+    proc = _run_python(NUMPY_ONLY_SCRIPT, json.dumps(runs))
+    assert proc.returncode == 0, proc.stderr
 
 
 def _fresh_python(code: str, openblas_threads: str | None = None) -> str:

@@ -2,6 +2,7 @@ import hashlib
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -159,7 +160,6 @@ def test_logtail_quantile_needs_no_bisection_on_draws(monkeypatch):
 def test_log_error_fits_the_window():
     # the window proof needs k > 4 + 4c for every float k steps outside it,
     # with c the error of np.log in ulps; W = 8 holds for any c < 1.25
-    mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(47)
     x = np.concatenate([_logtail_quantile(1.0 - rng.random(2000)),
                         np.exp(rng.uniform(math.log(0.7), math.log(1e159), 2000))])
@@ -171,22 +171,27 @@ def test_log_error_fits_the_window():
     assert 4 + 4 * c < seqcore._WINDOW + 1
 
 
-def _logtail_raw_variance() -> float:
-    """E X^2 of the unscaled log-tail law by quadrature: x0^2 plus the integral
+def _logtail_raw_variance() -> mpmath.mpf:
+    """E X^2 of the unscaled log-tail law to 40 digits: x0^2 plus the integral
     of 2 x^-1 ln^-2(e+x) over (x0, inf), x0 the root of x ln(e+x) = 1 below
     which P[|X| > x] = 1. Integrated after u = ln(e+x), where the integrand
     becomes the cleanly decaying 2 (1 - e^{1-u})^-1 / u^2."""
-    from scipy.integrate import quad
-    from scipy.optimize import brentq
-
-    x0 = float(brentq(lambda x: x * math.log(math.e + x) - 1.0, 0.1, 1.0, xtol=1e-14))
-    val, _ = quad(lambda u: 2.0 * (1.0 - math.exp(1.0 - u)) ** -1.0 / (u * u),
-                  math.log(math.e + x0), np.inf, limit=200)
-    return x0**2.0 + val
+    with mpmath.workdps(40):
+        x0 = mpmath.findroot(lambda x: x * mpmath.log(mpmath.e + x) - 1, 0.5)
+        val = mpmath.quad(lambda u: 2 / ((1 - mpmath.exp(1 - u)) * u * u),
+                          [mpmath.log(mpmath.e + x0), mpmath.inf])
+        return x0**2 + val
 
 
 def test_logtail_variance_pinned_to_quadrature():
-    assert abs(_LOGTAIL_VARIANCE - _logtail_raw_variance()) <= 2 * math.ulp(_LOGTAIL_VARIANCE)
+    # the pinned constant is 2.87 ulps above E X^2, the third float above its
+    # correct rounding; it scales every log-tail sample, so it stays as it is
+    exact = _logtail_raw_variance()
+    above = float(exact)  # correctly rounded
+    for _ in range(3):
+        above = math.nextafter(above, math.inf)
+    assert _LOGTAIL_VARIANCE == above
+    assert abs(mpmath.mpf(_LOGTAIL_VARIANCE) - exact) / exact < 1e-15
     assert DistributionSpec("logtail_sym", sigma=3.0).abs_moment(2.0) == pytest.approx(9.0)
 
 
