@@ -49,46 +49,39 @@ class TwoCut:
 
 
 def _two_cut_rows(s_seg: np.ndarray):
-    """Per-i2 best two-cut over a window, via running prefix extrema.
+    """Per-i2 best two-cut payoffs over a window, via running prefix extrema.
 
-    For fixed i2 the payoff is convex in the middle prefix value, so the
-    best i1 tracks the running min or max; first occurrences keep ties on
-    the smallest index. Returns (row_best, row_i1) arrays indexed by i2-1.
+    For fixed i2 the payoff is convex in the middle prefix value, so the best
+    i1 sits at the running min or the running max. Returns the payoff rows
+    (val_min, val_max) with the middle cut at each, indexed by i2-1.
     """
     a = s_seg[0]
     v = s_seg[1:]
-    w = len(v)
     run_min = np.minimum.accumulate(v)
     run_max = np.maximum.accumulate(v)
-    drop = np.concatenate(([np.inf], run_min[:-1]))
-    rise = np.concatenate(([-np.inf], run_max[:-1]))
-    steps = np.arange(1, w + 1)
-    idx_min = np.maximum.accumulate(np.where(v < drop, steps, 0))
-    idx_max = np.maximum.accumulate(np.where(v > rise, steps, 0))
-    val_min = (run_min - a) ** 2 + (v - run_min) ** 2
-    val_max = (run_max - a) ** 2 + (v - run_max) ** 2
-    row_best = np.maximum(val_min, val_max)
-    row_i1 = np.where(
-        val_min > val_max,
-        idx_min,
-        np.where(val_max > val_min, idx_max, np.minimum(idx_min, idx_max)),
-    )
-    return row_best, row_i1
+    return (run_min - a) ** 2 + (v - run_min) ** 2, (run_max - a) ** 2 + (v - run_max) ** 2
 
 
 def best_two_cut(walk: PrefixSums, j: int, window: int) -> TwoCut:
     """Maximize (S_{i1+j}-S_j)^2 + (S_{i2+j}-S_{i1+j})^2 over 1<=i1<=i2<=window.
 
     Ties break to the smallest i2, then the smallest i1, matching the
-    exhaustive scan order. The same scan gives `rate` for the window event.
+    exhaustive scan order: i1 is the first occurrence of the extremum that
+    wins at i2, the smaller of the two when both do. The same scan gives
+    `rate` for the window event.
     """
     if j < 0 or window < 1 or j + window > walk.n:
         raise ValueError("window must satisfy 0 <= j and j + window <= N")
     s = walk.values[j : j + window + 1]
-    row_best, row_i1 = _two_cut_rows(s)
+    val_min, val_max = _two_cut_rows(s)
+    row_best = np.maximum(val_min, val_max)
     i2 = int(np.argmax(row_best)) + 1
     rate = float((row_best / np.arange(1, window + 1)).max())
-    return TwoCut(i1=int(row_i1[i2 - 1]), i2=i2, value=float(row_best[i2 - 1]), rate=rate)
+    lo = int(np.argmin(s[1 : i2 + 1])) + 1
+    hi = int(np.argmax(s[1 : i2 + 1])) + 1
+    at_lo, at_hi = val_min[i2 - 1], val_max[i2 - 1]
+    i1 = lo if at_lo > at_hi else hi if at_hi > at_lo else min(lo, hi)
+    return TwoCut(i1=i1, i2=i2, value=float(row_best[i2 - 1]), rate=rate)
 
 
 def best_two_cut_bruteforce(walk: PrefixSums, j: int, window: int) -> TwoCut:
@@ -180,7 +173,3 @@ def greedy_partition(walk: PrefixSums, params: GreedyParams) -> VariationResult:
         bps.append(n)
     return partition_value(walk, Partition(np.array(bps, dtype=np.int64)))
 
-
-def covered_length(n_total: int, s: int, c_copies: int) -> int:
-    """Total length of the selected cover intervals."""
-    return sum(b - a for a, b in select_cover_intervals(n_total, s, c_copies))

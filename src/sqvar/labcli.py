@@ -162,7 +162,8 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
         workers = max(1, int(threads))
     except ValueError:
         raise ValueError(f"SQVAR_THREADS must be an integer, got {threads!r}") from None
-    if workers == 1 or len(tasks) <= 1:
+    workers = min(workers, len(tasks))  # a fork-started pool forks them all at once
+    if workers <= 1:
         return [run_trial(*task) for task in tasks]
     from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:

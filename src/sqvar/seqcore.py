@@ -305,8 +305,10 @@ def _logtail_quantile(u: np.ndarray) -> np.ndarray:
     float more than needed, and it holds for any c < 1.25.
     """
     if len(u) > _CHUNK:  # elementwise, so chunks give the same bits
-        return np.concatenate([_logtail_quantile(u[i:i + _CHUNK])
-                               for i in range(0, len(u), _CHUNK)])
+        q = np.empty_like(u)
+        for i in range(0, len(u), _CHUNK):
+            q[i:i + _CHUNK] = _logtail_quantile(u[i:i + _CHUNK])
+        return q
     target = 1.0 / np.sqrt(u)
     x = target / np.log(math.e + target)
     for _ in range(_NEWTON_STEPS):
@@ -339,17 +341,23 @@ def sample_sequence(spec: DistributionSpec, n: int, seed: int) -> np.ndarray:
     elif spec.kind == "uniform_centered":
         a = s * math.sqrt(3.0)
         x = rng.uniform(-a, a, size=n)
-    elif spec.kind == "pareto_sym":
-        a = spec.tail_exponent
-        u = 1.0 - rng.random(n)  # in (0, 1]
-        mag = u ** (-1.0 / a)
-        sign = 2.0 * rng.integers(0, 2, size=n) - 1.0
-        x = sign * mag * (s / math.sqrt(a / (a - 2)))
-    elif spec.kind == "logtail_sym":
-        u = 1.0 - rng.random(n)
-        mag = _logtail_quantile(u)
-        sign = 2.0 * rng.integers(0, 2, size=n) - 1.0
-        x = sign * mag * (s / math.sqrt(_LOGTAIL_VARIANCE))
+    elif spec.kind in ("pareto_sym", "logtail_sym"):
+        # all n magnitudes, then all n signs, in stream order; the
+        # magnitudes are raised and scaled in place
+        x = rng.random(n)
+        np.subtract(1.0, x, out=x)  # u in (0, 1]
+        if spec.kind == "pareto_sym":
+            a = spec.tail_exponent
+            x **= -1.0 / a
+            x *= s / math.sqrt(a / (a - 2))
+        else:
+            x = _logtail_quantile(x)  # frees u before the signs are drawn
+            x *= s / math.sqrt(_LOGTAIL_VARIANCE)
+        signs = rng.integers(0, 2, size=n)
+        # as floats _CHUNK at a time: np.negative(..., where=) would call its
+        # loop once per run of equal signs, several times slower
+        for i in range(0, n, _CHUNK):
+            x[i:i + _CHUNK] *= 2.0 * signs[i:i + _CHUNK] - 1.0
     else:  # pragma: no cover - guarded by DistributionSpec
         raise ValueError(spec.kind)
     x.setflags(write=False)

@@ -222,8 +222,6 @@ def sq_variation_blocked(walk: PrefixSums, block: int) -> VariationResult:
     return partition_value(walk, part, 2.0)
 
 
-# --- certified upper bound over the dyadic family ---------------------------
-
 _BF_CAP = 22
 
 
@@ -254,20 +252,23 @@ def sq_variation_bruteforce(walk: PrefixSums, p: float = 2.0) -> float:
     return best
 
 
+# --- certified upper bound over the dyadic family ---------------------------
+
 def sq_variation_upper_dyadic(walk: PrefixSums) -> float:
     """Certified upper bound 12 * sum of per-interval prefix maxima.
 
     Every partition interval embeds in a dyadic or half-shifted family
     interval of less than 4x its length, each family interval hosts at most
     three of them, and the interval maximum is at most 4x the prefix maximum;
-    chaining these gives V^2 <= 12 * sum over the family. Inputs whose length
-    is not a power of two are zero-padded upward, which cannot lower the bound.
+    chaining these gives V^2 <= 12 * sum over the family. A walk whose N is
+    not a power of two is extended upward with S_N, that is with zero steps,
+    which cannot lower the bound.
 
     Level i holds the max and min of S over aligned blocks of 2^i steps, taken
     pairwise from level i-1, and a half-shifted level-i interval is the union
     of aligned blocks 2j+1 and 2j+2 of level i-1. One streaming pass takes O(N)
     time and adds the level sums aligned first, then shifted, each in
-    increasing i. Beside the walk (and its zero-padded copy, when N is not a
+    increasing i. Beside the walk (and its extended copy, when N is not a
     power of two) it holds one buffer of 1.5 N floats: level 0 is the walk
     itself and needs one N-sized scratch, and each later level is built in the
     part of the buffer its parent does not occupy, with its shifted family,

@@ -12,7 +12,6 @@ from sqvar.greedy import (
     a_event_holds,
     best_two_cut,
     best_two_cut_bruteforce,
-    covered_length,
     greedy_partition,
     select_cover_intervals,
 )
@@ -157,7 +156,7 @@ def test_cover_gap_bound_per_step():
         while (s ** (n0 + 2) - 1) // (s - 1) <= n_total:
             n0 += 1
         head = (s ** (math.ceil(n0 / 2) + 1) - 1) // (s - 1)
-        covered = covered_length(n_total, s, c)
+        covered = sum(b - a for a, b in cover)
         assert covered >= n_total * (1 - s / c) - head
 
 

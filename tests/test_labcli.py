@@ -116,6 +116,37 @@ def test_determinism_under_thread_counts(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_pool_starts_no_more_workers_than_cells(tmp_path, monkeypatch):
+    # a fork-started pool forks every worker at the first submit, so the
+    # count must be capped by the cells; a serial stand-in records it
+    import concurrent.futures
+
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append([max_workers])
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            pools[-1].append(chunksize)
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    for threads, trials, expected in (("8", 3, [6, 1]), ("5000", 1, [2, 1]), ("2", 3, [2, 1])):
+        cfg = _config(tmp_path, trials=trials)
+        monkeypatch.setenv("SQVAR_THREADS", "1")
+        serial = records_to_csv(run_experiment(cfg))
+        monkeypatch.setenv("SQVAR_THREADS", threads)
+        assert records_to_csv(run_experiment(cfg)) == serial
+        assert pools.pop() == expected and not pools
+
+
 def test_csv_round_trip(tmp_path):
     cfg = _config(tmp_path)
     records = run_experiment(cfg)

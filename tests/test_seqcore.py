@@ -54,10 +54,24 @@ GOLDEN_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
-def test_sample_bytes_golden(spec):
-    samples = sample_sequence(spec, 512, 123456789)
-    assert hashlib.sha256(samples.tobytes()).hexdigest() == GOLDEN_DIGESTS[spec.kind]
+# the same at sigma = 3 and N = 2^15 + 3, past one _CHUNK of the log-tail
+# quantile, recorded before the heavy-tailed kinds scaled their draws in place
+SIGMA3_GOLDEN = {
+    "pareto_sym": (DistributionSpec("pareto_sym", sigma=3.0, tail_exponent=2.5),
+                   "537dead822602b2c0f65bf38f5936a0fec3378f3f57ee353758add9a454f5aae"),
+    "logtail_sym": (DistributionSpec("logtail_sym", sigma=3.0),
+                    "9b1023daa43edf887c1c4ade303b1ecd1fc3b0caf256dc8649a78d103bfd895a"),
+}
+
+
+@pytest.mark.parametrize("spec,n,digest", [
+    *(pytest.param(spec, 512, GOLDEN_DIGESTS[spec.kind], id=spec.kind) for spec in ALL_SPECS),
+    *(pytest.param(spec, (1 << 15) + 3, digest, id=f"{kind}-sigma3")
+      for kind, (spec, digest) in SIGMA3_GOLDEN.items()),
+])
+def test_sample_bytes_golden(spec, n, digest):
+    samples = sample_sequence(spec, n, 123456789)
+    assert hashlib.sha256(samples.tobytes()).hexdigest() == digest
 
 
 def _quantile_oracle(u):
@@ -352,6 +366,21 @@ def test_extended_walk_holds_little_beside_the_walk():
     finally:
         tracemalloc.stop()
     assert peak <= 1.3 * (_BIG + 1) * 8
+
+
+@pytest.mark.parametrize("spec", [DistributionSpec("pareto_sym", tail_exponent=2.5),
+                                  DistributionSpec("logtail_sym")], ids=lambda s: s.kind)
+def test_heavy_tailed_sample_holds_little_beside_itself(spec):
+    # the magnitudes are scaled in place; the int64 sign draws, and for the
+    # log-tail the uniforms beside their quantiles, are the N-sized temporaries
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sample_sequence(spec, _BIG, 5)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.4 * _BIG * 8
 
 
 def test_spec_string_round_trip():
