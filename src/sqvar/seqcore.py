@@ -259,7 +259,8 @@ def _certified(bits: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 def _logtail_quantile(u: np.ndarray) -> np.ndarray:
     """|X| quantile for u in [5e-324, 1]: the root of x*ln(e+x) = 1/sqrt(u),
-    bit for bit as _bisect returns it, without its 54-63 steps.
+    bit for bit as _bisect returns it, without its 54-63 steps. It is
+    elementwise, and sample_sequence passes it one _CHUNK of u at a time.
 
     With target = 1/sqrt(u) and above(x) = x*ln(e+x) > target as floats:
 
@@ -304,11 +305,6 @@ def _logtail_quantile(u: np.ndarray) -> np.ndarray:
     the domain), so k >= 7 is decided by the analysis; W = 8 checks one
     float more than needed, and it holds for any c < 1.25.
     """
-    if len(u) > _CHUNK:  # elementwise, so chunks give the same bits
-        q = np.empty_like(u)
-        for i in range(0, len(u), _CHUNK):
-            q[i:i + _CHUNK] = _logtail_quantile(u[i:i + _CHUNK])
-        return q
     target = 1.0 / np.sqrt(u)
     x = target / np.log(math.e + target)
     for _ in range(_NEWTON_STEPS):
@@ -334,32 +330,31 @@ def sample_sequence(spec: DistributionSpec, n: int, seed: int) -> np.ndarray:
         raise ValueError("n must be >= 1")
     rng = _rng_for(seed)
     s = spec.sigma
-    if spec.kind == "rademacher":
-        x = (2.0 * rng.integers(0, 2, size=n) - 1.0) * s
-    elif spec.kind == "gaussian":
+    if spec.kind == "gaussian":
         x = rng.standard_normal(n) * s
     elif spec.kind == "uniform_centered":
         a = s * math.sqrt(3.0)
         x = rng.uniform(-a, a, size=n)
-    elif spec.kind in ("pareto_sym", "logtail_sym"):
-        # all n magnitudes, then all n signs, in stream order; the
-        # magnitudes are raised and scaled in place
-        x = rng.random(n)
-        np.subtract(1.0, x, out=x)  # u in (0, 1]
-        if spec.kind == "pareto_sym":
-            a = spec.tail_exponent
-            x **= -1.0 / a
-            x *= s / math.sqrt(a / (a - 2))
+    else:
+        # |X| in place, then its sign: the stream holds all n magnitudes, then all n signs
+        if spec.kind == "rademacher":
+            x = np.full(n, s)
         else:
-            x = _logtail_quantile(x)  # frees u before the signs are drawn
-            x *= s / math.sqrt(_LOGTAIL_VARIANCE)
-        signs = rng.integers(0, 2, size=n)
+            x = rng.random(n)
+            np.subtract(1.0, x, out=x)  # u in (0, 1]
+            if spec.kind == "pareto_sym":
+                a = spec.tail_exponent
+                x **= -1.0 / a
+                x *= s / math.sqrt(a / (a - 2))
+            else:
+                for i in range(0, n, _CHUNK):
+                    x[i:i + _CHUNK] = _logtail_quantile(x[i:i + _CHUNK])
+                x *= s / math.sqrt(_LOGTAIL_VARIANCE)
         # as floats _CHUNK at a time: np.negative(..., where=) would call its
         # loop once per run of equal signs, several times slower
         for i in range(0, n, _CHUNK):
-            x[i:i + _CHUNK] *= 2.0 * signs[i:i + _CHUNK] - 1.0
-    else:  # pragma: no cover - guarded by DistributionSpec
-        raise ValueError(spec.kind)
+            c = x[i:i + _CHUNK]
+            c *= 2.0 * rng.integers(0, 2, size=len(c)) - 1.0
     x.setflags(write=False)
     return x
 

@@ -55,8 +55,16 @@ GOLDEN_DIGESTS = {
 
 
 # the same at sigma = 3 and N = 2^15 + 3, past one _CHUNK of the log-tail
-# quantile, recorded before the heavy-tailed kinds scaled their draws in place
+# quantile and of the sign draws; pareto and logtail were recorded before their
+# draws were scaled in place, the other three before the signs were drawn a
+# _CHUNK at a time
 SIGMA3_GOLDEN = {
+    "rademacher": (DistributionSpec("rademacher", sigma=3.0),
+                   "cde5a3cc559b3431af8019a91b24e57c5252ade239915236d341f08451566d1e"),
+    "gaussian": (DistributionSpec("gaussian", sigma=3.0),
+                 "83ceb6799165525ad9f3abab19d9d5cf2693af05d78012b3e386206ef65ec390"),
+    "uniform_centered": (DistributionSpec("uniform_centered", sigma=3.0),
+                         "1d95a24d273490fa9d63cbfdd000604a47231729d6416c17fad92362945f7cd8"),
     "pareto_sym": (DistributionSpec("pareto_sym", sigma=3.0, tail_exponent=2.5),
                    "537dead822602b2c0f65bf38f5936a0fec3378f3f57ee353758add9a454f5aae"),
     "logtail_sym": (DistributionSpec("logtail_sym", sigma=3.0),
@@ -129,8 +137,16 @@ def test_logtail_quantile_exact_down_to_smallest_u(us):
 
 def test_logtail_quantile_exact_on_chunked_draws():
     # longer than one chunk, so the chunks (the last of one element) are stitched
-    rng = np.random.default_rng(43)
-    _assert_quantile_exact(1.0 - rng.random(seqcore._CHUNK * 2 + 1))
+    n, seed = seqcore._CHUNK * 2 + 1, 43
+    rng = seqcore._rng_for(seed)
+    u = 1.0 - rng.random(n)  # in stream order: all magnitudes, then all signs
+    sign = 2.0 * rng.integers(0, 2, size=n) - 1.0
+    expected, still = _quantile_oracle(u)
+    assert still is not None and still < 100
+    expected *= 3.0 / math.sqrt(_LOGTAIL_VARIANCE)
+    expected *= sign
+    samples = sample_sequence(DistributionSpec("logtail_sym", sigma=3.0), n, seed)
+    assert samples.tobytes() == expected.tobytes()
 
 
 def _counting_bisect(monkeypatch):
@@ -368,11 +384,12 @@ def test_extended_walk_holds_little_beside_the_walk():
     assert peak <= 1.3 * (_BIG + 1) * 8
 
 
-@pytest.mark.parametrize("spec", [DistributionSpec("pareto_sym", tail_exponent=2.5),
+@pytest.mark.parametrize("spec", [DistributionSpec("rademacher"),
+                                  DistributionSpec("pareto_sym", tail_exponent=2.5),
                                   DistributionSpec("logtail_sym")], ids=lambda s: s.kind)
-def test_heavy_tailed_sample_holds_little_beside_itself(spec):
-    # the magnitudes are scaled in place; the int64 sign draws, and for the
-    # log-tail the uniforms beside their quantiles, are the N-sized temporaries
+def test_signed_sample_holds_little_beside_itself(spec):
+    # |X| is built in the returned array, and the log-tail quantiles and the
+    # signs a _CHUNK at a time, so no other N-sized array is held
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -380,7 +397,7 @@ def test_heavy_tailed_sample_holds_little_beside_itself(spec):
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 2.4 * _BIG * 8
+    assert peak <= 1.35 * _BIG * 8
 
 
 def test_spec_string_round_trip():

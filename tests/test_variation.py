@@ -209,6 +209,22 @@ def test_dyadic_upper_golden(kind):
     assert hashlib.sha256("\n".join(hexes).encode()).hexdigest() == _DYADIC_DIGESTS[kind]
 
 
+# float.hex() of the bound on walks whose N is not a power of two (seed 11),
+# recorded while the bound padded a copy of the walk to the next power of two
+_DYADIC_OFF_POW2 = {
+    ("gaussian", (1 << 18) + 3): "0x1.4cb76b61bbb03p+27",
+    ("gaussian", (1 << 20) + 1): "0x1.bab07570198fbp+29",
+    ("logtail_sym", (1 << 18) + 3): "0x1.f71dfb788fa5dp+26",
+    ("logtail_sym", (1 << 20) + 1): "0x1.52aec1c79ec41p+29",
+}
+
+
+@pytest.mark.parametrize("kind,n", sorted(_DYADIC_OFF_POW2))
+def test_dyadic_upper_golden_off_powers_of_two(kind, n):
+    walk = prefix_sums(sample_sequence(DistributionSpec(kind), n, 11))
+    assert sq_variation_upper_dyadic(walk).hex() == _DYADIC_OFF_POW2[kind, n]
+
+
 def test_lower_bounds_by_construction():
     for trial in range(20):
         seq = sample_sequence(DistributionSpec("pareto_sym", tail_exponent=4.0), 100, trial)
