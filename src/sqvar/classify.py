@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqcore import PrefixSums
 from .variation import VariationResult
 
 
@@ -78,37 +77,3 @@ def classify_partition(scored: VariationResult, params: ClassParams) -> ClassBre
         medium_len=int(lens[med].sum()),
         bad_len=int(lens[bad].sum()),
     )
-
-
-def _check_range(walk: PrefixSums, start: int, end: int) -> None:
-    if not 0 <= start < end <= walk.n:
-        raise ValueError(f"needs 0 <= start < end <= N, got start = {start}, end = {end}, "
-                         f"N = {walk.n}")
-
-
-def subinterval_max_sq(walk: PrefixSums, start: int, end: int) -> float:
-    """max over subintervals (a, b] of (start, end] of S_(a,b]^2, in O(end-start).
-
-    For each right endpoint the best left endpoint is the running min or max
-    of the prefix values, so one scan suffices. Raises ValueError unless
-    0 <= start < end <= N.
-    """
-    _check_range(walk, start, end)
-    s = walk.values[start : end + 1]
-    run_min = np.minimum.accumulate(s[:-1])
-    run_max = np.maximum.accumulate(s[:-1])
-    hi = s[1:] - run_min
-    lo = s[1:] - run_max
-    return float(np.maximum(hi * hi, lo * lo).max())
-
-
-def subinterval_max_sq_bruteforce(walk: PrefixSums, start: int, end: int) -> float:
-    """O(|I|^2) oracle for subinterval_max_sq, with its range check."""
-    _check_range(walk, start, end)
-    s = walk.values
-    best = 0.0
-    for a in range(start, end):
-        for b in range(a + 1, end + 1):
-            best = max(best, (s[b] - s[a]) ** 2)
-    return best
-

@@ -35,11 +35,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_numbers(path: str) -> np.ndarray:
     """Numbers separated by whitespace or commas, after at most one header
-    token; a ValueError names the line and the token of the first non-number."""
+    token and a UTF-8 byte-order mark; a ValueError names the line and the
+    token of the first non-number."""
     if path == "-":
-        text = sys.stdin.read()
+        text = sys.stdin.read().removeprefix("\ufeff")  # what utf-8-sig drops from a file
     else:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     vals = text.replace(",", " ").split()
     start = 1 if vals and not _is_number(vals[0]) else 0
@@ -89,14 +90,14 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_summarize(args) -> int:
-    with open(args.input, encoding="utf-8") as fh:
+    with open(args.input, encoding="utf-8-sig") as fh:
         records = labcli.records_from_csv(fh.read())
     print(labcli.format_summary(labcli.summarize(records)))
     return 0
 
 
 def _cmd_plotdata(args) -> int:
-    with open(args.input, encoding="utf-8") as fh:
+    with open(args.input, encoding="utf-8-sig") as fh:
         records = labcli.records_from_csv(fh.read())
     _write_out(labcli.emit_plotdata(records, args.kind), args.out)
     return 0
@@ -154,7 +155,7 @@ def _read_grid(path: str | None, check: str) -> list[tuple]:
         return _DEFAULT_GRIDS[check]
     types = [type(v) for v in _DEFAULT_GRIDS[check][0]]
     out = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         for k, line in enumerate(fh, 1):
             tokens = line.replace(",", " ").split()
             if not tokens or not _is_number(tokens[0]):

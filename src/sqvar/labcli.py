@@ -261,7 +261,7 @@ def parse_config(path: str) -> ExperimentConfig:
     """
     cp = configparser.ConfigParser(default_section="")  # no default: [DEFAULT] is unknown
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             cp.read_file(fh)
     except configparser.Error as exc:  # e.g. keys before any section header
         raise ValueError(f"config is not valid INI: {exc.message.splitlines()[0]}") from exc

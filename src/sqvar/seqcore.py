@@ -370,13 +370,13 @@ def prefix_sums(x) -> PrefixSums:
     input and on a non-finite partial sum, which catches NaN/inf samples and
     overflow of the running sum alike.
 
-    From N = _EXTENDED_CUTOFF the sums are accumulated in long double and
-    rounded once to float64, _CHUNK samples at a time. Every chunk after the
-    first starts with the previous chunk's last long-double partial sum as its
-    element 0, so its cumsum makes the same sequential additions, on the same
-    long-double operands, as one cumsum of the whole long-double copy, and each
-    chunk rounds straight into the walk. (The first chunk has no carry: 0 + x
-    would turn a first sample of -0.0 into +0.0.) Beside the walk this holds
+    The sums are accumulated _CHUNK samples at a time, in long double from
+    N = _EXTENDED_CUTOFF and in float64 below it, and each chunk is rounded
+    straight into the walk. Every chunk after the first starts with the
+    previous chunk's last partial sum as its element 0, and cumsum adds
+    sequentially, so the walk has the bits of one cumsum of the whole input
+    in the accumulator's dtype. (The first chunk has no carry: 0 + x would
+    turn a first sample of -0.0 into +0.0.) Beside the walk this holds
     O(_CHUNK) memory and a boolean mask for the finiteness check.
     """
     arr = np.asarray(x, dtype=np.float64)
@@ -385,19 +385,17 @@ def prefix_sums(x) -> PrefixSums:
     n = len(arr)
     out = np.empty(n + 1)
     out[0] = 0.0
+    dtype = np.longdouble if n >= _EXTENDED_CUTOFF else np.float64
+    acc = np.empty(min(n, _CHUNK) + 1, dtype=dtype)
+    carry = 0  # acc[0] holds the carry from the second chunk on
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        if n >= _EXTENDED_CUTOFF:
-            acc = np.empty(_CHUNK + 1, dtype=np.longdouble)
-            carry = 0  # acc[0] holds the carry from the second chunk on
-            for i in range(0, n, _CHUNK):
-                m = min(_CHUNK, n - i)
-                part = acc[:carry + m]
-                part[carry:] = arr[i:i + m]
-                np.cumsum(part, out=part)
-                out[i + 1:i + m + 1] = part[carry:]
-                acc[0], carry = part[-1], 1
-        else:
-            np.cumsum(arr, out=out[1:])
+        for i in range(0, n, _CHUNK):
+            m = min(_CHUNK, n - i)
+            part = acc[:carry + m]
+            part[carry:] = arr[i:i + m]
+            np.cumsum(part, out=part)
+            out[i + 1:i + m + 1] = part[carry:]
+            acc[0], carry = part[-1], 1
     finite = np.isfinite(out)
     if not finite.all():
         i = int(np.argmin(finite)) - 1

@@ -268,11 +268,13 @@ def sq_variation_upper_dyadic(walk: PrefixSums) -> float:
     pairwise from level i-1, and a half-shifted level-i interval is the union
     of aligned blocks 2j+1 and 2j+2 of level i-1. One streaming pass takes O(N)
     time and adds the level sums aligned first, then shifted, each in
-    increasing i. Beside the walk (and its extended copy, when N is not a
-    power of two) it holds one buffer of 1.5 N floats: level 0 is the walk
-    itself and needs one N-sized scratch, and each later level is built in the
-    part of the buffer its parent does not occupy, with its shifted family,
-    before the parent is squared in place.
+    increasing i. With P = 2^ceil(log2 N), it holds beside the walk one buffer
+    of 1.5 P floats: level 0 is the extended walk itself and needs one P-sized
+    scratch, and each later level is built in the part of the buffer its
+    parent does not occupy, with its shifted family, before the parent is
+    squared in place. When N is not a power of two it also holds the extended
+    copy of P + 1 floats, so at N = 2^20 + 1 the peak is 40 MB on an 8 MB
+    walk; ROADMAP.md open item 10 would read the walk in place instead.
     """
     n = walk.n
     npow = 1 << max(0, (n - 1).bit_length())

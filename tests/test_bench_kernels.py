@@ -36,7 +36,9 @@ def test_writes_one_row_per_kernel_and_size(bench_kernels, tmp_path, monkeypatch
         sizes = {"exact:drift": [1024, 2048], "process:compute": [16384, 32768]}.get(
             name, out["sizes"])
         assert row["sizes"] == sizes and len(row["median_s"]) == len(row["min_s"]) == len(sizes)
-        assert all(0 < t <= u for t, u in zip(row["min_s"], row["median_s"]))
+        assert all(0 < lo <= q1 <= mid <= q3 for lo, q1, mid, q3 in zip(
+            row["min_s"], row["q1_s"], row["median_s"], row["q3_s"]))
+        assert len(row["q1_s"]) == len(row["q3_s"]) == len(sizes)
         assert all(r >= bench_kernels.ROUNDS for r in row["reps"])
         assert isinstance(row["exponent"], float) and isinstance(row["exponent_min"], float)
         if name != "process:compute":

@@ -4,13 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from sqvar.classify import (
-    ClassParams,
-    classify_partition,
-    default_bad_threshold,
-    subinterval_max_sq,
-    subinterval_max_sq_bruteforce,
-)
+from sqvar.classify import ClassParams, classify_partition, default_bad_threshold
 from sqvar.seqcore import DistributionSpec, prefix_sums, sample_sequence
 from sqvar.variation import Partition, partition_value, sq_variation_exact
 
@@ -91,35 +85,15 @@ def test_stat_upper_bound():
         assert _maximal_breakdown(seq, params).bad_sum <= v + 1e-12
 
 
-def test_subinterval_max_matches_bruteforce():
-    rng = np.random.default_rng(0)
-    for trial in range(30):
-        n = int(rng.integers(2, 60))
-        walk = prefix_sums(rng.standard_normal(n))
-        a = int(rng.integers(0, n - 1))
-        b = int(rng.integers(a + 1, n))
-        assert subinterval_max_sq(walk, a, b) == pytest.approx(
-            subinterval_max_sq_bruteforce(walk, a, b), rel=1e-12
-        )
-
-
-@pytest.mark.parametrize("fn", [subinterval_max_sq, subinterval_max_sq_bruteforce])
-@pytest.mark.parametrize("start,end", [(0, 5), (-1, 2), (1, 1), (2, 1), (0, 0)])
-def test_subinterval_max_refuses_a_range_outside_the_walk(fn, start, end):
-    walk = prefix_sums([1.0, 1.0])
-    match = f"^needs 0 <= start < end <= N, got start = {start}, end = {end}, N = 2$"
-    with pytest.raises(ValueError, match=match):
-        fn(walk, start, end)
-    assert fn(walk, 0, 2) == 4.0 and fn(walk, 1, 2) == 1.0
-
-
 def test_tilde_sandwich():
-    # prefix-anchored maximum ~Y satisfies ~Y <= Y <= 4 ~Y
+    # the maximal step of the dyadic upper bound: the largest sub-sum squared
+    # Y of an interval and its largest prefix sum squared ~Y satisfy
+    # ~Y <= Y <= 4 ~Y
     rng = np.random.default_rng(1)
     for trial in range(20):
         walk = prefix_sums(rng.standard_normal(128))
         s = walk.values
-        y = subinterval_max_sq(walk, 0, 128)
+        y = float(np.max(np.subtract.outer(s, s) ** 2))
         tilde = float(np.max((s[1:] - s[0]) ** 2))
         assert tilde <= y + 1e-12
         assert y <= 4.0 * tilde + 1e-12

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -208,14 +209,15 @@ def test_invariant_violation_names_replay(monkeypatch, text, named):
 
 def test_parse_config(tmp_path):
     path = tmp_path / "exp.ini"
-    path.write_text(CONFIG_TEXT.format(out=tmp_path / "r.csv"))
-    cfg = parse_config(str(path))
-    assert cfg.spec == DistributionSpec("gaussian")
-    assert cfg.n_grid == (64, 128)
-    assert cfg.algorithms == ("exact", "blocked", "dyadic_upper", "greedy")
-    assert cfg.block == 4
-    assert cfg.greedy_params.c_copies == 4
-    assert cfg.class_b == 8.0
+    for encoding in ("utf-8", "utf-8-sig"):  # the second writes a byte-order mark
+        path.write_text(CONFIG_TEXT.format(out=tmp_path / "r.csv"), encoding=encoding)
+        cfg = parse_config(str(path))
+        assert cfg.spec == DistributionSpec("gaussian")
+        assert cfg.n_grid == (64, 128)
+        assert cfg.algorithms == ("exact", "blocked", "dyadic_upper", "greedy")
+        assert cfg.block == 4
+        assert cfg.greedy_params.c_copies == 4
+        assert cfg.class_b == 8.0
 
 
 def test_summarize_single_and_synthetic():
@@ -368,7 +370,12 @@ def test_cli_plotdata(tmp_path, capsys):
     cli.main(["simulate", "--config", str(ini)])
     capsys.readouterr()
     assert cli.main(["plotdata", "--input", str(out), "--kind", "ratio_vs_n"]) == 0
-    assert capsys.readouterr().out.startswith("n ratio\n")
+    plot = capsys.readouterr().out
+    assert plot.startswith("n ratio\n")
+    bom_led = tmp_path / "bom.csv"  # the same records after a byte-order mark
+    bom_led.write_bytes(b"\xef\xbb\xbf" + out.read_bytes())
+    assert cli.main(["plotdata", "--input", str(bom_led), "--kind", "ratio_vs_n"]) == 0
+    assert capsys.readouterr().out == plot
 
 
 def test_cli_families(capsys):
@@ -526,15 +533,16 @@ def test_cli_simulate_bad_threads(tmp_path, capsys, monkeypatch):
 
 def test_cli_bounds_small(tmp_path):
     grid = tmp_path / "grid.csv"
-    grid.write_text("t,L\n8,16\n10 32\n")
     out = tmp_path / "bounds.csv"
-    rc = cli.main(["bounds", "--check", "bernstein", "--spec", "rademacher:sigma=1",
-                   "--grid", str(grid), "--trials", "4000", "--out", str(out)])
-    assert rc == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[0] == "threshold,empirical,bound,std_err,pass"
-    assert len(lines) == 3
-    assert all(ln.endswith("true") for ln in lines[1:])
+    for text in ("t,L\n8,16\n10 32\n", "\ufeff8,16\n10 32\n"):  # a byte-order mark
+        grid.write_text(text, encoding="utf-8")
+        rc = cli.main(["bounds", "--check", "bernstein", "--spec", "rademacher:sigma=1",
+                       "--grid", str(grid), "--trials", "4000", "--out", str(out)])
+        assert rc == 0
+        lines = out.read_text().strip().splitlines()
+        assert lines[0] == "threshold,empirical,bound,std_err,pass"
+        assert len(lines) == 3
+        assert all(ln.endswith("true") for ln in lines[1:])
 
 
 @pytest.mark.parametrize("check,text,where", [
@@ -628,11 +636,20 @@ def test_cli_compute_names_bad_token(tmp_path, capsys, text, where):
     assert captured.err == f"sqvar: error: input {where} is not a number\n"
 
 
-def test_cli_compute_skips_one_header_token(tmp_path, capsys):
+def test_cli_compute_skips_one_header_token(tmp_path, capsys, monkeypatch):
     path = tmp_path / "x.csv"
-    path.write_text("steps\n2\n1\n-3\n")
+    for text in ("steps\n2\n1\n-3\n", "\ufeffsteps\n2\n1\n-3\n"):
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["compute", "--input", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["breakpoints"] == [0, 2, 3]
+    # a byte-order mark before the first value is not a header token
+    bom_led = "\ufeff1\n-2.5\n3"
+    path.write_text(bom_led, encoding="utf-8")
     assert cli.main(["compute", "--input", str(path)]) == 0
-    assert json.loads(capsys.readouterr().out)["breakpoints"] == [0, 2, 3]
+    assert json.loads(capsys.readouterr().out)["value"] == 16.25
+    monkeypatch.setattr(sys, "stdin", io.StringIO(bom_led))
+    assert cli.main(["compute", "--input", "-"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 16.25
 
 
 def test_cli_bounds_etemadi_no_trials(capsys):

@@ -349,12 +349,27 @@ def test_extended_walk_bytes_golden(kind, n):
     assert hashlib.sha256(walk.values.tobytes()).hexdigest() == WALK_DIGESTS[kind, n]
 
 
-def test_extended_walk_keeps_negative_zero():
-    x = np.zeros(_BIG)
-    x[0] = -0.0
-    x[1] = 1.0
+# one float64 size past one _CHUNK, beside the long-double sizes
+_FLOAT64_PAST = (1 << 15) + 1
+
+
+@pytest.mark.parametrize("n", [(1 << 15) - 1, _FLOAT64_PAST, (1 << 18) + 5])
+def test_float64_walk_matches_one_cumsum(n):
+    # below _EXTENDED_CUTOFF the chunked float64 sums are one sequential cumsum,
+    # bit for bit; magnitudes spread over 1e-6 ... 1e6 make most additions round
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6, n)
     values = prefix_sums(x).values
-    assert math.copysign(1.0, values[1]) == -1.0 and values[2] == 1.0
+    assert values[1:].tobytes() == np.cumsum(x).tobytes() and values[0] == 0.0
+
+
+def test_extended_walk_keeps_negative_zero():
+    for n in (_FLOAT64_PAST, _BIG):
+        x = np.zeros(n)
+        x[0] = -0.0
+        x[1] = 1.0
+        values = prefix_sums(x).values
+        assert math.copysign(1.0, values[1]) == -1.0 and values[2] == 1.0
 
 
 def test_extended_walk_refuses_float64_overflow_that_longdouble_undoes():
@@ -365,11 +380,11 @@ def test_extended_walk_refuses_float64_overflow_that_longdouble_undoes():
 
 
 def test_extended_walk_names_a_nan_in_the_last_chunk():
-    n = 3 * _BIG + 5
-    x = np.ones(n)
-    x[n - 2] = np.nan
-    with pytest.raises(ValueError, match=f"^non-finite sample nan at index {n - 2}$"):
-        prefix_sums(x)
+    for n in (2 * _FLOAT64_PAST, 3 * _BIG + 5):
+        x = np.ones(n)
+        x[n - 2] = np.nan
+        with pytest.raises(ValueError, match=f"^non-finite sample nan at index {n - 2}$"):
+            prefix_sums(x)
 
 
 def test_extended_walk_holds_little_beside_the_walk():

@@ -10,9 +10,10 @@ to 2^DRIFT_MAX_LOG2 since its time is O(N^2)), the blocked DP (block 4), the
 dyadic upper bound, the greedy partition and the classification of the
 exact partition. The run makes ROUNDS passes over every kernel and size, and
 in each pass repeats a kernel until its repetitions take MIN_TOTAL_S / ROUNDS;
-the file holds, per kernel, the sizes timed, the median and the fastest
-repetition per size, and the exponents of N fitted by least squares to the
-log of each over the larger half of those sizes. The `process:compute` row is
+the file holds, per kernel, the sizes timed, the median, the quartiles
+(`q1_s`, `q3_s`, linear interpolation) and the fastest repetition per size,
+and the exponents of N fitted by least squares to the log of the median and
+of the fastest over the larger half of those sizes. The `process:compute` row is
 the cost of a whole process: once per pass and size it runs a fresh
 `python -m sqvar.cli compute --p 3` on a {-1, 0, 1} file of N = 2^14 and 2^15
 values (seed 7) and records its wall time, its user + sys CPU time as
@@ -180,9 +181,13 @@ def main(argv: list[str] | None = None) -> dict:
     peak = {(name, n): _peak_mb(fn) for n in sizes for name, fn in layers[n]}
     kernels: dict[str, dict] = {}
     for (name, n), times in timed.items():
-        row = kernels.setdefault(name, {"sizes": [], "median_s": [], "min_s": [], "reps": []})
+        row = kernels.setdefault(name, {"sizes": [], "median_s": [], "q1_s": [], "q3_s": [],
+                                        "min_s": [], "reps": []})
+        q1, median, q3 = statistics.quantiles(times, n=4, method="inclusive")
         row["sizes"].append(n)
-        row["median_s"].append(float(f"{statistics.median(times):.6g}"))
+        row["median_s"].append(float(f"{median:.6g}"))
+        row["q1_s"].append(float(f"{q1:.6g}"))
+        row["q3_s"].append(float(f"{q3:.6g}"))
         row["min_s"].append(float(f"{min(times):.6g}"))
         row["reps"].append(len(times))
         if (name, n) in peak:
