@@ -20,7 +20,6 @@ _CHUNK = 1 << 22  # elements per Monte Carlo block
 
 @dataclass(frozen=True)
 class EmpiricalTail:
-    threshold: float
     frequency: float
     trials: int
 
@@ -66,7 +65,7 @@ def maximal_tail_empirical(
     for block in _iter_chunks(spec, length, trials, seed):
         walks = np.cumsum(block, axis=1)
         hits += int(np.count_nonzero(np.abs(walks).max(axis=1) > t))
-    return EmpiricalTail(threshold=t, frequency=hits / trials, trials=trials)
+    return EmpiricalTail(frequency=hits / trials, trials=trials)
 
 
 def etemadi_check(
@@ -84,7 +83,7 @@ def etemadi_check(
         walks = np.abs(np.cumsum(block, axis=1))
         lhs_hits += int(np.count_nonzero(walks.max(axis=1) >= 3.0 * a))
         per_step += np.count_nonzero(walks >= a, axis=0)
-    lhs = EmpiricalTail(threshold=3.0 * a, frequency=lhs_hits / trials, trials=trials)
+    lhs = EmpiricalTail(frequency=lhs_hits / trials, trials=trials)
     rhs = 3.0 * float(per_step.max()) / trials
     return lhs, rhs
 

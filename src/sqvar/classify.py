@@ -55,10 +55,6 @@ class ClassBreakdown:
     medium_len: int
     bad_len: int
 
-    @property
-    def total(self) -> float:
-        return self.good_sum + self.medium_sum + self.bad_sum
-
 
 def classify_partition(scored: VariationResult, params: ClassParams) -> ClassBreakdown:
     """Label each interval of a p = 2 score (an exact, blocked or

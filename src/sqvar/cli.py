@@ -75,8 +75,7 @@ def _cmd_compute(args) -> int:
     if len(x) == 0:
         raise ValueError("no numeric input values found")
     walk = prefix_sums(x)
-    with np.errstate(over="ignore"):  # an overflowing value raises ValueError instead
-        res = variation.p_variation_exact(walk, args.p)
+    res = variation.p_variation_exact(walk, args.p)
     print(res.to_json())
     return 0
 
@@ -308,6 +307,9 @@ def main(argv: list[str] | None = None) -> int:
         return IO_ERROR
     except ValueError as exc:
         print(f"sqvar: error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except MemoryError as exc:  # numpy's names the allocation it could not make
+        print(f"sqvar: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return USAGE_ERROR
 
 

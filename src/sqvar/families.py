@@ -48,16 +48,12 @@ class IntervalFamily:
     """One leveled family of pairwise-disjoint intervals per level."""
 
     scheme: str  # "F", "Fs", "H", or "L"
-    n: int
     levels: dict[int, tuple[RealInterval, ...]]
     shift_index: int = 0  # j for H families, i for L families
 
     def all_intervals(self):
         for lvl in sorted(self.levels):
             yield from self.levels[lvl]
-
-    def size(self) -> int:
-        return sum(len(v) for v in self.levels.values())
 
 
 def build_F_Fs(n: int) -> tuple[IntervalFamily, IntervalFamily]:
@@ -68,7 +64,7 @@ def build_F_Fs(n: int) -> tuple[IntervalFamily, IntervalFamily]:
     h0, h1 = build_H(1.0, n)
     top = float(1 << n)
     fs_levels = {i: tuple(iv for iv in ivs if iv.end <= top) for i, ivs in h1.levels.items()}
-    return replace(h0, scheme="F"), IntervalFamily(scheme="Fs", n=n, levels=fs_levels)
+    return replace(h0, scheme="F"), IntervalFamily(scheme="Fs", levels=fs_levels)
 
 
 def shift_count(epsilon_prime: float) -> int:
@@ -113,7 +109,7 @@ def build_H(epsilon_prime: float, n: int) -> list[IntervalFamily]:
                 ivs.append(RealInterval((c - 1) * ln + shift, c * ln + shift))
                 c += 1
             levels[i] = tuple(ivs)
-        fams.append(IntervalFamily(scheme="H", n=n, levels=levels, shift_index=j))
+        fams.append(IntervalFamily(scheme="H", levels=levels, shift_index=j))
     return fams
 
 
@@ -174,7 +170,7 @@ def build_L(s: int, c_copies: int, k_max: int | None = None) -> list[IntervalFam
             iv = l_interval(s, c_copies, i, k)
             if iv is not None:
                 levels[k] = (RealInterval(float(iv[0]), float(iv[1])),)
-        fams.append(IntervalFamily(scheme="L", n=k_max, levels=levels, shift_index=i))
+        fams.append(IntervalFamily(scheme="L", levels=levels, shift_index=i))
     return fams
 
 

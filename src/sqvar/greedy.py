@@ -84,22 +84,6 @@ def best_two_cut(walk: PrefixSums, j: int, window: int) -> TwoCut:
     return TwoCut(i1=i1, i2=i2, value=float(row_best[i2 - 1]), rate=rate)
 
 
-def best_two_cut_bruteforce(walk: PrefixSums, j: int, window: int) -> TwoCut:
-    """O(window^2) oracle scanning i2 ascending, then i1 ascending."""
-    if j < 0 or window < 1 or j + window > walk.n:
-        raise ValueError("window must satisfy 0 <= j and j + window <= N")
-    s = walk.values[j : j + window + 1]
-    a = s[0]
-    v = s[1:]
-    mid = v[:, None]
-    table = (mid - a) ** 2 + (v[None, :] - mid) ** 2  # [i1-1, i2-1]
-    table = np.where(np.tril(np.ones_like(table), 0) > 0, table.T, -np.inf)
-    flat = int(np.argmax(table))  # row-major: first max has smallest i2 then i1
-    i2, i1 = divmod(flat, window)
-    rate = float((table.max(axis=1) / np.arange(1, window + 1)).max())
-    return TwoCut(i1=i1 + 1, i2=i2 + 1, value=float(table[i2, i1]), rate=rate)
-
-
 def a_event_holds(walk: PrefixSums, j: int, window: int, n_ref: int, epsilon3: float) -> bool:
     """True when every normalized two-cut payoff in the window stays below
     2 (1 - eps3) lnln(n_ref); the greedy walk then settles for a singleton."""
@@ -133,6 +117,7 @@ def select_cover_intervals(n_total: int, s: int, c_copies: int) -> list[tuple[in
     return out
 
 
+@np.errstate(over="ignore")  # partition_value refuses what overflows here
 def greedy_partition(walk: PrefixSums, params: GreedyParams) -> VariationResult:
     """Lower-bound partition from the cover chain plus local two-cut search.
 

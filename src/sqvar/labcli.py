@@ -90,25 +90,32 @@ def _norm(n: int, sigma: float) -> float:
 def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord:
     """One grid cell: sample, run the requested algorithms, classify."""
     seed = mix_seed(config.master_seed, n, trial_index)
-    samples = sample_sequence(config.spec, n, seed)
-    walk = prefix_sums(samples)
-    sn = float(np.sum(samples)) ** 2
-    del samples  # the walk is the only N-sized array the kernels below need
-    denom = _norm(n, config.spec.sigma) if n >= 16 else None
+    try:
+        samples = sample_sequence(config.spec, n, seed)
+        walk = prefix_sums(samples)
+        try:  # Python's float ** raises where numpy's gives inf
+            sn = float(np.sum(samples)) ** 2
+        except OverflowError:
+            raise ValueError("s_n_sq overflows float64") from None
+        del samples  # the walk is the only N-sized array the kernels below need
+        denom = _norm(n, config.spec.sigma) if n >= 16 else None
 
-    exact = blocked = dyadic = greedy_v = scored = None  # scored: exact, else blocked
-    if "exact" in config.algorithms:
-        scored = variation.sq_variation_exact(walk)
-        exact = scored.value
-    if "blocked" in config.algorithms:
-        res = variation.sq_variation_blocked(walk, min(config.block, n))
-        blocked = res.value
-        if scored is None:
-            scored = res
-    if "dyadic_upper" in config.algorithms:
-        dyadic = variation.sq_variation_upper_dyadic(walk)
-    if "greedy" in config.algorithms:
-        greedy_v = greedy.greedy_partition(walk, config.greedy_params).value
+        exact = blocked = dyadic = greedy_v = scored = None  # scored: exact, else blocked
+        if "exact" in config.algorithms:
+            scored = variation.sq_variation_exact(walk)
+            exact = scored.value
+        if "blocked" in config.algorithms:
+            res = variation.sq_variation_blocked(walk, min(config.block, n))
+            blocked = res.value
+            if scored is None:
+                scored = res
+        if "dyadic_upper" in config.algorithms:
+            dyadic = variation.sq_variation_upper_dyadic(walk)
+        if "greedy" in config.algorithms:
+            greedy_v = greedy.greedy_partition(walk, config.greedy_params).value
+    except ValueError as exc:
+        raise ValueError(f"trial (spec={config.spec.to_string()}, n={n}, trial={trial_index}, "
+                         f"seed={seed}): {exc}") from None
 
     lows = [v for v in (exact, blocked, greedy_v, sn) if v is not None]
     highs = [v for v in (exact, dyadic) if v is not None]
@@ -206,6 +213,8 @@ def records_from_csv(text: str) -> list[TrialRecord]:
             except ValueError:
                 raise ValueError(f"records line {k} column {col!r} is not a number: "
                                  f"{raw!r}") from None
+            if isinstance(kwargs[col], float) and not math.isfinite(kwargs[col]):
+                raise ValueError(f"records line {k} column {col!r} is not finite: {raw!r}")
         out.append(TrialRecord(**kwargs))
     return out
 

@@ -62,6 +62,7 @@ def _power(d: np.ndarray, p: float) -> np.ndarray:
     return d * d if p == 2.0 else np.abs(d) ** p
 
 
+@np.errstate(over="ignore")  # an overflowing value is refused below, by name
 def partition_value(walk: PrefixSums, partition: Partition, p: float = 2.0) -> VariationResult:
     """Evaluate sum of |S_I|^p over a given partition's intervals.
 
@@ -82,6 +83,7 @@ def partition_value(walk: PrefixSums, partition: Partition, p: float = 2.0) -> V
 _DP_LONG = 1 << 8  # a chain with more candidates is scored in one numpy call
 
 
+@np.errstate(over="ignore")  # partition_value refuses what overflows here
 def _dp_breakpoints(a: np.ndarray, p: float) -> np.ndarray:
     """Breakpoints, as indices into the walk a, maximizing sum |a_j - a_i|^p.
 
@@ -222,38 +224,9 @@ def sq_variation_blocked(walk: PrefixSums, block: int) -> VariationResult:
     return partition_value(walk, part, 2.0)
 
 
-_BF_CAP = 22
-
-
-def sq_variation_bruteforce(walk: PrefixSums, p: float = 2.0) -> float:
-    """Independent oracle: enumerate all 2^(N-1) breakpoint subsets."""
-    n = walk.n
-    if n > _BF_CAP:
-        raise ValueError(f"brute force limited to N <= {_BF_CAP}")
-    s = walk.values
-    best = -np.inf
-    chunk = 1 << 16
-    total = 1 << (n - 1)
-    for base in range(0, total, chunk):
-        masks = np.arange(base, min(base + chunk, total), dtype=np.uint64)
-        m = len(masks)
-        cuts = np.ones((m, n + 1), dtype=bool)
-        for k in range(1, n):
-            cuts[:, k] = (masks >> np.uint64(k - 1)) & np.uint64(1)
-        idx = np.where(cuts, np.arange(n + 1, dtype=np.int64), 0)
-        prev = np.maximum.accumulate(idx, axis=1)
-        diffs = s[np.arange(1, n + 1)][None, :] - s[prev[:, :-1]]
-        if p == 2.0:
-            vals = diffs * diffs
-        else:
-            vals = np.abs(diffs) ** p
-        vals = np.where(cuts[:, 1:], vals, 0.0)
-        best = max(best, float(vals.sum(axis=1).max()))
-    return best
-
-
 # --- certified upper bound over the dyadic family ---------------------------
 
+@np.errstate(over="ignore")  # an overflowing bound is refused below, by name
 def sq_variation_upper_dyadic(walk: PrefixSums) -> float:
     """Certified upper bound 12 * sum of per-interval prefix maxima.
 

@@ -48,7 +48,7 @@ def test_partition_conservation():
         seq = sample_sequence(DistributionSpec("gaussian"), 256, trial)
         res = sq_variation_exact(prefix_sums(seq))
         br = classify_partition(res, ClassParams(0.1, 8.0, 256))
-        assert br.total == pytest.approx(res.value, rel=1e-9)
+        assert br.good_sum + br.medium_sum + br.bad_sum == pytest.approx(res.value, rel=1e-9)
         assert br.good_len + br.medium_len + br.bad_len == 256
 
 

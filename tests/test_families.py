@@ -22,18 +22,18 @@ from sqvar.families import (
 
 def test_F_Fs_counts():
     f, fs = build_F_Fs(2)
-    assert f.size() == 7  # 4 + 2 + 1
+    assert sum(map(len, f.levels.values())) == 7  # 4 + 2 + 1
     assert [iv for iv in fs.all_intervals()] == [RealInterval(1.0, 3.0)]
     f, fs = build_F_Fs(3)
-    assert f.size() == 15
-    assert fs.size() == 4  # 3 + 1
+    assert sum(map(len, f.levels.values())) == 15
+    assert sum(map(len, fs.levels.values())) == 4  # 3 + 1
     f, fs = build_F_Fs(1)
-    assert fs.size() == 0  # level range 1..0 empty
+    assert sum(map(len, fs.levels.values())) == 0  # level range 1..0 empty
     # closed forms at larger n
     for n in range(1, 10):
         f, fs = build_F_Fs(n)
-        assert f.size() == (1 << (n + 1)) - 1
-        assert fs.size() == sum((1 << (n - i)) - 1 for i in range(1, n))
+        assert sum(map(len, f.levels.values())) == (1 << (n + 1)) - 1
+        assert sum(map(len, fs.levels.values())) == sum((1 << (n - i)) - 1 for i in range(1, n))
 
 
 def test_F_level_shapes():
@@ -214,7 +214,7 @@ def test_L_one_interval_per_size_and_disjoint():
 
 def test_L_overlap_across_sizes_counted():
     # each L level holds one interval, so only a count across sizes can fail
-    fam = IntervalFamily(scheme="L", n=1, shift_index=1,
+    fam = IntervalFamily(scheme="L", shift_index=1,
                          levels={0: (RealInterval(0.0, 1.0),), 1: (RealInterval(0.5, 2.5),)})
     assert check_family_disjoint(fam) == {"scheme": "L", "shift": 1, "overlaps": 1}
 

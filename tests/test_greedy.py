@@ -11,12 +11,13 @@ from sqvar.greedy import (
     GreedyParams,
     a_event_holds,
     best_two_cut,
-    best_two_cut_bruteforce,
     greedy_partition,
     select_cover_intervals,
 )
 from sqvar.seqcore import DistributionSpec, prefix_sums, sample_sequence
 from sqvar.variation import sq_variation_exact
+
+from oracles import best_two_cut_bruteforce
 
 PARAMS = GreedyParams(s=2, c_copies=4, alpha=0.25, epsilon3=0.5)
 

@@ -470,7 +470,15 @@ def test_cli_simulate_config_missing(tmp_path, capsys, edit, named):
     (",".join(CSV_COLUMNS) + "\n" + ",".join(["0", "64", "1", "1e3x"]
                                              + [""] * (len(CSV_COLUMNS) - 4)) + "\n",
      "line 2 column 'v2_exact' is not a number: '1e3x'"),
-], ids=["empty", "blank", "short-row", "long-row", "non-numeric-int", "non-numeric-float"])
+    (",".join(CSV_COLUMNS) + "\n" + ",".join(["0", "64", "1", "9", "", "", "", "nan"]
+                                             + [""] * (len(CSV_COLUMNS) - 8)) + "\n",
+     "line 2 column 'ratio' is not finite: 'nan'"),
+    (",".join(CSV_COLUMNS) + "".join(
+        "\n" + ",".join(["0", "64", "1", "9", "", "", "", ratio] + [""] * (len(CSV_COLUMNS) - 8))
+        for ratio in ("0.5", "inf")) + "\n",
+     "line 3 column 'ratio' is not finite: 'inf'"),
+], ids=["empty", "blank", "short-row", "long-row", "non-numeric-int", "non-numeric-float",
+        "nan-ratio", "inf-ratio"])
 def test_records_csv_malformed(tmp_path, capsys, text, where):
     with pytest.raises(ValueError, match=where):
         records_from_csv(text)
@@ -650,6 +658,78 @@ def test_cli_compute_skips_one_header_token(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(bom_led))
     assert cli.main(["compute", "--input", "-"]) == 0
     assert json.loads(capsys.readouterr().out)["value"] == 16.25
+
+
+def _overflow_config(tmp_path, sigma: str, algorithms: str):
+    ini = tmp_path / "exp.ini"
+    ini.write_text(f"[experiment]\nspec = gaussian:sigma={sigma}\nn_grid = 64\ntrials = 1\n"
+                   f"algorithms = {algorithms}\noutput = {tmp_path / 'r.csv'}\n\n[greedy]\n")
+    return ini
+
+
+@pytest.mark.parametrize("algorithms", ["exact", "blocked", "dyadic_upper", "greedy"])
+def test_cli_simulate_s_n_sq_overflow_names_the_trial(tmp_path, capsys, algorithms):
+    # S_N^2 overflows before any kernel runs; a ValueError from inside a trial
+    # names what replays it
+    ini = _overflow_config(tmp_path, "1e160", algorithms)
+    assert cli.main(["simulate", "--config", str(ini)]) == 1
+    assert capsys.readouterr().err == (
+        f"sqvar: error: trial (spec=gaussian:sigma=1e+160, n=64, trial=0, "
+        f"seed={mix_seed(0, 64, 0)}): s_n_sq overflows float64\n")
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("algorithms,refused", [
+    ("exact, greedy", "variation value overflows float64 (p=2)"),
+    ("blocked", "variation value overflows float64 (p=2)"),
+    ("greedy", "variation value overflows float64 (p=2)"),
+    ("dyadic_upper", "dyadic upper bound overflows float64"),
+], ids=["exact-greedy", "blocked", "greedy", "dyadic_upper"])
+def test_cli_simulate_overflow_refused_without_warning(tmp_path, capsys, algorithms, refused):
+    ini = _overflow_config(tmp_path, "1e154", algorithms)
+    assert cli.main(["simulate", "--config", str(ini)]) == 1
+    assert capsys.readouterr().err == (
+        f"sqvar: error: trial (spec=gaussian:sigma=1e+154, n=64, trial=0, "
+        f"seed={mix_seed(0, 64, 0)}): {refused}\n")
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_greedy_and_compute_overflow_refused_without_warning(tmp_path, capsys):
+    # compute: short record chains at p = 2 and p = 3, and a zigzag 2, -1 whose
+    # chains grow past _DP_LONG, so that numpy scores them
+    path = tmp_path / "x.csv"
+    runs = [(["greedy", "--n", "64", "--spec", "gaussian:sigma=1e160"], None, "2"),
+            (["compute", "--input", str(path)], "1e200, 1e200, -1e200", "2"),
+            (["compute", "--input", str(path), "--p", "3"], "1e120, -1e120, 1e120", "3"),
+            (["compute", "--input", str(path)], "2e153, -1e153, " * 600, "2")]
+    for argv, text, p in runs:
+        if text:
+            path.write_text(text)
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"sqvar: error: variation value overflows float64 (p={p})\n"
+
+
+def test_cli_memory_error_is_one_line(tmp_path, capsys, monkeypatch):
+    # numpy's MemoryError names the allocation; a bare one says what failed.
+    # sample_sequence raises in place of allocating 728 TiB
+    ini = tmp_path / "exp.ini"
+    ini.write_text(CONFIG_TEXT.format(out=tmp_path / "r.csv")
+                   .replace("n_grid = 64, 128", "n_grid = 100000000000000"))
+    runs = [(["greedy", "--n", "100000000000000"], "Unable to allocate 728. TiB"),
+            (["simulate", "--config", str(ini)], "")]
+    for argv, message in runs:
+        def no_memory(*args, message=message):
+            raise MemoryError(message)
+        monkeypatch.setattr(cli, "sample_sequence", no_memory)
+        monkeypatch.setattr(labcli, "sample_sequence", no_memory)
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"sqvar: error: {message or 'out of memory'}\n"
+    assert not (tmp_path / "r.csv").exists()
 
 
 def test_cli_bounds_etemadi_no_trials(capsys):

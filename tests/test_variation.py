@@ -17,10 +17,11 @@ from sqvar.variation import (
     p_variation_exact,
     partition_value,
     sq_variation_blocked,
-    sq_variation_bruteforce,
     sq_variation_exact,
     sq_variation_upper_dyadic,
 )
+
+from oracles import sq_variation_bruteforce
 
 KINDS = [
     DistributionSpec("rademacher"),
