@@ -32,10 +32,10 @@ def bernstein_maximal_bound(t: float, sum_var: float, m_bound: float) -> float:
     """P[max_l |S_l| > t] <= 2 exp(-(t^2/2) / (sum_var + M t / 3)), capped at 1,
     for a threshold t, the total variance sum_var of the partial sum and an
     a.s. bound M = m_bound on each summand; a ValueError names any of them
-    that is not > 0 (NaN included)."""
+    that is not finite and > 0."""
     for name, value in (("t", t), ("sum_var", sum_var), ("m_bound", m_bound)):
-        if not value > 0:
-            raise ValueError(f"bernstein bound needs {name} > 0, got {value!r}")
+        if not 0 < value < math.inf:
+            raise ValueError(f"bernstein bound needs finite {name} > 0, got {value!r}")
     expo = -(t * t / 2.0) / (sum_var + m_bound * t / 3.0)
     return min(1.0, 2.0 * math.exp(expo))
 

@@ -189,7 +189,11 @@ def _cmd_bounds(args) -> int:
             if not math.isfinite(m):
                 raise ValueError("bernstein comparison needs a bounded spec")
             emp = bounds.maximal_tail_empirical(spec, length, t, args.trials, seed)
-            bd = bounds.bernstein_maximal_bound(t, length * spec.sigma**2, m)
+            try:  # Python's float ** raises where numpy's gives inf
+                sum_var = length * spec.sigma**2
+            except OverflowError:
+                sum_var = math.inf  # refused by name in the bound
+            bd = bounds.bernstein_maximal_bound(t, sum_var, m)
             ok = emp.frequency <= bd + 3.0 * emp.std_err
             row = (t, emp.frequency, bd, emp.std_err, ok)
         elif args.check == "etemadi":

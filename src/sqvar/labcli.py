@@ -84,7 +84,10 @@ _INT_COLUMNS = {"trial_index", "n", "seed", "good_len", "medium_len", "bad_len"}
 
 
 def _norm(n: int, sigma: float) -> float:
-    return 2.0 * sigma * sigma * n * math.log(math.log(n))
+    norm = 2.0 * sigma * sigma * n * math.log(math.log(n))
+    if not math.isfinite(norm):  # every ratio would read 0
+        raise ValueError("normalization 2 sigma^2 n lnln n overflows float64")
+    return norm
 
 
 def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord:
@@ -98,7 +101,6 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
         except OverflowError:
             raise ValueError("s_n_sq overflows float64") from None
         del samples  # the walk is the only N-sized array the kernels below need
-        denom = _norm(n, config.spec.sigma) if n >= 16 else None
 
         exact = blocked = dyadic = greedy_v = scored = None  # scored: exact, else blocked
         if "exact" in config.algorithms:
@@ -113,6 +115,7 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
             dyadic = variation.sq_variation_upper_dyadic(walk)
         if "greedy" in config.algorithms:
             greedy_v = greedy.greedy_partition(walk, config.greedy_params).value
+        denom = _norm(n, config.spec.sigma) if n >= 16 else None
     except ValueError as exc:
         raise ValueError(f"trial (spec={config.spec.to_string()}, n={n}, trial={trial_index}, "
                          f"seed={seed}): {exc}") from None

@@ -222,25 +222,23 @@ def _bisect(target: np.ndarray) -> np.ndarray:
 
 
 def _walk_to_crossing(bits: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Move each L (bits is its int64 view, changed in place) one float at a
-    time until above(L) is false and above(H) is true, H the float after L.
+    """Step each L of the chunk (bits is its int64 view, changed in place) one
+    float down where above(L) is true and up where above(H) is false, H the
+    float after L, until no element moves, at most _WALK_STEPS times.
 
     Positive floats order as their bit patterns, so +-1 on bits is one float.
-    Returns the mask of the elements that got there in _WALK_STEPS moves.
+    An element that does not move is at its crossing, and stays there.
+    Returns the mask of the elements that did not move in the last step.
     """
-    walking = np.arange(len(bits))
     for _ in range(_WALK_STEPS):
-        b, t = bits[walking], target[walking]
-        down = _above(b.view(np.float64), t)
-        up = ~down & ~_above((b + 1).view(np.float64), t)
+        down = _above(bits.view(np.float64), target)
+        up = ~down & ~_above((bits + 1).view(np.float64), target)
         moves = down | up
-        walking = walking[moves]
-        if not len(walking):
+        if not moves.any():
             break
-        bits[walking] = (b + up - down)[moves]
-    settled = np.ones(len(bits), dtype=bool)
-    settled[walking] = False  # moved last, so not yet checked
-    return settled
+        bits += up
+        bits -= down
+    return ~moves
 
 
 def _certified(bits: np.ndarray, target: np.ndarray) -> np.ndarray:

@@ -114,35 +114,36 @@ def _dp_breakpoints(a: np.ndarray, p: float) -> np.ndarray:
     short (about 8 candidates per turning point at N = 1e6, Gaussian) and the
     time is near-linear; on a walk with drift the chains grow with N and the
     time is O(N^2), each long chain scored in one numpy call as the full DP
-    scores a row. Memory is O(N): the two stacks, their numpy copies and the
-    per-point scores.
+    scores a row. Memory is O(N), the values, scores and stacks of the turning
+    points and their numpy copies: 89-96 bytes per point at N = 2^16 ... 2^20.
     """
     step = np.sign(np.diff(a))  # turn: a strict step in, another step out
     turns = np.flatnonzero((step[:-1] != 0) & (step[1:] != step[:-1])) + 1
     idx = np.concatenate(([0], turns, [len(a) - 1]))
+    del step, turns  # through the loop only per-turning-point state is held
     # The suffix recurrence on the turning points c is a prefix recurrence on
     # b = c reversed: point q of b is point m - q of c, and the candidates of
     # q are the end (q' = 0) and a record chain of b to the left of q.
     b = a[idx[::-1]]
     vals = b.tolist()
     m = len(vals) - 1
+    vals += (-math.inf, math.inf)  # vals[-2], vals[-1]: under lows, highs
     g, cnt, prev = [0.0] * (m + 1), [0] * (m + 1), [0] * (m + 1)
     square = p == 2.0
 
     # scanning rightwards, after the pops `highs` holds the strict running-
     # maximum records of b left of q, read leftwards from q, and `lows` the
     # strict running-minimum ones, nearest (the previous greater and the
-    # previous smaller point) on top. The end q' = 0 stays at the bottom of
-    # both, as +inf in hval and -inf in lval, the values the pops compare; it
-    # lies left of every stop, so it is never a record. Adjacent turning points
-    # differ but for the end and its neighbour, so each q > 1 rises or falls
-    # from q - 1: a rise pops `highs` only and takes its chain from `lows`,
-    # whose top is q - 1, a fall the other way round. A point is pushed only
-    # onto the stack that the next point does not pop it from. A long chain is
-    # scored from numpy copies hm, lm of the stacks and gn, cn of g, cnt
-    # (current below `done`), which are brought up to date only then.
-    highs, lows = [0], [0]
-    hval, lval = [math.inf, *vals[1:], math.inf], [-math.inf, *vals[1:]]
+    # previous smaller point) on top, above the sentinels -1 and -2 (vals +inf,
+    # -inf): no pop passes them, the bisection skips them and, as a stop, they
+    # lie left of every point; the end q' = 0 is scored on its own. Adjacent
+    # turning points differ but for the end and its neighbour, so each q > 1
+    # rises or falls from q - 1: a rise pops `highs` only and takes its chain
+    # from `lows`, whose top is q - 1, a fall the other way round. A point is
+    # pushed only onto the stack that the next point does not pop it from. A
+    # long chain is scored from numpy copies hm, lm of the stacks and gn, cn of
+    # g, cnt (current below `done`), which are brought up to date only then.
+    highs, lows = [-1], [-2]
     rise, end = vals[1] > vals[0], vals[0]
     hm, lm = np.zeros(m + 1, dtype=np.int64), np.zeros(m + 1, dtype=np.int64)
     gn, cn = np.zeros(m + 1), np.zeros(m + 1, dtype=np.int64)
@@ -150,14 +151,14 @@ def _dp_breakpoints(a: np.ndarray, p: float) -> np.ndarray:
     for q in range(1, m + 1):
         v = vals[q]
         if rise:
-            while hval[highs[-1]] <= v:
+            while vals[highs[-1]] <= v:
                 highs.pop()
             chain, stop = lows, highs[-1]
         else:
-            while lval[lows[-1]] >= v:
+            while vals[lows[-1]] >= v:
                 lows.pop()
             chain, stop = highs, lows[-1]
-        pos = bisect_right(chain, stop)  # chain[pos:] lies right of stop
+        pos = bisect_right(chain, stop, 1)  # chain[pos:] lies right of stop
         n = len(chain)
         if n - pos <= _DP_LONG:  # the end q' = 0, then the chain from the farthest up
             d = end - v
@@ -182,7 +183,7 @@ def _dp_breakpoints(a: np.ndarray, p: float) -> np.ndarray:
             ok, cj = w == best, cn[js]
             fewest = cj[ok].min()
             g[q], cnt[q], prev[q] = float(best), int(fewest) + 1, int(js[ok & (cj == fewest)].max())
-        rise = hval[q + 1] > v
+        rise = vals[q + 1] > v
         (lows if rise else highs).append(q)
 
     bps = [m]

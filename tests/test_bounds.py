@@ -33,6 +33,14 @@ def test_bernstein_closed_form():
             bernstein_maximal_bound(*args)
 
 
+def test_bernstein_refuses_non_finite_arguments():
+    for args, named in (((math.inf, 1.0, 1.0), "finite t > 0, got inf"),
+                        ((1.0, math.inf, 1.0), "finite sum_var > 0, got inf"),
+                        ((1.0, 1.0, math.inf), "finite m_bound > 0, got inf")):
+        with pytest.raises(ValueError, match=named):
+            bernstein_maximal_bound(*args)
+
+
 def test_bernstein_monotonicity():
     vals = [bernstein_maximal_bound(t, 50.0, 2.0) for t in (5, 10, 20, 40)]
     assert vals == sorted(vals, reverse=True)

@@ -712,6 +712,37 @@ def test_cli_greedy_and_compute_overflow_refused_without_warning(tmp_path, capsy
         assert captured.err == f"sqvar: error: variation value overflows float64 (p={p})\n"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("algorithms", ["exact", "blocked", "greedy"])
+def test_cli_simulate_norm_overflow_names_the_trial(tmp_path, capsys, algorithms):
+    # the kernels' values are finite at sigma = 1e153, but 2 sigma^2 n lnln n
+    # is not, and every ratio column would read 0
+    ini = _overflow_config(tmp_path, "1e153", algorithms)
+    assert cli.main(["simulate", "--config", str(ini)]) == 1
+    assert capsys.readouterr().err == (
+        f"sqvar: error: trial (spec=gaussian:sigma=1e+153, n=64, trial=0, "
+        f"seed={mix_seed(0, 64, 0)}): normalization 2 sigma^2 n lnln n overflows float64\n")
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_greedy_norm_overflow_refused(capsys):
+    assert cli.main(["greedy", "--n", "64", "--spec", "gaussian:sigma=1e153"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "sqvar: error: normalization 2 sigma^2 n lnln n overflows float64\n"
+
+
+def test_cli_bounds_bernstein_variance_overflow_refused(capsys):
+    # sigma^2 overflows in Python's float ** before the bound sees it
+    argv = ["bounds", "--check", "bernstein", "--spec", "rademacher:sigma=1e200",
+            "--trials", "100"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "sqvar: error: bernstein bound needs finite sum_var > 0, got inf\n"
+
+
 def test_cli_memory_error_is_one_line(tmp_path, capsys, monkeypatch):
     # numpy's MemoryError names the allocation; a bare one says what failed.
     # sample_sequence raises in place of allocating 728 TiB

@@ -181,6 +181,28 @@ def test_logtail_quantile_falls_back_where_the_walk_fails(monkeypatch, newton, w
     assert bisected and 0 < bisected[0] <= 4096
 
 
+def test_walk_to_crossing_reports_the_last_movers(monkeypatch):
+    # one chunk of elements k = -6 ... 6 floats from their crossing L (above
+    # false at L, true at the float after it): after s steps each sits
+    # max(|k| - s, 0) floats out, and one that moved in step s is unsettled
+    u = 1.0 - np.random.default_rng(48).random(64)
+    target = np.repeat(1.0 / np.sqrt(u), 13)
+    crossing = seqcore._bisect(target).view(np.int64).copy()
+    # the midpoint rounds to L or to the float after it
+    crossing -= seqcore._above(crossing.view(np.float64), target)
+    assert not seqcore._above(crossing.view(np.float64), target).any()
+    assert seqcore._above((crossing + 1).view(np.float64), target).all()
+    assert seqcore._certified(crossing, target).all()  # no other crossing near
+    k = np.tile(np.arange(-6, 7), 64)
+    for steps in range(1, 8):
+        monkeypatch.setattr(seqcore, "_WALK_STEPS", steps)
+        bits = crossing + k
+        settled = seqcore._walk_to_crossing(bits, target)
+        np.testing.assert_array_equal(bits - crossing,
+                                      np.sign(k) * np.maximum(abs(k) - steps, 0))
+        np.testing.assert_array_equal(settled, abs(k) < steps)
+
+
 def test_logtail_quantile_needs_no_bisection_on_draws(monkeypatch):
     bisected = _counting_bisect(monkeypatch)
     _assert_quantile_exact(1.0 - np.random.default_rng(46).random(1 << 16))

@@ -576,3 +576,19 @@ def test_dyadic_upper_holds_little_beside_the_walk():
     finally:
         tracemalloc.stop()
     assert peak <= 1.6 * (n + 1) * 8
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "rademacher"])
+def test_dp_holds_at_most_100_bytes_per_point(kind):
+    # the per-turning-point lists and numpy mirrors, with the N-sized step
+    # signs freed before the loop; the stacks carry no value copies
+    n = 1 << 16
+    a = prefix_sums(sample_sequence(DistributionSpec(kind), n, 7)).values
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _dp_breakpoints(a, 2.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100 * n
