@@ -228,7 +228,8 @@ def _cmd_greedy(args) -> int:
         raise ValueError("--n must be >= 16, the smallest n the lab normalizes "
                          "by 2 sigma^2 n lnln n")
     spec = DistributionSpec.from_string(args.spec)
-    walk = prefix_sums(sample_sequence(spec, args.n, args.seed))
+    buf = np.empty(args.n + 1)  # the samples, in buf[1:], then the walk
+    walk = prefix_sums(sample_sequence(spec, args.n, args.seed, out=buf[1:]), out=buf)
     params = greedy.GreedyParams(s=args.s, c_copies=args.c, alpha=args.alpha,
                                  epsilon3=args.eps3)
     res = greedy.greedy_partition(walk, params)

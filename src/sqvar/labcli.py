@@ -13,6 +13,7 @@ import configparser
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -84,9 +85,13 @@ _INT_COLUMNS = {"trial_index", "n", "seed", "good_len", "medium_len", "bad_len"}
 
 
 def _norm(n: int, sigma: float) -> float:
-    norm = 2.0 * sigma * sigma * n * math.log(math.log(n))
+    """2 sigma^2 n lnln n, refused by name unless a positive normal float."""
+    twice_var = 2.0 * sigma * sigma
+    norm = twice_var * n * math.log(math.log(n))
     if not math.isfinite(norm):  # every ratio would read 0
         raise ValueError("normalization 2 sigma^2 n lnln n overflows float64")
+    if twice_var < sys.float_info.min:  # 0 or subnormal: no ratio, or one of lost bits
+        raise ValueError("normalization 2 sigma^2 n lnln n underflows float64")
     return norm
 
 
@@ -94,13 +99,15 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
     """One grid cell: sample, run the requested algorithms, classify."""
     seed = mix_seed(config.master_seed, n, trial_index)
     try:
-        samples = sample_sequence(config.spec, n, seed)
-        walk = prefix_sums(samples)
+        buf = np.empty(n + 1)  # the samples, in buf[1:], then the walk
+        samples = sample_sequence(config.spec, n, seed, out=buf[1:])
+        s_n = float(np.sum(samples))
+        walk = prefix_sums(samples, out=buf)  # consumes the samples
+        del samples, buf  # the walk is the only N-sized array the kernels below need
         try:  # Python's float ** raises where numpy's gives inf
-            sn = float(np.sum(samples)) ** 2
+            sn = s_n ** 2
         except OverflowError:
             raise ValueError("s_n_sq overflows float64") from None
-        del samples  # the walk is the only N-sized array the kernels below need
 
         exact = blocked = dyadic = greedy_v = scored = None  # scored: exact, else blocked
         if "exact" in config.algorithms:

@@ -321,24 +321,35 @@ def _rng_for(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed & _MASK64))
 
 
-def sample_sequence(spec: DistributionSpec, n: int, seed: int) -> np.ndarray:
+def sample_sequence(spec: DistributionSpec, n: int, seed: int,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Draw n i.i.d. samples under spec as a read-only array; deterministic in
-    (spec, n, seed)."""
+    (spec, n, seed).
+
+    out, if given, is a float64 array of n elements (a lab trial passes
+    buf[1:] of the buffer its walk will fill, see prefix_sums): the samples
+    are drawn into it, with the same bits, and it is returned read-only.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if out is not None and (out.shape != (n,) or out.dtype != np.float64):
+        raise ValueError(f"out must be a float64 array of n = {n} elements")
     rng = _rng_for(seed)
     s = spec.sigma
+    x = np.empty(n) if out is None else out
     if spec.kind == "gaussian":
-        x = rng.standard_normal(n) * s
+        rng.standard_normal(out=x)
+        x *= s
     elif spec.kind == "uniform_centered":
         a = s * math.sqrt(3.0)
-        x = rng.uniform(-a, a, size=n)
+        for i in range(0, n, _CHUNK):  # uniform takes no out: the same draws, a chunk at a time
+            x[i:i + _CHUNK] = rng.uniform(-a, a, size=min(_CHUNK, n - i))
     else:
         # |X| in place, then its sign: the stream holds all n magnitudes, then all n signs
         if spec.kind == "rademacher":
-            x = np.full(n, s)
+            x.fill(s)
         else:
-            x = rng.random(n)
+            rng.random(out=x)
             np.subtract(1.0, x, out=x)  # u in (0, 1]
             if spec.kind == "pareto_sym":
                 a = spec.tail_exponent
@@ -360,7 +371,14 @@ def sample_sequence(spec: DistributionSpec, n: int, seed: int) -> np.ndarray:
 _EXTENDED_CUTOFF = 1 << 20  # accumulate long sums in extended precision
 
 
-def prefix_sums(x) -> PrefixSums:
+def _refusal(sample: float, i: int) -> ValueError:
+    """The error for the first non-finite partial sum, S_{i+1}."""
+    if not math.isfinite(sample):
+        return ValueError(f"non-finite sample {sample} at index {i}")
+    return ValueError(f"partial sum overflows float64 at index {i}")
+
+
+def prefix_sums(x, out: np.ndarray | None = None) -> PrefixSums:
     """The walk S_0..S_N of a 1-d array-like of samples, S_0 = 0.
 
     The one place where samples become a walk: a caller builds it once per
@@ -368,21 +386,36 @@ def prefix_sums(x) -> PrefixSums:
     input and on a non-finite partial sum, which catches NaN/inf samples and
     overflow of the running sum alike.
 
+    out, if given, is a float64 array of N + 1 elements that becomes the
+    walk's values. It may hold the samples themselves as out[1:], as in a lab
+    trial (sample_sequence(..., out=buf[1:]), then prefix_sums(samples,
+    out=buf)): the walk then consumes them, a chunk at a time, so that one
+    N + 1 buffer holds first the samples and then the walk. Any other overlap
+    of x and out is refused.
+
     The sums are accumulated _CHUNK samples at a time, in long double from
     N = _EXTENDED_CUTOFF and in float64 below it, and each chunk is rounded
     straight into the walk. Every chunk after the first starts with the
     previous chunk's last partial sum as its element 0, and cumsum adds
     sequentially, so the walk has the bits of one cumsum of the whole input
     in the accumulator's dtype. (The first chunk has no carry: 0 + x would
-    turn a first sample of -0.0 into +0.0.) Beside the walk this holds
-    O(_CHUNK) memory and a boolean mask for the finiteness check.
+    turn a first sample of -0.0 into +0.0.) A chunk is checked before it
+    overwrites its samples: a NaN or inf sample, and in float64 an overflow,
+    makes its last partial sum non-finite. A long double sum that rounds to
+    an infinite float64 is found in the rounded chunk. Beside the walk this
+    holds O(_CHUNK) memory.
     """
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1 or len(arr) == 0:
         raise ValueError("expected a non-empty 1-d sample vector")
     n = len(arr)
-    out = np.empty(n + 1)
-    out[0] = 0.0
+    if out is None:
+        out = np.empty(n + 1)
+    elif out.shape != (n + 1,) or out.dtype != np.float64:
+        raise ValueError(f"out must be a float64 array of N + 1 = {n + 1} elements")
+    elif (np.may_share_memory(arr, out)
+          and (arr.ctypes.data, arr.strides) != (out[1:].ctypes.data, out.strides)):
+        raise ValueError("samples that share memory with out must be out[1:]")
     dtype = np.longdouble if n >= _EXTENDED_CUTOFF else np.float64
     acc = np.empty(min(n, _CHUNK) + 1, dtype=dtype)
     carry = 0  # acc[0] holds the carry from the second chunk on
@@ -392,13 +425,15 @@ def prefix_sums(x) -> PrefixSums:
             part = acc[:carry + m]
             part[carry:] = arr[i:i + m]
             np.cumsum(part, out=part)
-            out[i + 1:i + m + 1] = part[carry:]
+            if not math.isfinite(part[-1]):  # a NaN or inf stays to the chunk's end
+                k = int(np.argmin(np.isfinite(part[carry:].astype(np.float64))))
+                raise _refusal(arr[i + k], i + k)
+            chunk = out[i + 1:i + m + 1]
+            chunk[:] = part[carry:]
+            finite = np.isfinite(chunk)
+            if not finite.all():  # finite samples: a long double sum rounded to inf
+                raise _refusal(0.0, i + int(np.argmin(finite)))
             acc[0], carry = part[-1], 1
-    finite = np.isfinite(out)
-    if not finite.all():
-        i = int(np.argmin(finite)) - 1
-        if not math.isfinite(arr[i]):
-            raise ValueError(f"non-finite sample {arr[i]} at index {i}")
-        raise ValueError(f"partial sum overflows float64 at index {i}")
+    out[0] = 0.0
     out.setflags(write=False)
     return PrefixSums(values=out)

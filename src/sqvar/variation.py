@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqcore import PrefixSums
+from .seqcore import _CHUNK, PrefixSums
 
 
 @dataclass(frozen=True)
@@ -227,6 +227,78 @@ def sq_variation_blocked(walk: PrefixSums, block: int) -> VariationResult:
 
 # --- certified upper bound over the dyadic family ---------------------------
 
+_WHOLE = 1 << 16  # up to this P every level is built whole: slices would add calls
+_LOW = 8  # above _WHOLE, levels below this one are summed a slice of the walk at a time
+_CONTEXT = 8 << _LOW  # steps before a slice that its shifted terms reach back to
+
+
+def _pairwise(lo: int, hi: int, leaf):
+    """The sum of leaf(a, b) over the nodes [a, b) of [lo, hi) in np.sum's
+    pairwise order: a node of more than _CHUNK elements is split at half its
+    length rounded down to a multiple of 8, and its halves' sums are added.
+
+    numpy sums a contiguous float64 array this way at every node of more than
+    128 elements, so with leaf(a, b) = np.sum(x[a:b]) this is np.sum(x[lo:hi])
+    bit for bit (a test pins the rule). leaf may return an array of sums,
+    which are then added elementwise in the same order.
+    """
+    n = hi - lo
+    if n <= _CHUNK:
+        return leaf(lo, hi)
+    half = n // 2 - n // 2 % 8
+    return _pairwise(lo, lo + half, leaf) + _pairwise(lo + half, hi, leaf)
+
+
+# out is positional where numpy allows it: on the short top levels the
+# keyword's parsing costs more than the arithmetic.
+def _tilde_sum(hi, lo, starts, a, b):  # sum of max_k (S_{a+k} - S_a)^2 over a family
+    np.multiply(np.subtract(hi, starts, a), a, a)  # squared before b is
+    np.multiply(np.subtract(lo, starts, b), b, b)  # written: a may be b
+    return np.maximum(a, b, out=a).sum()
+
+
+def _levels(hi, lo, x, ext, first, last, count, buf):
+    """Level sums of one run of blocks: the aligned sums of levels 0 .. count-1
+    and the shifted sums of those of levels 1 .. count that have terms, and
+    (hi, lo) of level count.
+
+    Block j of level i has the max hi and min lo of the walk over its 2^i
+    steps and starts at x[j << i]; block j of level i + 1 is the union of
+    blocks 2j and 2j + 1, and shifted block j of level i + 1 that of blocks
+    2j + 1 and 2j + 2. The first ext >> i blocks of level i precede the run:
+    its shifted terms reach back 15 of them, its aligned terms do not. The
+    run's shifted terms are those of a run of the whole level moved 8 terms
+    to the left, less 8 at the level's start (first) and plus 7 at its end
+    (last). hi is lo at level 0 of the walk, which is read in place; every
+    later level is built in buf, of at least 1.5 len(hi) floats, in the half
+    that its parent does not occupy, and the parent is then squared in place.
+    """
+    aligned, shifted = [], []
+    halves = buf[:len(hi)], buf[len(hi):]  # level i + 1 is built in halves[i % 2]
+    for i in range(count):
+        h, e, m = 1 << i, ext >> i, len(hi) // 2
+        spare, starts = halves[i % 2], x[ext:len(hi) << i:h]
+        if hi is lo:  # the walk: its squared steps go to spare
+            d = np.subtract(hi[e:], starts, spare[:len(hi) - e])
+            aligned.append(np.multiply(d, d, d).sum())
+        c = m - e // 2 - (8 if first else 0) + (7 if last else 0)
+        if c > 0:  # the shifted level i + 1, from blocks of 2^i; none of one block
+            f = 1 if first else e - 15
+            a, b = spare[:c], spare[c:2 * c]
+            np.maximum(hi[f:f + 2 * c:2], hi[f + 1:f + 2 * c:2], out=a)
+            np.minimum(lo[f:f + 2 * c:2], lo[f + 1:f + 2 * c:2], out=b)
+            shifted.append(_tilde_sum(a, b, x[f * h:(f + 2 * c) * h:2 * h], a, b))
+        up_hi, up_lo = spare[:m], spare[m:2 * m]
+        np.maximum(hi[0::2], hi[1::2], out=up_hi)
+        np.minimum(lo[0::2], lo[1::2], out=up_lo)
+        if hi is not lo:  # level i, no longer needed, is consumed in place
+            if e:
+                hi, lo = hi[e:], lo[e:]
+            aligned.append(_tilde_sum(hi, lo, starts, hi, lo))
+        hi, lo = up_hi, up_lo
+    return aligned, shifted, hi, lo
+
+
 @np.errstate(over="ignore")  # an overflowing bound is refused below, by name
 def sq_variation_upper_dyadic(walk: PrefixSums) -> float:
     """Certified upper bound 12 * sum of per-interval prefix maxima.
@@ -240,54 +312,63 @@ def sq_variation_upper_dyadic(walk: PrefixSums) -> float:
 
     Level i holds the max and min of S over aligned blocks of 2^i steps, taken
     pairwise from level i-1, and a half-shifted level-i interval is the union
-    of aligned blocks 2j+1 and 2j+2 of level i-1. One streaming pass takes O(N)
-    time and adds the level sums aligned first, then shifted, each in
-    increasing i. With P = 2^ceil(log2 N), it holds beside the walk one buffer
-    of 1.5 P floats: level 0 is the extended walk itself and needs one P-sized
-    scratch, and each later level is built in the part of the buffer its
-    parent does not occupy, with its shifted family, before the parent is
-    squared in place. When N is not a power of two it also holds the extended
-    copy of P + 1 floats, so at N = 2^20 + 1 the peak is 40 MB on an 8 MB
-    walk; ROADMAP.md open item 10 would read the walk in place instead.
+    of aligned blocks 2j+1 and 2j+2 of level i-1. One order defines the
+    float: each level's terms are summed as np.sum sums one array of them,
+    and the level sums are added aligned first, then shifted, each in
+    increasing i. The time is O(N).
+
+    With P = 2^ceil(log2 N) up to _WHOLE, every level is built whole from the
+    walk (padded with S_N) in one buffer of 1.5 P floats; see _levels. Above
+    _WHOLE the walk is read in place a _CHUNK-step slice at a time (the slice
+    that reaches past N is a copy with the tail S_N, and a slice wholly past
+    N adds zeros). Each slice builds levels 0 .. _LOW - 1 of its steps, sums
+    its share of their aligned and shifted terms, and leaves its blocks of
+    level _LOW, from which the levels above are built whole. _pairwise adds
+    the slices' sums in np.sum's order, numpy's pairwise summation: a run of
+    more than 128 terms is split at half its length rounded down to a
+    multiple of 8. On the P / 2^i terms of aligned level i that splits at the
+    slice boundaries, each slice's share being _CHUNK / 2^i >= 128 terms; on
+    the P / 2^i - 1 terms of a shifted level it splits at the same boundaries
+    moved 8 terms to the left, so each slice also reads the 8 << _LOW steps
+    before it. Beside the walk this holds O(_CHUNK + P / 2^_LOW) floats: 0.5
+    MB at N = 2^20 and 1.0 MB at 2^20 + 1, on an 8 MB walk. If numpy changes
+    its summation rule, test_np_sum_is_the_pairwise_rule fails.
     """
-    n = walk.n
+    n, s = walk.n, walk.values
     npow = 1 << max(0, (n - 1).bit_length())
-    s = walk.values
-    if npow != n:
-        s = np.concatenate([s, np.full(npow - n, s[-1])])
     nlev = npow.bit_length() - 1
+    if npow <= _WHOLE:  # every level whole, from the walk
+        buf = np.empty(3 * npow // 2)
+        x = s if n == npow else np.concatenate((s, np.full(npow - n, s[n])))
+        steps = x[1:]
+        aligned, shifted, hi, lo = _levels(steps, steps, x, 0, True, True, nlev, buf)
+    else:
+        buf = np.empty(3 * (_CHUNK + _CONTEXT) // 2)
+        base_hi, base_lo = np.empty(npow >> _LOW), np.empty(npow >> _LOW)
 
-    # out is positional where numpy allows it: on the short top levels the
-    # keyword's parsing costs more than the arithmetic.
-    def tilde_sum(hi, lo, starts, a, b):  # sum of max_k (S_{a+k} - S_a)^2 over a family
-        np.multiply(np.subtract(hi, starts, a), a, a)  # squared before b is
-        np.multiply(np.subtract(lo, starts, b), b, b)  # written: a may be b
-        return float(np.maximum(a, b, out=a).sum())
+        def leaf(a, b):  # the sums of levels below _LOW over steps a .. b - 1
+            ext, out = min(a, _CONTEXT), slice(a >> _LOW, b >> _LOW)
+            if a - ext >= n:  # every block is the point S_N: every term is 0
+                base_hi[out] = base_lo[out] = s[n]
+                return np.zeros(2 * _LOW)
+            x = s[a - ext:b + 1] if b <= n else np.concatenate((s[a - ext:], np.full(b - n, s[n])))
+            steps = x[1:]
+            aligned, shifted, hi, lo = _levels(steps, steps, x, ext, a == 0, b == npow, _LOW, buf)
+            base_hi[out], base_lo[out] = hi[ext >> _LOW:], lo[ext >> _LOW:]
+            return np.array(aligned + shifted)
 
-    buf = np.empty(npow + npow // 2)
-    halves = buf[:npow], buf[npow:]  # level i + 1 is built in halves[i % 2]
-    hi = lo = s[1:]
-    total = tilde_sum(hi, lo, s[0:npow], halves[0], halves[0])  # hi is lo: one buffer
-    shifted = []
-    for i in range(nlev):
-        spare, m = halves[i % 2], len(hi) // 2
-        if i + 1 < nlev:  # the shifted level i + 1, from blocks of 2^i
-            h = 1 << i
-            a, b = spare[:m - 1], spare[m - 1:2 * m - 2]
-            np.maximum(hi[1:-1:2], hi[2::2], out=a)
-            np.minimum(lo[1:-1:2], lo[2::2], out=b)
-            shifted.append(tilde_sum(a, b, s[h:npow - h:2 * h], a, b))
-        up_hi, up_lo = spare[:m], spare[m:2 * m]
-        np.maximum(hi[0::2], hi[1::2], out=up_hi)
-        np.minimum(lo[0::2], lo[1::2], out=up_lo)
-        if i:  # level i, no longer needed, is consumed in place
-            total += tilde_sum(hi, lo, s[0:npow:1 << i], hi, lo)
-        hi, lo = up_hi, up_lo
-    if nlev:
-        total += tilde_sum(hi, lo, s[0:npow:1 << nlev], hi, lo)
-    for v in shifted:
+        sums = _pairwise(0, npow, leaf).tolist()
+        x = np.full(npow >> _LOW, s[n])  # the base level's starts
+        starts = s[0:npow:1 << _LOW]
+        x[:len(starts)] = starts
+        buf = np.empty(3 * len(x) // 2)
+        aligned, shifted, hi, lo = _levels(base_hi, base_lo, x, 0, True, True, nlev - _LOW, buf)
+        aligned, shifted = sums[:_LOW] + aligned, sums[_LOW:] + shifted
+    top = (buf[:1], buf[:1]) if hi is lo else (hi, lo)  # N = 1: the walk's one step
+    total = 0.0
+    for v in aligned + [_tilde_sum(hi, lo, x[0:1], *top)] + shifted:
         total += v
-    bound = 12.0 * total
+    bound = 12.0 * float(total)
     if not math.isfinite(bound):
         raise ValueError("dyadic upper bound overflows float64")
     return bound

@@ -31,9 +31,11 @@ def test_writes_one_row_per_kernel_and_size(bench_kernels, tmp_path, monkeypatch
     assert out["label"] == "smoke" and out["sizes"] == [1024, 2048, 4096]
     samples = [f"sample:{kind}" for kind in KINDS]
     assert list(out["kernels"]) == [*samples, "prefix_sums", "exact", "exact:drift", "blocked",
-                                    "dyadic", "greedy", "classify", "process:compute"]
+                                    "dyadic", "greedy", "classify", "dyadic:past_pow2",
+                                    "trial:lab_large", "process:compute"]
     for name, row in out["kernels"].items():
-        sizes = {"exact:drift": [1024, 2048], "process:compute": [16384, 32768]}.get(
+        sizes = {"exact:drift": [1024, 2048], "process:compute": [16384, 32768],
+                 "dyadic:past_pow2": [1025, 4097], "trial:lab_large": [1024, 4096]}.get(
             name, out["sizes"])
         assert row["sizes"] == sizes and len(row["median_s"]) == len(row["min_s"]) == len(sizes)
         assert all(0 < lo <= q1 <= mid <= q3 for lo, q1, mid, q3 in zip(
@@ -52,4 +54,7 @@ def test_writes_one_row_per_kernel_and_size(bench_kernels, tmp_path, monkeypatch
     # a sample of N floats allocates at least its own 8 N bytes
     gaussian = out["kernels"]["sample:gaussian"]
     assert all(m >= 8 * n / (1 << 20) for m, n in zip(gaussian["peak_mb"], gaussian["sizes"]))
+    # and a whole trial at least its walk of N + 1
+    trial = out["kernels"]["trial:lab_large"]
+    assert all(m >= 8 * (n + 1) / (1 << 20) for m, n in zip(trial["peak_mb"], trial["sizes"]))
 

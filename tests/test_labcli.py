@@ -331,9 +331,9 @@ def _count_walks(monkeypatch) -> list[int]:
     benchmark's probe does; the returned list receives each call's length."""
     real, calls = seqcore.prefix_sums, []
 
-    def counting(x):
+    def counting(x, **kwargs):  # a trial passes out=, its walk's buffer
         calls.append(len(x))
-        return real(x)
+        return real(x, **kwargs)
 
     for name, mod in list(sys.modules.items()):
         if mod is not None and (name == "sqvar" or name.startswith("sqvar.")):
@@ -733,6 +733,37 @@ def test_cli_greedy_norm_overflow_refused(capsys):
     assert captured.err == "sqvar: error: normalization 2 sigma^2 n lnln n overflows float64\n"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("algorithms", ["exact", "blocked", "greedy"])
+def test_cli_simulate_norm_underflow_names_the_trial(tmp_path, capsys, algorithms):
+    # at sigma = 1e-170, 2 sigma^2 is 0: every ratio would be blank
+    ini = _overflow_config(tmp_path, "1e-170", algorithms)
+    assert cli.main(["simulate", "--config", str(ini)]) == 1
+    assert capsys.readouterr().err == (
+        f"sqvar: error: trial (spec=gaussian:sigma=1e-170, n=64, trial=0, "
+        f"seed={mix_seed(0, 64, 0)}): normalization 2 sigma^2 n lnln n underflows float64\n")
+    assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sigma", ["1e-170", "1e-160", "1e-155"])
+def test_cli_greedy_norm_underflow_refused(capsys, sigma):
+    # 2 sigma^2 is 0 (a ZeroDivisionError before), or subnormal: a ratio of
+    # subnormals at 1e-160, and a normal result of lost bits at 1e-155
+    assert cli.main(["greedy", "--n", "64", "--spec", f"gaussian:sigma={sigma}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "sqvar: error: normalization 2 sigma^2 n lnln n underflows float64\n"
+
+
+def test_norm_is_refused_unless_twice_the_variance_is_normal():
+    tiny = sys.float_info.min
+    assert labcli._norm(16, math.sqrt(tiny)) > 0  # 2 sigma^2 = 2 min: normal
+    for sigma in (math.sqrt(tiny) / 2, 0.0):
+        with pytest.raises(ValueError, match="^normalization 2 sigma\\^2 n lnln n underflows"):
+            labcli._norm(16, sigma)
+
+
 def test_cli_bounds_bernstein_variance_overflow_refused(capsys):
     # sigma^2 overflows in Python's float ** before the bound sees it
     argv = ["bounds", "--check", "bernstein", "--spec", "rademacher:sigma=1e200",
@@ -745,21 +776,25 @@ def test_cli_bounds_bernstein_variance_overflow_refused(capsys):
 
 def test_cli_memory_error_is_one_line(tmp_path, capsys, monkeypatch):
     # numpy's MemoryError names the allocation; a bare one says what failed.
-    # sample_sequence raises in place of allocating 728 TiB
+    # The walk's buffer of 4 EiB exceeds any 64-bit address space, so numpy
+    # refuses it before a byte is touched; sample_sequence raises a bare one
     ini = tmp_path / "exp.ini"
-    ini.write_text(CONFIG_TEXT.format(out=tmp_path / "r.csv")
-                   .replace("n_grid = 64, 128", "n_grid = 100000000000000"))
-    runs = [(["greedy", "--n", "100000000000000"], "Unable to allocate 728. TiB"),
-            (["simulate", "--config", str(ini)], "")]
-    for argv, message in runs:
-        def no_memory(*args, message=message):
-            raise MemoryError(message)
-        monkeypatch.setattr(cli, "sample_sequence", no_memory)
-        monkeypatch.setattr(labcli, "sample_sequence", no_memory)
+    ini.write_text(CONFIG_TEXT.format(out=tmp_path / "r.csv"))
+    huge = tmp_path / "huge.ini"
+    huge.write_text(CONFIG_TEXT.format(out=tmp_path / "r.csv")
+                    .replace("n_grid = 64, 128", f"n_grid = {1 << 59}"))
+    numpy_says = (f"Unable to allocate 4.00 EiB for an array with shape ({(1 << 59) + 1},) "
+                  "and data type float64")
+    for argv in (["greedy", "--n", str(1 << 59)], ["simulate", "--config", str(huge)]):
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"sqvar: error: {message or 'out of memory'}\n"
+        assert (captured.out, captured.err) == ("", f"sqvar: error: {numpy_says}\n")
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError
+    monkeypatch.setattr(labcli, "sample_sequence", no_memory)
+    assert cli.main(["simulate", "--config", str(ini)]) == 1
+    assert capsys.readouterr().err == "sqvar: error: out of memory\n"
     assert not (tmp_path / "r.csv").exists()
 
 
@@ -979,9 +1014,13 @@ def test_large_trial_holds_only_the_walk_on_entry_to_each_kernel(tmp_path, monke
     try:
         base = tracemalloc.get_traced_memory()[0]
         run_trial(cfg, n, 0)
+        peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     assert sorted(held) == ["classify_partition", "greedy_partition",
                             "sq_variation_blocked", "sq_variation_upper_dyadic"]
     walk_bytes = (n + 1) * 8
     assert all(b <= 1.2 * walk_bytes for b in held.values()), held
+    # the samples are drawn into the walk's buffer: no second N-sized array
+    # exists at any point of the trial
+    assert peak <= 1.3 * walk_bytes, peak

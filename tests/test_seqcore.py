@@ -80,6 +80,37 @@ SIGMA3_GOLDEN = {
 def test_sample_bytes_golden(spec, n, digest):
     samples = sample_sequence(spec, n, 123456789)
     assert hashlib.sha256(samples.tobytes()).hexdigest() == digest
+    # drawn into a walk's buffer, as a lab trial does: the same bytes, in place
+    buf = np.empty(n + 1)
+    drawn = sample_sequence(spec, n, 123456789, out=buf[1:])
+    assert np.shares_memory(drawn, buf) and not drawn.flags.writeable
+    assert hashlib.sha256(buf[1:].tobytes()).hexdigest() == digest
+
+
+def test_sample_out_must_hold_n_floats():
+    spec = DistributionSpec("gaussian")
+    for out in (np.empty(5), np.empty(4, dtype=np.float32), np.empty((2, 2))):
+        with pytest.raises(ValueError, match="^out must be a float64 array of n = 4 elements$"):
+            sample_sequence(spec, 4, 1, out=out)
+    with pytest.raises(ValueError, match="^out must be a float64 array of N \\+ 1 = 5 elements$"):
+        prefix_sums(np.ones(4), out=np.empty(4))
+    # the walk consumes its samples in place only from out[1:]
+    buf = np.arange(6.0)
+    for samples in (buf[:5], buf[::-1][:5]):
+        with pytest.raises(ValueError, match="^samples that share memory with out must be out"):
+            prefix_sums(samples, out=buf)
+    assert prefix_sums(buf[1:], out=buf).values.tolist() == [0.0, 1.0, 3.0, 6.0, 10.0, 15.0]
+
+
+def test_sum_of_the_samples_in_a_walk_buffer_matches_a_fresh_array():
+    # a trial takes S_N^2 from np.sum of buf[1:], which is 8 bytes off the
+    # buffer's alignment; numpy's pairwise sum must not depend on it
+    rng = np.random.default_rng(609)
+    for n in [*range(1, 601), *((1 << k) + d for k in range(10, 21) for d in (-1, 0, 1))]:
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+        buf = np.empty(n + 1)
+        buf[1:] = x
+        assert np.sum(buf[1:]) == np.sum(x.copy()), n
 
 
 def _quantile_oracle(u):
@@ -394,11 +425,28 @@ def test_extended_walk_keeps_negative_zero():
         assert math.copysign(1.0, values[1]) == -1.0 and values[2] == 1.0
 
 
+def _in_place(x):
+    """x as the samples of a walk buffer, buf[1:], as a lab trial holds them."""
+    buf = np.empty(len(x) + 1)
+    buf[1:] = x
+    return buf[1:], buf
+
+
 def test_extended_walk_refuses_float64_overflow_that_longdouble_undoes():
     x = np.zeros(_BIG)
     x[:4] = [1e308, 1e308, -1e308, -1e308]
     with pytest.raises(ValueError, match="^partial sum overflows float64 at index 1$"):
         prefix_sums(x)
+    samples, buf = _in_place(x)
+    with pytest.raises(ValueError, match="^partial sum overflows float64 at index 1$"):
+        prefix_sums(samples, out=buf)
+    # a NaN later in the same chunk does not hide the first non-finite sum
+    x[7] = np.nan
+    with pytest.raises(ValueError, match="^partial sum overflows float64 at index 1$"):
+        prefix_sums(x)
+    samples, buf = _in_place(x)
+    with pytest.raises(ValueError, match="^partial sum overflows float64 at index 1$"):
+        prefix_sums(samples, out=buf)
 
 
 def test_extended_walk_names_a_nan_in_the_last_chunk():
@@ -407,18 +455,28 @@ def test_extended_walk_names_a_nan_in_the_last_chunk():
         x[n - 2] = np.nan
         with pytest.raises(ValueError, match=f"^non-finite sample nan at index {n - 2}$"):
             prefix_sums(x)
+        # in place the samples of the failing chunk are still there to name
+        samples, buf = _in_place(x)
+        with pytest.raises(ValueError, match=f"^non-finite sample nan at index {n - 2}$"):
+            prefix_sums(samples, out=buf)
 
 
 def test_extended_walk_holds_little_beside_the_walk():
     x = sample_sequence(DistributionSpec("gaussian"), _BIG, 5)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        prefix_sums(x)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.3 * (_BIG + 1) * 8
+    samples, buf = _in_place(x)
+    peaks = []
+    for args, kwargs in (((x,), {}), ((samples,), {"out": buf})):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            prefix_sums(*args, **kwargs)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= 1.3 * (_BIG + 1) * 8
+    # in place only the long-double chunk and a chunk's mask are held
+    assert peaks[1] <= 0.1 * (_BIG + 1) * 8, peaks
+    assert buf.tobytes() == prefix_sums(x).values.tobytes()
 
 
 @pytest.mark.parametrize("spec", [DistributionSpec("rademacher"),

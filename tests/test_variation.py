@@ -188,6 +188,89 @@ def test_dyadic_upper_matches_family_oracle():
             assert sq_variation_upper_dyadic(prefix_sums(x)) == _dyadic_oracle(x), n
 
 
+def _numpy_pairwise(x) -> float:
+    """numpy's pairwise sum of a contiguous float64 array, in Python floats:
+    below 8 elements one by one, up to 128 in 8 interleaved accumulators,
+    above that the halves at n // 2 rounded down to a multiple of 8."""
+    n = len(x)
+    if n < 8:
+        total = 0.0
+        for v in x:
+            total += v
+        return total
+    if n <= 128:
+        r = [float(v) for v in x[:8]]
+        for i in range(8, n - n % 8, 8):
+            for j in range(8):
+                r[j] += x[i + j]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for v in x[n - n % 8:]:
+            total += v
+        return total
+    half = n // 2 - n // 2 % 8
+    return _numpy_pairwise(x[:half]) + _numpy_pairwise(x[half:])
+
+
+def test_np_sum_is_the_pairwise_rule():
+    # the dyadic bound's float is defined by this order; if numpy changes it,
+    # this fails before the goldens do
+    rng = np.random.default_rng(310)
+    for n in [*range(1, 301), 383, 384, 385, 511, 512, 513, 1000, 1023, 1024, 1025]:
+        x = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+        assert np.sum(x) == _numpy_pairwise(x.tolist()), n
+
+
+def test_pairwise_matches_np_sum():
+    rng = np.random.default_rng(52)
+    sizes = [*range(1, 601), *((1 << k) + d for k in range(10, 21) for d in (-1, 0, 1))]
+    for n in sizes:
+        buf = rng.standard_normal(n + 3) * 10.0 ** rng.uniform(-8, 8, n + 3)
+        for offset in range(4):
+            x = buf[offset:offset + n]
+            total = variation._pairwise(0, n, lambda a, b: np.sum(x[a:b]))
+            assert total == np.sum(x), (n, offset)
+    # an array of sums adds elementwise in the same order
+    x = buf[:(1 << 20) + 1]
+    both = variation._pairwise(0, len(x), lambda a, b: np.array([np.sum(x[a:b]),
+                                                                    np.sum(-x[a:b])]))
+    assert both.tolist() == [np.sum(x), np.sum(-x)]
+
+
+def _dyadic_whole_levels(x):
+    """The bound with every level held whole, as one array of its terms
+    summed by np.sum, the walk padded with S_N to a power of two."""
+    s = prefix_sums(x).values
+    n = len(s) - 1
+    npow = 1 << max(0, (n - 1).bit_length())
+    s = np.concatenate([s, np.full(npow - n, s[-1])])
+    nlev = npow.bit_length() - 1
+
+    def level(length, offset):
+        count = (npow - offset) // length
+        blocks = s[offset + 1:offset + count * length + 1].reshape(count, length)
+        starts = s[offset:offset + count * length:length]
+        hi, lo = blocks.max(axis=1) - starts, blocks.min(axis=1) - starts
+        return float(np.sum(np.maximum(hi * hi, lo * lo)))
+
+    total = 0.0
+    for v in ([level(1 << i, 0) for i in range(nlev + 1)]
+              + [level(1 << i, 1 << (i - 1)) for i in range(1, nlev)]):
+        total += v
+    return 12.0 * total
+
+
+def test_dyadic_upper_matches_whole_levels_across_slices():
+    # past 2^16 the levels below 2^8 are summed a 2^15-step slice at a time;
+    # the sizes put N on, just before and just after slice boundaries, the
+    # context a slice reads before it, and a tail of all-S_N slices
+    rng = np.random.default_rng(17)
+    for n in ((1 << 16) + 1, (1 << 17) - 3, 1 << 17, (1 << 17) + 2047, (1 << 17) + 2048,
+              (1 << 17) + 2049, 3 * (1 << 15) + 7, (1 << 18) - (1 << 15) - 1):
+        for x in (rng.standard_normal(n), rng.standard_normal(n) + 0.3,
+                  rng.integers(-1, 2, n).astype(float)):
+            assert sq_variation_upper_dyadic(prefix_sums(x)) == _dyadic_whole_levels(x), n
+
+
 # SHA-256 of the newline-joined float.hex() of the bound on N = 1, 3, 4097,
 # 2^16, 2^18 with seeds 11 and 12, recorded with the per-level window scan
 # that the max/min pyramid replaced
@@ -290,8 +373,9 @@ def test_non_finite_walk_rejected():
             partition_value(prefix_sums([1e200, 1e200, -1e200]), Partition(np.array([0, 3])))
         with pytest.raises(ValueError, match="overflows"):
             sq_variation_upper_dyadic(prefix_sums([1e200]))
-        with pytest.raises(ValueError, match="^dyadic upper bound overflows float64$"):
-            sq_variation_upper_dyadic(prefix_sums(np.full(70, 1e153)))
+        for n in (70, (1 << 17) + 3):  # the whole levels, and the walk's slices
+            with pytest.raises(ValueError, match="^dyadic upper bound overflows float64$"):
+                sq_variation_upper_dyadic(prefix_sums(np.full(n, 1e153)))
 
 
 _BOTH_SIDES = ((1 << 20) - 1, 1 << 20)  # either side of the extended-precision cutoff
@@ -566,16 +650,17 @@ def test_sandwich(x, block):
 
 
 def test_dyadic_upper_holds_little_beside_the_walk():
-    n = 1 << 20
-    walk = prefix_sums(sample_sequence(DistributionSpec("gaussian"), n, 5))
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        sq_variation_upper_dyadic(walk)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.6 * (n + 1) * 8
+    # the walk is read in place a slice at a time, also past a power of two
+    for n in (1 << 20, (1 << 20) + 1):
+        walk = prefix_sums(sample_sequence(DistributionSpec("gaussian"), n, 5))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            sq_variation_upper_dyadic(walk)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * (n + 1) * 8, (n, peak)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "rademacher"])

@@ -8,9 +8,15 @@ Times each layer of a lab trial in process on one Gaussian walk per size
 the same steps plus DRIFT (`exact:drift`, whose record chains grow with N, up
 to 2^DRIFT_MAX_LOG2 since its time is O(N^2)), the blocked DP (block 4), the
 dyadic upper bound, the greedy partition and the classification of the
-exact partition. The run makes ROUNDS passes over every kernel and size, and
-in each pass repeats a kernel until its repetitions take MIN_TOTAL_S / ROUNDS;
-the file holds, per kernel, the sizes timed, the median, the quartiles
+exact partition. Two rows sit at 2^(MAX_LOG2-2) and 2^MAX_LOG2 only: the
+dyadic bound on the walk of one more step (`dyadic:past_pow2`, N = 2^k + 1,
+whose levels run to 2^(k+1)), and one whole `labcli.run_trial` of the
+benchmark's `lab_large` cell (`trial:lab_large`: gaussian, blocked:256,
+dyadic_upper and greedy, classified at eps 0.1; seed SEED, trial 0), from
+sampling to its record. The run makes ROUNDS passes over every kernel and
+size, and in each pass repeats a kernel until its repetitions take
+MIN_TOTAL_S / ROUNDS; the file holds, per kernel, the sizes timed, the
+median, the quartiles
 (`q1_s`, `q3_s`, linear interpolation) and the fastest repetition per size,
 and the exponents of N fitted by least squares to the log of the median and
 of the fastest over the larger half of those sizes. The `process:compute` row is
@@ -51,6 +57,7 @@ import numpy as np
 import sqvar
 from sqvar.classify import ClassParams, classify_partition, default_bad_threshold
 from sqvar.greedy import GreedyParams, greedy_partition
+from sqvar.labcli import ExperimentConfig, run_trial
 from sqvar.seqcore import KINDS, DistributionSpec, prefix_sums, sample_sequence
 from sqvar.variation import sq_variation_blocked, sq_variation_exact, sq_variation_upper_dyadic
 
@@ -65,28 +72,39 @@ PROCESS_SIZES = (1 << 14, 1 << 15)
 
 
 def _kernels(n: int):
-    """(name, thunk) for each layer, in trial order, on the walk of size n."""
-    samples = sample_sequence(DistributionSpec("gaussian"), n, SEED)
+    """(name, N, thunk) for each layer, in trial order, on the walk of size n."""
+    gaussian = DistributionSpec("gaussian")
+    samples = sample_sequence(gaussian, n, SEED)
     walk = prefix_sums(samples)
     exact = sq_variation_exact(walk)
     drift = []
     if n <= 1 << DRIFT_MAX_LOG2:
         drift_walk = prefix_sums(samples + DRIFT)
-        drift.append(("exact:drift", lambda: sq_variation_exact(drift_walk)))
+        drift.append(("exact:drift", n, lambda: sq_variation_exact(drift_walk)))
     params = GreedyParams()
     specs = [DistributionSpec(kind, tail_exponent=2.5 if kind == "pareto_sym" else None)
              for kind in KINDS]
+    large = []
+    if n in (1 << (MAX_LOG2 - 2), 1 << MAX_LOG2):
+        past = prefix_sums(sample_sequence(gaussian, n + 1, SEED))
+        cell = ExperimentConfig(spec=gaussian, n_grid=(n,), trials=1, master_seed=SEED,
+                                algorithms=("blocked", "dyadic_upper", "greedy"), block=256,
+                                greedy_params=params, class_eps=0.1,
+                                class_b=default_bad_threshold())
+        large = [("dyadic:past_pow2", n + 1, lambda: sq_variation_upper_dyadic(past)),
+                 ("trial:lab_large", n, lambda: run_trial(cell, n, 0))]
     return [
-        *((f"sample:{spec.kind}", lambda spec=spec: sample_sequence(spec, n, SEED))
+        *((f"sample:{spec.kind}", n, lambda spec=spec: sample_sequence(spec, n, SEED))
           for spec in specs),
-        ("prefix_sums", lambda: prefix_sums(samples)),
-        ("exact", lambda: sq_variation_exact(walk)),
+        ("prefix_sums", n, lambda: prefix_sums(samples)),
+        ("exact", n, lambda: sq_variation_exact(walk)),
         *drift,
-        ("blocked", lambda: sq_variation_blocked(walk, 4)),
-        ("dyadic", lambda: sq_variation_upper_dyadic(walk)),
-        ("greedy", lambda: greedy_partition(walk, params)),
-        ("classify", lambda: classify_partition(
+        ("blocked", n, lambda: sq_variation_blocked(walk, 4)),
+        ("dyadic", n, lambda: sq_variation_upper_dyadic(walk)),
+        ("greedy", n, lambda: greedy_partition(walk, params)),
+        ("classify", n, lambda: classify_partition(
             exact, ClassParams(0.1, default_bad_threshold(), n))),
+        *large,
     ]
 
 
@@ -171,14 +189,14 @@ def main(argv: list[str] | None = None) -> dict:
             np.savetxt(path, rng.integers(-1, 2, n), fmt="%d")
         for _ in range(ROUNDS):
             for n in sizes:
-                for name, fn in layers[n]:
-                    timed.setdefault((name, n), []).extend(_times(fn))
+                for name, size, fn in layers[n]:
+                    timed.setdefault((name, size), []).extend(_times(fn))
             for n, path in lattices.items():
                 wall, cpu_s, rss_mb = _compute_process(path)
                 timed.setdefault(("process:compute", n), []).append(wall)
                 cpu.setdefault(n, []).append(cpu_s)
                 rss.setdefault(n, []).append(rss_mb)
-    peak = {(name, n): _peak_mb(fn) for n in sizes for name, fn in layers[n]}
+    peak = {(name, size): _peak_mb(fn) for n in sizes for name, size, fn in layers[n]}
     kernels: dict[str, dict] = {}
     for (name, n), times in timed.items():
         row = kernels.setdefault(name, {"sizes": [], "median_s": [], "q1_s": [], "q3_s": [],
