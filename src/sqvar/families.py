@@ -149,20 +149,20 @@ def cover_H(iprime: RealInterval, epsilon_prime: float, n: int) -> RealInterval:
             return RealInterval(c * ln + shift, (c + 1) * ln + shift)
 
 
-def build_L(s: int, c_copies: int, k_max: int | None = None) -> list[IntervalFamily]:
+def build_L(s: int, c_copies: int) -> list[IntervalFamily]:
     """Shifted geometric families L_0..L_{C-1} with one size-s^k interval per k.
 
     L_0 tiles (0, 1], (1, 1+s], (1+s, 1+s+s^2], ...; L_i shifts each interval
-    right by i*s^(k+1)/C (see l_interval). Enumeration stops at s^k_max; the
-    default cap keeps every endpoint exactly representable as a float.
+    right by i*s^(k+1)/C (see l_interval). Enumeration stops at the largest
+    s^k_max with s^(k_max+2) <= 2^53, which keeps every endpoint exactly
+    representable as a float.
     """
     if s <= 1:
         raise ValueError("s must be an integer > 1")
     _power_index(s, c_copies)
-    if k_max is None:
-        k_max = 0
-        while s ** (k_max + 3) <= 1 << 53:
-            k_max += 1
+    k_max = 0
+    while s ** (k_max + 3) <= 1 << 53:
+        k_max += 1
     fams = []
     for i in range(c_copies):
         levels = {}
@@ -231,8 +231,9 @@ def check_dyadic_cover(n: int) -> dict:
             **_cover_counts(ivs, lambda ip: cover_H(ip, 1.0, n), 4.0, 0.0, fams)}
 
 
-def check_H_cover(epsilon_prime: float, n: int, grid: int = 100) -> dict:
-    """Verify the cover contract on a grid of subintervals with length >= 1.
+def check_H_cover(epsilon_prime: float, n: int) -> dict:
+    """Verify the cover contract on the subintervals with length >= 1 whose
+    endpoints lie on a grid of 100 steps over (0, (1+eps')^n].
 
     The length floor reflects the usage: covers are taken of partition
     intervals, which contain at least one integer.
@@ -240,6 +241,7 @@ def check_H_cover(epsilon_prime: float, n: int, grid: int = 100) -> dict:
     fams = build_H(epsilon_prime, n)
     b = 1.0 + epsilon_prime
     top = b**n
+    grid = 100
     spans = ((top * ai / grid, top * bi / grid)
              for ai in range(grid) for bi in range(ai + 1, grid + 1))
     ivs = (RealInterval(s, e) for s, e in spans if e - s >= 1.0)

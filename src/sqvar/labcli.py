@@ -108,6 +108,7 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
             sn = s_n ** 2
         except OverflowError:
             raise ValueError("s_n_sq overflows float64") from None
+        denom = _norm(n, config.spec.sigma) if n >= 16 else None  # refused before any kernel
 
         exact = blocked = dyadic = greedy_v = scored = None  # scored: exact, else blocked
         if "exact" in config.algorithms:
@@ -122,7 +123,6 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
             dyadic = variation.sq_variation_upper_dyadic(walk)
         if "greedy" in config.algorithms:
             greedy_v = greedy.greedy_partition(walk, config.greedy_params).value
-        denom = _norm(n, config.spec.sigma) if n >= 16 else None
     except ValueError as exc:
         raise ValueError(f"trial (spec={config.spec.to_string()}, n={n}, trial={trial_index}, "
                          f"seed={seed}): {exc}") from None

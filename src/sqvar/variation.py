@@ -227,8 +227,7 @@ def sq_variation_blocked(walk: PrefixSums, block: int) -> VariationResult:
 
 # --- certified upper bound over the dyadic family ---------------------------
 
-_WHOLE = 1 << 16  # up to this P every level is built whole: slices would add calls
-_LOW = 8  # above _WHOLE, levels below this one are summed a slice of the walk at a time
+_LOW = 8  # levels below this one are summed a slice of the walk at a time
 _CONTEXT = 8 << _LOW  # steps before a slice that its shifted terms reach back to
 
 
@@ -317,56 +316,49 @@ def sq_variation_upper_dyadic(walk: PrefixSums) -> float:
     and the level sums are added aligned first, then shifted, each in
     increasing i. The time is O(N).
 
-    With P = 2^ceil(log2 N) up to _WHOLE, every level is built whole from the
-    walk (padded with S_N) in one buffer of 1.5 P floats; see _levels. Above
-    _WHOLE the walk is read in place a _CHUNK-step slice at a time (the slice
-    that reaches past N is a copy with the tail S_N, and a slice wholly past
-    N adds zeros). Each slice builds levels 0 .. _LOW - 1 of its steps, sums
-    its share of their aligned and shifted terms, and leaves its blocks of
-    level _LOW, from which the levels above are built whole. _pairwise adds
-    the slices' sums in np.sum's order, numpy's pairwise summation: a run of
-    more than 128 terms is split at half its length rounded down to a
-    multiple of 8. On the P / 2^i terms of aligned level i that splits at the
-    slice boundaries, each slice's share being _CHUNK / 2^i >= 128 terms; on
-    the P / 2^i - 1 terms of a shifted level it splits at the same boundaries
-    moved 8 terms to the left, so each slice also reads the 8 << _LOW steps
-    before it. Beside the walk this holds O(_CHUNK + P / 2^_LOW) floats: 0.5
-    MB at N = 2^20 and 1.0 MB at 2^20 + 1, on an 8 MB walk. If numpy changes
-    its summation rule, test_np_sum_is_the_pairwise_rule fails.
+    With P = 2^ceil(log2 N), the walk is read in place a _CHUNK-step slice at
+    a time (the slice that reaches past N is a copy with the tail S_N, and a
+    slice wholly past N adds zeros); up to P = _CHUNK there is one slice. Each
+    slice builds levels 0 .. low - 1 of its steps, low = min(_LOW, log2 P),
+    sums its share of their aligned and shifted terms, and leaves its blocks
+    of level low, from which the levels above are built whole in the slices'
+    buffer. _pairwise adds the slices' sums in np.sum's order, numpy's
+    pairwise summation: a run of more than 128 terms is split at half its
+    length rounded down to a multiple of 8. On the P / 2^i terms of aligned
+    level i that splits at the slice boundaries, each slice's share being
+    _CHUNK / 2^i >= 128 terms; on the P / 2^i - 1 terms of a shifted level it
+    splits at the same boundaries moved 8 terms to the left, so each slice
+    also reads the 8 << _LOW steps before it. Beside the walk this holds
+    O(min(P, _CHUNK) + P / 2^_LOW) floats: 0.4 MB at N = 2^16, 0.5 MB at 2^20
+    and 1.0 MB at 2^20 + 1, on an 8 MB walk. If numpy changes its summation
+    rule, test_np_sum_is_the_pairwise_rule fails.
     """
     n, s = walk.n, walk.values
     npow = 1 << max(0, (n - 1).bit_length())
     nlev = npow.bit_length() - 1
-    if npow <= _WHOLE:  # every level whole, from the walk
-        buf = np.empty(3 * npow // 2)
-        x = s if n == npow else np.concatenate((s, np.full(npow - n, s[n])))
+    low = min(_LOW, nlev)
+    buf = np.empty(3 * min(npow, _CHUNK + _CONTEXT) // 2)
+    base_hi, base_lo = np.empty(npow >> low), np.empty(npow >> low)
+
+    def leaf(a, b):  # the sums of levels below low over steps a .. b - 1
+        ext, out = min(a, _CONTEXT), slice(a >> low, b >> low)
+        if a - ext >= n:  # every block is the point S_N: every term is 0
+            base_hi[out] = base_lo[out] = s[n]
+            return np.zeros(2 * low)
+        x = s[a - ext:b + 1] if b <= n else np.concatenate((s[a - ext:], np.full(b - n, s[n])))
         steps = x[1:]
-        aligned, shifted, hi, lo = _levels(steps, steps, x, 0, True, True, nlev, buf)
-    else:
-        buf = np.empty(3 * (_CHUNK + _CONTEXT) // 2)
-        base_hi, base_lo = np.empty(npow >> _LOW), np.empty(npow >> _LOW)
+        aligned, shifted, hi, lo = _levels(steps, steps, x, ext, a == 0, b == npow, low, buf)
+        base_hi[out], base_lo[out] = hi[ext >> low:], lo[ext >> low:]
+        return np.array(aligned + shifted)
 
-        def leaf(a, b):  # the sums of levels below _LOW over steps a .. b - 1
-            ext, out = min(a, _CONTEXT), slice(a >> _LOW, b >> _LOW)
-            if a - ext >= n:  # every block is the point S_N: every term is 0
-                base_hi[out] = base_lo[out] = s[n]
-                return np.zeros(2 * _LOW)
-            x = s[a - ext:b + 1] if b <= n else np.concatenate((s[a - ext:], np.full(b - n, s[n])))
-            steps = x[1:]
-            aligned, shifted, hi, lo = _levels(steps, steps, x, ext, a == 0, b == npow, _LOW, buf)
-            base_hi[out], base_lo[out] = hi[ext >> _LOW:], lo[ext >> _LOW:]
-            return np.array(aligned + shifted)
-
-        sums = _pairwise(0, npow, leaf).tolist()
-        x = np.full(npow >> _LOW, s[n])  # the base level's starts
-        starts = s[0:npow:1 << _LOW]
-        x[:len(starts)] = starts
-        buf = np.empty(3 * len(x) // 2)
-        aligned, shifted, hi, lo = _levels(base_hi, base_lo, x, 0, True, True, nlev - _LOW, buf)
-        aligned, shifted = sums[:_LOW] + aligned, sums[_LOW:] + shifted
-    top = (buf[:1], buf[:1]) if hi is lo else (hi, lo)  # N = 1: the walk's one step
+    sums = _pairwise(0, npow, leaf).tolist()
+    x = np.full(npow >> low, s[n])  # the base level's starts
+    starts = s[0:npow:1 << low]
+    x[:len(starts)] = starts
+    aligned, shifted, hi, lo = _levels(base_hi, base_lo, x, 0, True, True, nlev - low, buf)
+    aligned, shifted = sums[:low] + aligned, sums[low:] + shifted
     total = 0.0
-    for v in aligned + [_tilde_sum(hi, lo, x[0:1], *top)] + shifted:
+    for v in aligned + [_tilde_sum(hi, lo, x[0:1], hi, lo)] + shifted:
         total += v
     bound = 12.0 * float(total)
     if not math.isfinite(bound):

@@ -158,7 +158,7 @@ def test_cover_H_random_containment_standard_ratios():
 def test_cover_H_grid():
     for eps in (0.2, 0.25, 1 / 3, 0.5, 1.0):
         for n in (4, 7):
-            report = check_H_cover(eps, n, grid=40)
+            report = check_H_cover(eps, n)
             assert report["violations"] == 0  # contained, ratio kept, a build_H interval
 
 
@@ -189,14 +189,14 @@ def test_families_check_overflow_names_eps_and_n(capsys):
 
 
 def test_build_L_shapes():
-    fams = build_L(10, 10, k_max=3)
+    fams = build_L(10, 10)
     l0 = list(fams[0].all_intervals())
     assert (l0[0].start, l0[0].end) == (0.0, 1.0)
     assert (l0[1].start, l0[1].end) == (1.0, 11.0)
     assert (l0[2].start, l0[2].end) == (11.0, 111.0)
     assert (l0[3].start, l0[3].end) == (111.0, 1111.0)
     # s=2, C=4: shifted copies admit k >= 1 only
-    fams = build_L(2, 4, k_max=5)
+    fams = build_L(2, 4)
     assert min(fams[1].levels) == 1
     assert min(fams[0].levels) == 0
     with pytest.raises(ValueError):
@@ -207,7 +207,7 @@ def test_build_L_shapes():
 
 def test_L_one_interval_per_size_and_disjoint():
     for s, c in ((2, 4), (3, 9), (10, 10)):
-        for fam in build_L(s, c, k_max=8):
+        for fam in build_L(s, c):
             assert all(len(ivs) == 1 for ivs in fam.levels.values())
             assert check_family_disjoint(fam)["overlaps"] == 0
 
@@ -255,7 +255,7 @@ def test_families_check_golden(capsys, argv, digest):
 def test_families_check_prints_rows_before_a_cover_error(capsys, monkeypatch):
     # rows print as they are checked: an error in the H cover check still
     # leaves the disjointness rows computed before it on stdout
-    def no_cover(epsilon_prime, n, grid=100):
+    def no_cover(epsilon_prime, n):
         raise ValueError("no cover")
 
     monkeypatch.setattr(families, "check_H_cover", no_cover)

@@ -660,9 +660,9 @@ def test_cli_compute_skips_one_header_token(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["value"] == 16.25
 
 
-def _overflow_config(tmp_path, sigma: str, algorithms: str):
+def _overflow_config(tmp_path, sigma: str, algorithms: str, n: int = 64):
     ini = tmp_path / "exp.ini"
-    ini.write_text(f"[experiment]\nspec = gaussian:sigma={sigma}\nn_grid = 64\ntrials = 1\n"
+    ini.write_text(f"[experiment]\nspec = gaussian:sigma={sigma}\nn_grid = {n}\ntrials = 1\n"
                    f"algorithms = {algorithms}\noutput = {tmp_path / 'r.csv'}\n\n[greedy]\n")
     return ini
 
@@ -687,19 +687,22 @@ def test_cli_simulate_s_n_sq_overflow_names_the_trial(tmp_path, capsys, algorith
     ("dyadic_upper", "dyadic upper bound overflows float64"),
 ], ids=["exact-greedy", "blocked", "greedy", "dyadic_upper"])
 def test_cli_simulate_overflow_refused_without_warning(tmp_path, capsys, algorithms, refused):
-    ini = _overflow_config(tmp_path, "1e154", algorithms)
+    # below n = 16 no normalization is taken, which would refuse sigma = 1e154
+    # before any kernel runs; S_N^2 is finite on this trial's walk
+    ini = _overflow_config(tmp_path, "1e154", algorithms, n=11)
     assert cli.main(["simulate", "--config", str(ini)]) == 1
     assert capsys.readouterr().err == (
-        f"sqvar: error: trial (spec=gaussian:sigma=1e+154, n=64, trial=0, "
-        f"seed={mix_seed(0, 64, 0)}): {refused}\n")
+        f"sqvar: error: trial (spec=gaussian:sigma=1e+154, n=11, trial=0, "
+        f"seed={mix_seed(0, 11, 0)}): {refused}\n")
 
 
 @pytest.mark.filterwarnings("error")
 def test_cli_greedy_and_compute_overflow_refused_without_warning(tmp_path, capsys):
-    # compute: short record chains at p = 2 and p = 3, and a zigzag 2, -1 whose
-    # chains grow past _DP_LONG, so that numpy scores them
+    # greedy: 2 sigma^2 n lnln n is finite, but this walk's greedy value is
+    # 1.7 times it; compute: short record chains at p = 2 and p = 3, and a
+    # zigzag 2, -1 whose chains grow past _DP_LONG, so that numpy scores them
     path = tmp_path / "x.csv"
-    runs = [(["greedy", "--n", "64", "--spec", "gaussian:sigma=1e160"], None, "2"),
+    runs = [(["greedy", "--n", "64", "--seed", "32", "--spec", "gaussian:sigma=9e152"], None, "2"),
             (["compute", "--input", str(path)], "1e200, 1e200, -1e200", "2"),
             (["compute", "--input", str(path), "--p", "3"], "1e120, -1e120, 1e120", "3"),
             (["compute", "--input", str(path)], "2e153, -1e153, " * 600, "2")]
@@ -731,6 +734,25 @@ def test_cli_greedy_norm_overflow_refused(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "sqvar: error: normalization 2 sigma^2 n lnln n overflows float64\n"
+
+
+def test_refused_normalization_runs_no_kernel(tmp_path, capsys, monkeypatch):
+    # the normalization is taken before the kernels (simulate) and before
+    # sampling (greedy), so a refused sigma costs no trial
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran after a refused normalization")
+
+    for name in ("sq_variation_exact", "sq_variation_blocked", "sq_variation_upper_dyadic"):
+        monkeypatch.setattr(variation, name, forbidden)
+    monkeypatch.setattr(greedy, "greedy_partition", forbidden)
+    ini = _overflow_config(tmp_path, "1e153", "exact, blocked, dyadic_upper, greedy")
+    assert cli.main(["simulate", "--config", str(ini)]) == 1
+    assert capsys.readouterr().err.endswith("normalization 2 sigma^2 n lnln n overflows float64\n")
+    monkeypatch.setattr(cli, "sample_sequence", forbidden)
+    for sigma, what in (("1e153", "overflows"), ("1e-170", "underflows")):
+        assert cli.main(["greedy", "--n", "64", "--spec", f"gaussian:sigma={sigma}"]) == 1
+        assert capsys.readouterr().err == (
+            f"sqvar: error: normalization 2 sigma^2 n lnln n {what} float64\n")
 
 
 @pytest.mark.filterwarnings("error")

@@ -260,12 +260,15 @@ def _dyadic_whole_levels(x):
 
 
 def test_dyadic_upper_matches_whole_levels_across_slices():
-    # past 2^16 the levels below 2^8 are summed a 2^15-step slice at a time;
-    # the sizes put N on, just before and just after slice boundaries, the
-    # context a slice reads before it, and a tail of all-S_N slices
+    # the levels of blocks under 2^8 steps (every level, below N = 2^8) are
+    # summed a 2^15-step slice at a time, in one slice up to 2^15; the sizes
+    # put N on either side of 2^8, on, just before and just after slice
+    # boundaries, the context a slice reads before it, and a tail of all-S_N
+    # slices
     rng = np.random.default_rng(17)
-    for n in ((1 << 16) + 1, (1 << 17) - 3, 1 << 17, (1 << 17) + 2047, (1 << 17) + 2048,
-              (1 << 17) + 2049, 3 * (1 << 15) + 7, (1 << 18) - (1 << 15) - 1):
+    for n in ((1 << 8) - 1, 1 << 8, (1 << 8) + 1, 1 << 15, (1 << 15) + 1, (1 << 16) - 1,
+              1 << 16, (1 << 16) + 1, (1 << 17) - 3, 1 << 17, (1 << 17) + 2047,
+              (1 << 17) + 2048, (1 << 17) + 2049, 3 * (1 << 15) + 7, (1 << 18) - (1 << 15) - 1):
         for x in (rng.standard_normal(n), rng.standard_normal(n) + 0.3,
                   rng.integers(-1, 2, n).astype(float)):
             assert sq_variation_upper_dyadic(prefix_sums(x)) == _dyadic_whole_levels(x), n
@@ -373,7 +376,7 @@ def test_non_finite_walk_rejected():
             partition_value(prefix_sums([1e200, 1e200, -1e200]), Partition(np.array([0, 3])))
         with pytest.raises(ValueError, match="overflows"):
             sq_variation_upper_dyadic(prefix_sums([1e200]))
-        for n in (70, (1 << 17) + 3):  # the whole levels, and the walk's slices
+        for n in (70, (1 << 17) + 3):  # one slice of the walk, and many
             with pytest.raises(ValueError, match="^dyadic upper bound overflows float64$"):
                 sq_variation_upper_dyadic(prefix_sums(np.full(n, 1e153)))
 
@@ -650,8 +653,9 @@ def test_sandwich(x, block):
 
 
 def test_dyadic_upper_holds_little_beside_the_walk():
-    # the walk is read in place a slice at a time, also past a power of two
-    for n in (1 << 20, (1 << 20) + 1):
+    # the walk is read in place a slice at a time, also past a power of two,
+    # and at 2^16 in two slices rather than in levels of 1.5 N floats
+    for n, bound in ((1 << 16, 1.0), (1 << 20, 0.25), ((1 << 20) + 1, 0.25)):
         walk = prefix_sums(sample_sequence(DistributionSpec("gaussian"), n, 5))
         tracemalloc.start()
         try:
@@ -660,7 +664,7 @@ def test_dyadic_upper_holds_little_beside_the_walk():
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 0.25 * (n + 1) * 8, (n, peak)
+        assert peak <= bound * (n + 1) * 8, (n, peak)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "rademacher"])
