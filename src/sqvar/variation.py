@@ -321,23 +321,24 @@ def sq_variation_upper_dyadic(walk: PrefixSums) -> float:
     slice wholly past N adds zeros); up to P = _CHUNK there is one slice. Each
     slice builds levels 0 .. low - 1 of its steps, low = min(_LOW, log2 P),
     sums its share of their aligned and shifted terms, and leaves its blocks
-    of level low, from which the levels above are built whole in the slices'
-    buffer. _pairwise adds the slices' sums in np.sum's order, numpy's
-    pairwise summation: a run of more than 128 terms is split at half its
-    length rounded down to a multiple of 8. On the P / 2^i terms of aligned
-    level i that splits at the slice boundaries, each slice's share being
-    _CHUNK / 2^i >= 128 terms; on the P / 2^i - 1 terms of a shifted level it
-    splits at the same boundaries moved 8 terms to the left, so each slice
-    also reads the 8 << _LOW steps before it. Beside the walk this holds
-    O(min(P, _CHUNK) + P / 2^_LOW) floats: 0.4 MB at N = 2^16, 0.5 MB at 2^20
-    and 1.0 MB at 2^20 + 1, on an 8 MB walk. If numpy changes its summation
-    rule, test_np_sum_is_the_pairwise_rule fails.
+    of level low, from which the levels above are built whole; one buffer of
+    1.5 times the larger of a slice and level low serves both. _pairwise adds
+    the slices' sums in np.sum's order, numpy's pairwise summation: a run of
+    more than 128 terms is split at half its length rounded down to a multiple
+    of 8. On the P / 2^i terms of aligned level i that splits at the slice
+    boundaries, each slice's share being _CHUNK / 2^i >= 128 terms; on the
+    P / 2^i - 1 terms of a shifted level it splits at the same boundaries
+    moved 8 terms to the left, so each slice also reads the 8 << _LOW steps
+    before it. Beside the walk this holds O(min(P, _CHUNK) + P / 2^_LOW)
+    floats: 0.4 MB at N = 2^16, 0.5 MB at 2^20 and 1.0 MB at 2^20 + 1, on an
+    8 MB walk. If numpy changes its summation rule,
+    test_np_sum_is_the_pairwise_rule fails.
     """
     n, s = walk.n, walk.values
     npow = 1 << max(0, (n - 1).bit_length())
     nlev = npow.bit_length() - 1
     low = min(_LOW, nlev)
-    buf = np.empty(3 * min(npow, _CHUNK + _CONTEXT) // 2)
+    buf = np.empty(3 * max(min(npow, _CHUNK + _CONTEXT), npow >> low) // 2)
     base_hi, base_lo = np.empty(npow >> low), np.empty(npow >> low)
 
     def leaf(a, b):  # the sums of levels below low over steps a .. b - 1

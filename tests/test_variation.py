@@ -274,6 +274,26 @@ def test_dyadic_upper_matches_whole_levels_across_slices():
             assert sq_variation_upper_dyadic(prefix_sums(x)) == _dyadic_whole_levels(x), n
 
 
+def test_dyadic_upper_past_2_to_the_23():
+    # from P = 2^24 on, level 8 (P / 2^8 blocks) outgrows a slice, and the
+    # levels above it need the larger buffer. On unit steps, S_k = min(k, N),
+    # each term is (min(a + L, N) - min(a, N))^2 and every sum is an exact
+    # integer; the Gaussian value was recorded while the levels above the
+    # slices had a buffer of their own.
+    for n in ((1 << 23) + 1, 1 << 24):
+        npow = 1 << (n - 1).bit_length()
+        total = 0
+        for length, offset in ([(1 << i, 0) for i in range(25)]
+                               + [(1 << i, 1 << (i - 1)) for i in range(1, 24)]):
+            count = (npow - offset) // length
+            full = min(count, (n - offset) // length)
+            rest = n - offset - full * length
+            total += full * length**2 + (rest**2 if full < count else 0)
+        assert sq_variation_upper_dyadic(prefix_sums(np.ones(n))) == 12.0 * total, n
+    walk = prefix_sums(sample_sequence(DistributionSpec("gaussian"), (1 << 23) + 1, 11))
+    assert sq_variation_upper_dyadic(walk).hex() == "0x1.f29195f925d8ep+32"
+
+
 # SHA-256 of the newline-joined float.hex() of the bound on N = 1, 3, 4097,
 # 2^16, 2^18 with seeds 11 and 12, recorded with the per-level window scan
 # that the max/min pyramid replaced
