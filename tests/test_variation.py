@@ -274,24 +274,22 @@ def test_dyadic_upper_matches_whole_levels_across_slices():
             assert sq_variation_upper_dyadic(prefix_sums(x)) == _dyadic_whole_levels(x), n
 
 
-def test_dyadic_upper_past_2_to_the_23():
-    # from P = 2^24 on, level 8 (P / 2^8 blocks) outgrows a slice, and the
-    # levels above it need the larger buffer. On unit steps, S_k = min(k, N),
-    # each term is (min(a + L, N) - min(a, N))^2 and every sum is an exact
-    # integer; the Gaussian value was recorded while the levels above the
-    # slices had a buffer of their own.
-    for n in ((1 << 23) + 1, 1 << 24):
-        npow = 1 << (n - 1).bit_length()
+def test_dyadic_upper_exact_on_unit_steps():
+    # S_k = min(k, N) on the padded walk, so a family interval (a, a + L]
+    # has the term (min(a + L, N) - min(a, N))^2, and every sum is an exact
+    # integer in any order. From P = 2^24 on, level 8 (P / 2^8 blocks)
+    # outgrows a slice, and the levels above it need the larger buffer.
+    for n in (1, 2, 3, 255, 257, (1 << 15) + 1, (1 << 17) + 3, (1 << 23) + 1, 1 << 24):
+        npow = 1 << max(0, (n - 1).bit_length())
+        nlev = npow.bit_length() - 1
         total = 0
-        for length, offset in ([(1 << i, 0) for i in range(25)]
-                               + [(1 << i, 1 << (i - 1)) for i in range(1, 24)]):
+        for length, offset in ([(1 << i, 0) for i in range(nlev + 1)]
+                               + [(1 << i, 1 << (i - 1)) for i in range(1, nlev)]):
             count = (npow - offset) // length
             full = min(count, (n - offset) // length)
             rest = n - offset - full * length
             total += full * length**2 + (rest**2 if full < count else 0)
         assert sq_variation_upper_dyadic(prefix_sums(np.ones(n))) == 12.0 * total, n
-    walk = prefix_sums(sample_sequence(DistributionSpec("gaussian"), (1 << 23) + 1, 11))
-    assert sq_variation_upper_dyadic(walk).hex() == "0x1.f29195f925d8ep+32"
 
 
 # SHA-256 of the newline-joined float.hex() of the bound on N = 1, 3, 4097,
@@ -318,9 +316,11 @@ def test_dyadic_upper_golden(kind):
 
 # float.hex() of the bound on walks whose N is not a power of two (seed 11),
 # recorded while the bound padded a copy of the walk to the next power of two
+# (2^23 + 1 later, while the levels above the slices had a buffer of their own)
 _DYADIC_OFF_POW2 = {
     ("gaussian", (1 << 18) + 3): "0x1.4cb76b61bbb03p+27",
     ("gaussian", (1 << 20) + 1): "0x1.bab07570198fbp+29",
+    ("gaussian", (1 << 23) + 1): "0x1.f29195f925d8ep+32",
     ("logtail_sym", (1 << 18) + 3): "0x1.f71dfb788fa5dp+26",
     ("logtail_sym", (1 << 20) + 1): "0x1.52aec1c79ec41p+29",
 }
