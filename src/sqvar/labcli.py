@@ -101,7 +101,8 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
     try:
         buf = np.empty(n + 1)  # the samples, in buf[1:], then the walk
         samples = sample_sequence(config.spec, n, seed, out=buf[1:])
-        s_n = float(np.sum(samples))
+        with np.errstate(over="ignore", invalid="ignore"):  # prefix_sums refuses just below
+            s_n = float(np.sum(samples))
         walk = prefix_sums(samples, out=buf)  # consumes the samples
         del samples, buf  # the walk is the only N-sized array the kernels below need
         try:  # Python's float ** raises where numpy's gives inf

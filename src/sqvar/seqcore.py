@@ -9,9 +9,9 @@ where the samples enter (a lab trial, `sqvar compute`, `sqvar greedy`).
 
 Log-tail magnitudes are inverse-CDF draws: the root of x*ln(e+x) = 1/sqrt(u)
 for u in (0, 1]. Its bits are defined by a float bisection, and are computed
-by Newton plus a check of the bisection's predicate on the W = 8 floats on
-each side of the crossing, which provably gives the same bits for np.log
-errors below 1.25 ulps (see _logtail_quantile).
+by Newton, the bisection's predicate on a window of floats around Newton's
+root and one log-free bound on each side of that window, which provably gives
+the same bits wherever np.log errs by less than 1 ulp (see _logtail_quantile).
 """
 
 from __future__ import annotations
@@ -78,6 +78,9 @@ class DistributionSpec:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
         if not 0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and > 0, got {self.sigma!r}")
+        if self.kind == "uniform_centered" and math.isinf(2.0 * self.almost_sure_bound()):
+            raise ValueError(f"uniform range 2 sigma sqrt(3) overflows float64 at "
+                             f"sigma = {self.sigma!r}")
         if self.kind == "pareto_sym":
             a = self.tail_exponent
             if a is None or a <= 2:
@@ -185,11 +188,10 @@ class PrefixSums:
 
 # The log-tail quantile solves x*ln(e+x) = 1/sqrt(u) to the bits of a
 # bisection without running it; see _logtail_quantile for the proof.
-_NEWTON_STEPS = 4  # from below the root; leaves x within 4 floats of the crossing
-_WALK_STEPS = 8  # one-float moves towards the crossing before bisecting instead
-# Floats checked on each side of the crossing: 4 + 4c, for np.log's measured
-# error c = 0.5015 ulps, rounded up, plus one float of margin.
-_WINDOW = 8
+_NEWTON_STEPS = 4  # from below the root; leaves x within 2 floats of the crossing
+# The window is the floats x - _REACH ... x + _REACH + 1 around Newton's x. Its
+# bounds hold from about 4 floats out from the crossing, so 5 covers Newton's 2.
+_REACH = 5
 _CHUNK = 1 << 15  # elements per pass, so that the temporaries stay in L2
 
 
@@ -221,38 +223,32 @@ def _bisect(target: np.ndarray) -> np.ndarray:
     return 0.5 * (lo + hi)
 
 
-def _walk_to_crossing(bits: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Step each L of the chunk (bits is its int64 view, changed in place) one
-    float down where above(L) is true and up where above(H) is false, H the
-    float after L, until no element moves, at most _WALK_STEPS times.
+def _crossing(bits: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The crossing L of each element of the chunk (bits is the int64 view of
+    Newton's x), as int64 bits, and the mask of the elements it is certified
+    for: above reads false ... false, true ... true on the window of floats
+    x - _REACH ... x + _REACH + 1, with L its last false, and the two bounds
+    of _logtail_quantile hold outside the window.
 
-    Positive floats order as their bit patterns, so +-1 on bits is one float.
-    An element that does not move is at its crossing, and stays there.
-    Returns the mask of the elements that did not move in the last step.
+    Positive floats order as their bit patterns, so +-k on bits is k floats.
     """
-    for _ in range(_WALK_STEPS):
-        down = _above(bits.view(np.float64), target)
-        up = ~down & ~_above((bits + 1).view(np.float64), target)
-        moves = down | up
-        if not moves.any():
-            break
-        bits += up
-        bits -= down
-    return ~moves
-
-
-def _certified(bits: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Mask of the crossings (L, H) with above false on the _WINDOW floats
-    below L and true on the _WINDOW floats above H, one 1-d pass per float."""
     ok = np.ones(len(bits), dtype=bool)
-    mask = np.empty_like(ok)
+    falses = np.zeros(len(bits), dtype=np.int64)
+    prev, cur = np.zeros_like(ok), np.empty_like(ok)
     y = np.empty_like(bits)
-    for k in range(1, _WINDOW + 1):
-        np.subtract(bits, k, out=y)
-        ok &= ~_above(y.view(np.float64), target, mask)
-        np.add(bits, 1 + k, out=y)
-        ok &= _above(y.view(np.float64), target, mask)
-    return ok
+    for k in range(-_REACH, _REACH + 2):
+        np.add(bits, k, out=y)
+        _above(y.view(np.float64), target, cur)
+        ok &= cur | ~prev  # no false after a true
+        falses += ~cur
+        prev, cur = cur, prev
+    ok &= prev & (falses > 0)  # a true at the window's top, a false at its bottom
+    low = bits + (falses - _REACH - 1)
+    lg_up = (np.log(math.e + low.view(np.float64)).view(np.int64) + 2).view(np.float64)
+    ok &= (bits - _REACH - 1).view(np.float64) * lg_up <= target
+    lg_down = (np.log(math.e + (low + 1).view(np.float64)).view(np.int64) - 2).view(np.float64)
+    ok &= (bits + _REACH + 2).view(np.float64) * lg_down > target
+    return low, ok
 
 
 def _logtail_quantile(u: np.ndarray) -> np.ndarray:
@@ -260,19 +256,25 @@ def _logtail_quantile(u: np.ndarray) -> np.ndarray:
     bit for bit as _bisect returns it, without its 54-63 steps. It is
     elementwise, and sample_sequence passes it one _CHUNK of u at a time.
 
-    With target = 1/sqrt(u) and above(x) = x*ln(e+x) > target as floats:
+    With target = 1/sqrt(u) and above(y) = fl(y * fl(log(fl(e + y)))) > target:
 
     1. Newton on g(x) = x ln(e+x) - target from target / ln(e+target). That
        start is below the root and g is increasing and convex, so after the
        first step the iterates fall to the root; _NEWTON_STEPS leave them
        within a few floats of the crossing.
-    2. Walk to adjacent floats L < H with above(L) false and above(H) true.
-    3. Certify: above is false on L-1 ... L-W and true on H+1 ... H+W.
+    2. Evaluate above on the 2 _REACH + 2 floats x - _REACH ... x + _REACH + 1
+       (_crossing). Where they read false ... false, true ... true, with at
+       least one of each, L is the last false and H the float after it.
+    3. Certify the floats outside the window by one log-free bound per side:
+       fl((x - _REACH - 1) * lgU) <= target, with lgU two floats above
+       np.log(fl(e + L)), and fl((x + _REACH + 2) * lgD) > target, with lgD
+       two floats below np.log(fl(e + H)).
     4. Return 0.5 * (L + H). Elements that fail 2 or 3 are bisected, which
-       is exact by construction; none did in 31 M draws of u, uniform on the
-       2^-53 lattice and log-uniform down to 5e-324.
+       is exact by construction; none did in 2^21 draws of u, log-uniform u
+       down to 5e-324, the 2^-53 lattice, and u whose crossing has ln(e + x)
+       near a power of 2.
 
-    Lemma. If above is false on every float in [0, L] and true on every
+    Lemma 1. If above is false on every float in [0, L] and true on every
     float in [H, max(target, 1)], _bisect returns 0.5 * (L + H).
     Proof. Its lo starts at 0, where above is false, and its hi at
     max(target, 1), where it is true; lo only moves to a mid where above is
@@ -284,34 +286,35 @@ def _logtail_quantile(u: np.ndarray) -> np.ndarray:
     hi = H. Every step about halves hi - lo, so this is reached well inside
     the 100 steps (by step 63 on this domain).
 
-    Why W floats suffice. Let f(x) = x ln(E + x), E = math.e, and
-    F(x) = fl(x * fl(log(fl(E + x)))) the predicate's left side. For normal
-    x, F = f (1 + theta) with |theta| <= eps = (2 + 2c) 2^-53 to first order:
-    2^-53 from E + x (relative to ln(E + x) >= ln E > 1 - 2^-54), 2c 2^-53
-    from np.log with an error of c ulps, 2^-53 from the product. f(x) / x =
-    ln(E + x) grows, so f(y) <= f(L) y / L for y <= L and f(y) >= f(H) y / H
-    for y >= H.
-    Consecutive floats z < z' are more than z 2^-53 apart, so a float k
-    floats below L has L > y (1 + k 2^-53), and one k floats above H has
-    y > H (1 + k 2^-53). With F(L) <= target < F(H):
-        F(y) <= target (1 + eps) / ((1 - eps)(1 + k 2^-53))  below L,
-        F(y) >  target (1 - eps)(1 + k 2^-53) / (1 + eps)    above H,
-    so above(y) is false, resp. true, once k 2^-53 > 2 eps / (1 - eps),
-    i.e. k > 4 + 4c (up to terms of order 2^-50). Subnormal y and 0 give
-    F(y) < 1 <= target. np.log, on contiguous arrays as called here, was
-    measured against mpmath at c = 0.5015 ulps (1.2 M arguments E + x over
-    the domain), so k >= 7 is decided by the analysis; W = 8 checks one
-    float more than needed, and it holds for any c < 1.25.
+    Lemma 2. If steps 2 and 3 pass, above is false on every float in [0, L]
+    and true on every float >= H, so by Lemma 1 step 4 returns _bisect's bits.
+    Proof. Assume only that np.log errs by less than 1 ulp. Then np.log(a)
+    lies between the float one below RD(ln a), ln a rounded down, and
+    RU(ln a), ln a rounded up (it can fall below RD(ln a) only where ln a
+    sits just above a power of 2, a binade edge, where the floats below are
+    closer together); RU and RD are monotone and at most one float apart.
+    So for floats a <= b,
+        np.log(a) <= RU(ln a) <= RU(ln b) <= RD(ln b) + 1 float
+                  <= np.log(b) + 2 floats,
+    and likewise np.log(a) >= np.log(b) - 2 floats for a >= b. Let
+    0 <= y <= x - _REACH - 1 be a float. It is below L, the window's bottom
+    being at most L, so fl(e + y) <= fl(e + L) (rounding is monotone) and
+    np.log(fl(e + y)) <= lgU. Both factors are >= 0 and rounding is monotone,
+    so fl(y * np.log(fl(e + y))) <= fl(y * lgU) <= fl((x - _REACH - 1) * lgU)
+    <= target: above(y) is false. The mirror image, with fl(e + y) >=
+    fl(e + H) and lgD > 0 (ln(e + H) > 1), makes above(y) true for every
+    float y >= x + _REACH + 2, and the window covers the floats between.
+    Nothing here depends on _REACH or _NEWTON_STEPS: they set only how many
+    elements pass. np.log, on contiguous arrays as called here, was measured
+    against mpmath at 0.5015 ulps (test_log_error_fits_the_window).
     """
     target = 1.0 / np.sqrt(u)
     x = target / np.log(math.e + target)
     for _ in range(_NEWTON_STEPS):
         lg = np.log(math.e + x)
         x = x - (x * lg - target) / (lg + x / (math.e + x))
-    bits = x.view(np.int64)
-    ok = _walk_to_crossing(bits, target)
-    ok &= _certified(bits, target)
-    q = 0.5 * (bits.view(np.float64) + (bits + 1).view(np.float64))
+    low, ok = _crossing(x.view(np.int64), target)
+    q = 0.5 * (low.view(np.float64) + (low + 1).view(np.float64))
     if not ok.all():
         q[~ok] = _bisect(target[~ok])
     return q
@@ -321,6 +324,7 @@ def _rng_for(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed & _MASK64))
 
 
+@np.errstate(over="ignore")  # prefix_sums refuses a sample that overflows when scaled
 def sample_sequence(spec: DistributionSpec, n: int, seed: int,
                     out: np.ndarray | None = None) -> np.ndarray:
     """Draw n i.i.d. samples under spec as a read-only array; deterministic in
@@ -342,8 +346,9 @@ def sample_sequence(spec: DistributionSpec, n: int, seed: int,
         x *= s
     elif spec.kind == "uniform_centered":
         a = s * math.sqrt(3.0)
-        for i in range(0, n, _CHUNK):  # uniform takes no out: the same draws, a chunk at a time
-            x[i:i + _CHUNK] = rng.uniform(-a, a, size=min(_CHUNK, n - i))
+        rng.random(out=x)  # the bits of rng.uniform(-a, a), which takes no out
+        x *= 2.0 * a
+        x -= a
     else:
         # |X| in place, then its sign: the stream holds all n magnitudes, then all n signs
         if spec.kind == "rademacher":

@@ -146,6 +146,16 @@ def test_rosenthal_rejects_non_finite_p(p):
         rosenthal_ratio(RAD, p, 10, 100, 0)
 
 
+@pytest.mark.filterwarnings("error")
+def test_overflowing_walks_fail_by_name():
+    # finite samples whose partial sums leave float64 within 1000 steps
+    spec = DistributionSpec("uniform_centered", sigma=1e307)
+    with pytest.raises(ValueError, match="^a Monte Carlo walk overflows float64$"):
+        maximal_tail_empirical(spec, 1000, 1.0, 20, 0)
+    with pytest.raises(ValueError, match="^a Monte Carlo walk overflows float64$"):
+        etemadi_check(spec, 1000, 1.0, 20, 0)
+
+
 @pytest.mark.parametrize("spec,p", [("rademacher:sigma=1", "1e308"), ("gaussian:sigma=1", "400"),
                                     ("gaussian:sigma=1", "305")])
 def test_rosenthal_overflow_fails_by_name(spec, p, capsys):

@@ -660,9 +660,9 @@ def test_cli_compute_skips_one_header_token(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().out)["value"] == 16.25
 
 
-def _overflow_config(tmp_path, sigma: str, algorithms: str, n: int = 64):
+def _overflow_config(tmp_path, sigma: str, algorithms: str, n: int = 64, kind: str = "gaussian"):
     ini = tmp_path / "exp.ini"
-    ini.write_text(f"[experiment]\nspec = gaussian:sigma={sigma}\nn_grid = {n}\ntrials = 1\n"
+    ini.write_text(f"[experiment]\nspec = {kind}:sigma={sigma}\nn_grid = {n}\ntrials = 1\n"
                    f"algorithms = {algorithms}\noutput = {tmp_path / 'r.csv'}\n\n[greedy]\n")
     return ini
 
@@ -694,6 +694,21 @@ def test_cli_simulate_overflow_refused_without_warning(tmp_path, capsys, algorit
     assert capsys.readouterr().err == (
         f"sqvar: error: trial (spec=gaussian:sigma=1e+154, n=11, trial=0, "
         f"seed={mix_seed(0, 11, 0)}): {refused}\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["gaussian", "pareto:a=4", "logtail"])
+def test_cli_simulate_sample_overflow_refused_without_warning(tmp_path, capsys, kind):
+    # sigma = 1e308 scales some samples to inf: the walk refuses them, and
+    # neither the scaling nor S_N warns first
+    ini = _overflow_config(tmp_path, "1e308", "exact", n=1024, kind=kind)
+    assert cli.main(["simulate", "--config", str(ini)]) == 1
+    err = capsys.readouterr().err
+    spec = DistributionSpec.from_string(f"{kind}:sigma=1e308").to_string()
+    assert err.startswith(f"sqvar: error: trial (spec={spec}, n=1024, trial=0, "
+                          f"seed={mix_seed(0, 1024, 0)}): ")
+    assert ("non-finite sample" in err or "partial sum overflows" in err) and err.count("\n") == 1
+    assert not (tmp_path / "r.csv").exists()
 
 
 @pytest.mark.filterwarnings("error")
@@ -794,6 +809,35 @@ def test_cli_bounds_bernstein_variance_overflow_refused(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "sqvar: error: bernstein bound needs finite sum_var > 0, got inf\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("check,refused", [
+    ("etemadi", "a Monte Carlo walk overflows float64"),
+    ("bernstein", "bernstein bound needs finite sum_var > 0, got inf"),
+])
+def test_cli_bounds_overflowing_walk_refused_without_warning(tmp_path, capsys, check, refused):
+    # the samples are finite, but their walks of 1024 steps overflow; the
+    # Bernstein bound refuses sigma^2 before its Monte Carlo run
+    grid = tmp_path / "grid.csv"
+    grid.write_text("8,1024\n")
+    argv = ["bounds", "--check", check, "--spec", "uniform:sigma=1e307", "--trials", "20",
+            "--grid", str(grid)]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"sqvar: error: {refused}\n"
+
+
+def test_cli_uniform_range_overflow_refused(tmp_path, capsys):
+    argvs = [["simulate", "--config", str(_overflow_config(tmp_path, "1e308", "exact", n=16,
+                                                            kind="uniform"))],
+             ["bounds", "--check", "etemadi", "--spec", "uniform:sigma=1e308", "--trials", "20"]]
+    for argv in argvs:
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sqvar: error: ") and err.count("\n") == 1
+        assert err.endswith("uniform range 2 sigma sqrt(3) overflows float64 at sigma = 1e+308\n")
 
 
 def test_cli_memory_error_is_one_line(tmp_path, capsys, monkeypatch):

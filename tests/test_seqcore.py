@@ -195,43 +195,50 @@ def test_logtail_quantile_falls_back_where_the_window_fails(monkeypatch):
     u = 1.0 - np.random.default_rng(44).random(4096)
     chosen = np.zeros(len(u), dtype=bool)
     chosen[[0, 17, 18, 1000, 4095]] = True
-    real = seqcore._certified
-    monkeypatch.setattr(seqcore, "_certified", lambda bits, t: real(bits, t) & ~chosen)
+    real = seqcore._crossing
+
+    def crossing(bits, target):
+        low, ok = real(bits, target)
+        return low, ok & ~chosen
+    monkeypatch.setattr(seqcore, "_crossing", crossing)
     bisected = _counting_bisect(monkeypatch)
     _assert_quantile_exact(u)
     assert bisected == [chosen.sum()]
 
 
-@pytest.mark.parametrize("newton,walk", [(0, 8), (1, 8), (2, 8), (4, 1)])
-def test_logtail_quantile_falls_back_where_the_walk_fails(monkeypatch, newton, walk):
-    # with too few Newton steps or walk moves some elements miss the crossing
+@pytest.mark.parametrize("newton,reach", [(0, 5), (1, 5), (2, 5), (4, 0), (4, 1)])
+def test_logtail_quantile_falls_back_where_the_window_misses(monkeypatch, newton, reach):
+    # with too few Newton steps or too narrow a window some elements' crossing
+    # lies outside the window; the certificate holds for any of these constants
     monkeypatch.setattr(seqcore, "_NEWTON_STEPS", newton)
-    monkeypatch.setattr(seqcore, "_WALK_STEPS", walk)
+    monkeypatch.setattr(seqcore, "_REACH", reach)
     bisected = _counting_bisect(monkeypatch)
     _assert_quantile_exact(1.0 - np.random.default_rng(45).random(4096))
     assert bisected and 0 < bisected[0] <= 4096
 
 
-def test_walk_to_crossing_reports_the_last_movers(monkeypatch):
-    # one chunk of elements k = -6 ... 6 floats from their crossing L (above
-    # false at L, true at the float after it): after s steps each sits
-    # max(|k| - s, 0) floats out, and one that moved in step s is unsettled
+@pytest.mark.parametrize("reach", [0, 1, 5, 8])
+def test_crossing_certifies_only_a_crossing_in_the_window(monkeypatch, reach):
+    # one chunk of elements k = -(R + 2) ... R + 2 floats from their crossing L
+    # (above false at L, true at the float after it): the window around L + k
+    # holds the crossing only for |k| <= R, and a certified element returns
+    # it; the bounds hold 4 floats out from the crossing, so |k| <= R - 3
+    # is certified, but not always 1 float out, where they sit at |k| = R
+    monkeypatch.setattr(seqcore, "_REACH", reach)
     u = 1.0 - np.random.default_rng(48).random(64)
-    target = np.repeat(1.0 / np.sqrt(u), 13)
+    ks = np.arange(-reach - 2, reach + 3)
+    target = np.repeat(1.0 / np.sqrt(u), len(ks))
     crossing = seqcore._bisect(target).view(np.int64).copy()
     # the midpoint rounds to L or to the float after it
     crossing -= seqcore._above(crossing.view(np.float64), target)
-    assert not seqcore._above(crossing.view(np.float64), target).any()
-    assert seqcore._above((crossing + 1).view(np.float64), target).all()
-    assert seqcore._certified(crossing, target).all()  # no other crossing near
-    k = np.tile(np.arange(-6, 7), 64)
-    for steps in range(1, 8):
-        monkeypatch.setattr(seqcore, "_WALK_STEPS", steps)
-        bits = crossing + k
-        settled = seqcore._walk_to_crossing(bits, target)
-        np.testing.assert_array_equal(bits - crossing,
-                                      np.sign(k) * np.maximum(abs(k) - steps, 0))
-        np.testing.assert_array_equal(settled, abs(k) < steps)
+    for j in range(2 * reach + 4):  # no other crossing near
+        assert not seqcore._above((crossing - j).view(np.float64), target).any()
+        assert seqcore._above((crossing + 1 + j).view(np.float64), target).all()
+    k = np.tile(ks, 64)
+    low, ok = seqcore._crossing(crossing + k, target)
+    assert not ok[abs(k) > reach].any() and ok[abs(k) <= reach - 3].all()
+    assert not ok[abs(k) == reach].all()
+    np.testing.assert_array_equal(low[ok], crossing[ok])
 
 
 def test_logtail_quantile_needs_no_bisection_on_draws(monkeypatch):
@@ -240,9 +247,19 @@ def test_logtail_quantile_needs_no_bisection_on_draws(monkeypatch):
     assert bisected == []
 
 
+def test_logtail_quantile_exact_at_binade_edges(monkeypatch):
+    # u whose crossing x has ln(e + x) near 2^k, where the floats the bounds
+    # of the window step over change spacing
+    x = np.concatenate([(math.exp(2.0**k) - math.e) * (1.0 + np.arange(-200, 200) * 2.0**-52)
+                        for k in range(1, 8)])
+    target = x * np.log(math.e + x)
+    bisected = _counting_bisect(monkeypatch)
+    _assert_quantile_exact(1.0 / (target * target))
+    assert bisected == []
+
+
 def test_log_error_fits_the_window():
-    # the window proof needs k > 4 + 4c for every float k steps outside it,
-    # with c the error of np.log in ulps; W = 8 holds for any c < 1.25
+    # the window's certificate assumes only that np.log errs by less than 1 ulp
     rng = np.random.default_rng(47)
     x = np.concatenate([_logtail_quantile(1.0 - rng.random(2000)),
                         np.exp(rng.uniform(math.log(0.7), math.log(1e159), 2000))])
@@ -251,7 +268,7 @@ def test_log_error_fits_the_window():
     with mpmath.workprec(120):
         c = max(float(abs(mpmath.mpf(g) - mpmath.log(a)) / math.ulp(g))
                 for a, g in zip(arg.tolist(), got.tolist()))
-    assert 4 + 4 * c < seqcore._WINDOW + 1
+    assert c < 1
 
 
 def _logtail_raw_variance() -> mpmath.mpf:
@@ -319,6 +336,16 @@ def test_pareto_requires_finite_variance():
         DistributionSpec("pareto_sym", tail_exponent=2.0)
     with pytest.raises(ValueError, match="variance infinite"):
         DistributionSpec("pareto_sym", tail_exponent=1.5)
+
+
+@pytest.mark.filterwarnings("error")
+def test_uniform_range_must_be_finite():
+    with pytest.raises(ValueError, match="^uniform range 2 sigma sqrt\\(3\\) overflows float64 "
+                                         "at sigma = 1e\\+308$"):
+        DistributionSpec("uniform_centered", sigma=1e308)
+    spec = DistributionSpec("uniform_centered", sigma=2.5e307)  # 2 sigma sqrt(3) = 8.7e307
+    x = sample_sequence(spec, 4096, 5)
+    assert np.isfinite(x).all() and np.abs(x).max() <= spec.almost_sure_bound()
 
 
 def test_moment_orders():
