@@ -53,14 +53,15 @@ def _iter_chunks(spec: DistributionSpec, length: int, trials: int, seed: int):
         idx += 1
 
 
-def _walks(block: np.ndarray) -> np.ndarray:
-    """The walk of each row of a sample block; a ValueError names one that is
-    not finite (a partial sum that overflows, or a sample that did)."""
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        walks = np.cumsum(block, axis=1)
-    if not np.isfinite(walks[:, -1]).all():  # a NaN or inf stays to the row's end
-        raise ValueError("a Monte Carlo walk overflows float64")
-    return walks
+def _abs_walks(spec: DistributionSpec, length: int, trials: int, seed: int):
+    """Yield |S_l| of the walks of _iter_chunks' blocks, one walk per row; a
+    ValueError names one that is not finite (an overflow, in a sum or a sample)."""
+    for block in _iter_chunks(spec, length, trials, seed):
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            walks = np.abs(np.cumsum(block, axis=1))
+        if not np.isfinite(walks[:, -1]).all():  # a NaN or inf stays to the row's end
+            raise ValueError("a Monte Carlo walk overflows float64")
+        yield walks
 
 
 def maximal_tail_empirical(
@@ -72,9 +73,8 @@ def maximal_tail_empirical(
     if length < 1 or trials < 1:
         raise ValueError("need L >= 1 and trials >= 1")
     hits = 0
-    for block in _iter_chunks(spec, length, trials, seed):
-        walks = _walks(block)
-        hits += int(np.count_nonzero(np.abs(walks).max(axis=1) > t))
+    for walks in _abs_walks(spec, length, trials, seed):
+        hits += int(np.count_nonzero(walks.max(axis=1) > t))
     return EmpiricalTail(frequency=hits / trials, trials=trials)
 
 
@@ -89,8 +89,7 @@ def etemadi_check(
         raise ValueError("need L >= 1 and trials >= 1")
     lhs_hits = 0
     per_step = np.zeros(length, dtype=np.int64)
-    for block in _iter_chunks(spec, length, trials, seed):
-        walks = np.abs(_walks(block))
+    for walks in _abs_walks(spec, length, trials, seed):
         lhs_hits += int(np.count_nonzero(walks.max(axis=1) >= 3.0 * a))
         per_step += np.count_nonzero(walks >= a, axis=0)
     lhs = EmpiricalTail(frequency=lhs_hits / trials, trials=trials)

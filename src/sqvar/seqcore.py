@@ -8,10 +8,9 @@ samples into the walk that every kernel takes; it is called once per input,
 where the samples enter (a lab trial, `sqvar compute`, `sqvar greedy`).
 
 Log-tail magnitudes are inverse-CDF draws: the root of x*ln(e+x) = 1/sqrt(u)
-for u in (0, 1]. Its bits are defined by a float bisection, and are computed
-by Newton, the bisection's predicate on a window of floats around Newton's
-root and one log-free bound on each side of that window, which provably gives
-the same bits wherever np.log errs by less than 1 ulp (see _logtail_quantile).
+for u in (0, 1]. Its bits are those of a float bisection, computed by Newton,
+the bisection's predicate on a window of floats and a log-free bound on each
+side of it, exact wherever np.log errs by less than 1 ulp (_logtail_quantile).
 """
 
 from __future__ import annotations
@@ -189,9 +188,7 @@ class PrefixSums:
 # The log-tail quantile solves x*ln(e+x) = 1/sqrt(u) to the bits of a
 # bisection without running it; see _logtail_quantile for the proof.
 _NEWTON_STEPS = 4  # from below the root; leaves x within 2 floats of the crossing
-# The window is the floats x - _REACH ... x + _REACH + 1 around Newton's x. Its
-# bounds hold from about 4 floats out from the crossing, so 5 covers Newton's 2.
-_REACH = 5
+_REACH = 5  # window x - 5 ... x + 6; its bounds hold 4 floats out, so it covers Newton's 2
 _CHUNK = 1 << 15  # elements per pass, so that the temporaries stay in L2
 
 
@@ -224,26 +221,20 @@ def _bisect(target: np.ndarray) -> np.ndarray:
 
 
 def _crossing(bits: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The crossing L of each element of the chunk (bits is the int64 view of
-    Newton's x), as int64 bits, and the mask of the elements it is certified
-    for: above reads false ... false, true ... true on the window of floats
-    x - _REACH ... x + _REACH + 1, with L its last false, and the two bounds
-    of _logtail_quantile hold outside the window.
-
-    Positive floats order as their bit patterns, so +-k on bits is k floats.
-    """
+    """Step 2 of _logtail_quantile on a chunk: from Newton's x as int64 bits,
+    the crossing L as int64 bits and the mask of the elements certified.
+    Positive floats order as their bit patterns, so +-k on bits is k floats."""
     ok = np.ones(len(bits), dtype=bool)
-    falses = np.zeros(len(bits), dtype=np.int64)
+    low = bits - (_REACH + 1)  # one float up per false: then the last false
     prev, cur = np.zeros_like(ok), np.empty_like(ok)
     y = np.empty_like(bits)
     for k in range(-_REACH, _REACH + 2):
         np.add(bits, k, out=y)
         _above(y.view(np.float64), target, cur)
         ok &= cur | ~prev  # no false after a true
-        falses += ~cur
+        low += ~cur
         prev, cur = cur, prev
-    ok &= prev & (falses > 0)  # a true at the window's top, a false at its bottom
-    low = bits + (falses - _REACH - 1)
+    ok &= prev & (low >= bits - _REACH)  # a true at the window's top, a false at its bottom
     lg_up = (np.log(math.e + low.view(np.float64)).view(np.int64) + 2).view(np.float64)
     ok &= (bits - _REACH - 1).view(np.float64) * lg_up <= target
     lg_down = (np.log(math.e + (low + 1).view(np.float64)).view(np.int64) - 2).view(np.float64)
@@ -262,17 +253,15 @@ def _logtail_quantile(u: np.ndarray) -> np.ndarray:
        start is below the root and g is increasing and convex, so after the
        first step the iterates fall to the root; _NEWTON_STEPS leave them
        within a few floats of the crossing.
-    2. Evaluate above on the 2 _REACH + 2 floats x - _REACH ... x + _REACH + 1
-       (_crossing). Where they read false ... false, true ... true, with at
-       least one of each, L is the last false and H the float after it.
-    3. Certify the floats outside the window by one log-free bound per side:
-       fl((x - _REACH - 1) * lgU) <= target, with lgU two floats above
-       np.log(fl(e + L)), and fl((x + _REACH + 2) * lgD) > target, with lgD
-       two floats below np.log(fl(e + H)).
-    4. Return 0.5 * (L + H). Elements that fail 2 or 3 are bisected, which
-       is exact by construction; none did in 2^21 draws of u, log-uniform u
-       down to 5e-324, the 2^-53 lattice, and u whose crossing has ln(e + x)
-       near a power of 2.
+    2. Evaluate above on the window x - _REACH ... x + _REACH + 1 (_crossing).
+       It must read false ... false, true ... true, with one of each at
+       least: L is the last false and H the float after it. Certify the
+       floats outside it by one log-free bound per side, with lgU (lgD) two
+       floats above np.log(fl(e + L)) (below np.log(fl(e + H))):
+       fl((x - _REACH - 1) * lgU) <= target < fl((x + _REACH + 2) * lgD).
+    3. Return 0.5 * (L + H). Elements that fail 2 are bisected, which is
+       exact by construction; none did in 2^21 draws of u, log-uniform u down
+       to 5e-324, the 2^-53 lattice, and u whose ln(e + x) is near 2^k.
 
     Lemma 1. If above is false on every float in [0, L] and true on every
     float in [H, max(target, 1)], _bisect returns 0.5 * (L + H).
@@ -286,27 +275,22 @@ def _logtail_quantile(u: np.ndarray) -> np.ndarray:
     hi = H. Every step about halves hi - lo, so this is reached well inside
     the 100 steps (by step 63 on this domain).
 
-    Lemma 2. If steps 2 and 3 pass, above is false on every float in [0, L]
-    and true on every float >= H, so by Lemma 1 step 4 returns _bisect's bits.
+    Lemma 2. If step 2 passes, above is false on every float in [0, L] and
+    true on every float >= H, so step 3 returns _bisect's bits (Lemma 1).
     Proof. Assume only that np.log errs by less than 1 ulp. Then np.log(a)
-    lies between the float one below RD(ln a), ln a rounded down, and
-    RU(ln a), ln a rounded up (it can fall below RD(ln a) only where ln a
-    sits just above a power of 2, a binade edge, where the floats below are
-    closer together); RU and RD are monotone and at most one float apart.
-    So for floats a <= b,
-        np.log(a) <= RU(ln a) <= RU(ln b) <= RD(ln b) + 1 float
-                  <= np.log(b) + 2 floats,
-    and likewise np.log(a) >= np.log(b) - 2 floats for a >= b. Let
-    0 <= y <= x - _REACH - 1 be a float. It is below L, the window's bottom
-    being at most L, so fl(e + y) <= fl(e + L) (rounding is monotone) and
-    np.log(fl(e + y)) <= lgU. Both factors are >= 0 and rounding is monotone,
-    so fl(y * np.log(fl(e + y))) <= fl(y * lgU) <= fl((x - _REACH - 1) * lgU)
-    <= target: above(y) is false. The mirror image, with fl(e + y) >=
-    fl(e + H) and lgD > 0 (ln(e + H) > 1), makes above(y) true for every
-    float y >= x + _REACH + 2, and the window covers the floats between.
-    Nothing here depends on _REACH or _NEWTON_STEPS: they set only how many
-    elements pass. np.log, on contiguous arrays as called here, was measured
-    against mpmath at 0.5015 ulps (test_log_error_fits_the_window).
+    is at most RU(ln a), ln a rounded up, and at least the float below
+    RD(ln a), ln a rounded down (below RD(ln a) only at a binade edge, ln a
+    just above a power of 2). RU and RD are monotone and at most one float
+    apart, so for floats a <= b, np.log(a) <= RU(ln b) <= RD(ln b) + 1 float
+    <= np.log(b) + 2 floats, and mirrored for a >= b. A float 0 <= y <= x -
+    _REACH - 1 lies below L, so fl(e + y) <= fl(e + L) (rounding is
+    monotone), np.log(fl(e + y)) <= lgU and, all factors being >= 0,
+    fl(y * np.log(fl(e + y))) <= fl((x - _REACH - 1) * lgU) <= target:
+    above(y) is false. Mirrored, with lgD > 0 as ln(e + H) > 1, above(y) is
+    true for every float y >= x + _REACH + 2; the window covers the rest.
+    This holds for any _REACH and _NEWTON_STEPS, which set only how many
+    elements pass. np.log as called here errs by 0.5015 ulps against mpmath
+    (test_log_error_fits_the_window).
     """
     target = 1.0 / np.sqrt(u)
     x = target / np.log(math.e + target)
