@@ -192,7 +192,7 @@ def _cmd_bounds(args) -> int:
                 sum_var = length * spec.sigma**2
             except OverflowError:
                 sum_var = math.inf  # refused by name in the bound
-            bd = bounds.bernstein_maximal_bound(t, sum_var, m)  # before its Monte Carlo run
+            bd = bounds.bernstein_maximal_bound(t, sum_var, m)  # refuses sigma^2 before any walk
             emp = bounds.maximal_tail_empirical(spec, length, t, args.trials, seed)
             ok = emp.frequency <= bd + 3.0 * emp.std_err
             row = (t, emp.frequency, bd, emp.std_err, ok)

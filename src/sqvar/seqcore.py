@@ -192,11 +192,15 @@ _REACH = 5  # window x - 5 ... x + 6; its bounds hold 4 floats out, so it covers
 _CHUNK = 1 << 15  # elements per pass, so that the temporaries stay in L2
 
 
-def _above(x: np.ndarray, target: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _above(x: np.ndarray, target: np.ndarray, out: np.ndarray | None = None,
+           lg_floats: int = 0) -> np.ndarray:
     """The bisection's predicate x*ln(e+x) > target, in its float expression
-    and order, with one temporary; out, if given, receives the mask."""
+    and order, with one temporary; out, if given, receives the mask. A bound
+    of _crossing moves the log lg_floats floats up (down where negative)."""
     t = math.e + x
     np.log(t, out=t)
+    if lg_floats:
+        t.view(np.int64)[...] += lg_floats  # t > 0: its floats order as its bits
     np.multiply(x, t, out=t)
     return np.greater(t, target, out=out)
 
@@ -221,11 +225,11 @@ def _bisect(target: np.ndarray) -> np.ndarray:
 
 
 def _crossing(bits: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Step 2 of _logtail_quantile on a chunk: from Newton's x as int64 bits,
-    the crossing L as int64 bits and the mask of the elements certified.
-    Positive floats order as their bit patterns, so +-k on bits is k floats."""
-    ok = np.ones(len(bits), dtype=bool)
-    low = bits - (_REACH + 1)  # one float up per false: then the last false
+    """Step 2 of _logtail_quantile on a chunk of Newton's x as int64 bits, which
+    order as the floats: the crossing L, as bits, and the mask it is certified for."""
+    low = bits - (_REACH + 1)  # A, then one float up per false in the window: L
+    ok = ~_above(low.view(np.float64), target, lg_floats=2)  # false up to A
+    ok &= _above((bits + (_REACH + 2)).view(np.float64), target, lg_floats=-2)  # true from B
     prev, cur = np.zeros_like(ok), np.empty_like(ok)
     y = np.empty_like(bits)
     for k in range(-_REACH, _REACH + 2):
@@ -234,11 +238,6 @@ def _crossing(bits: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndar
         ok &= cur | ~prev  # no false after a true
         low += ~cur
         prev, cur = cur, prev
-    ok &= prev & (low >= bits - _REACH)  # a true at the window's top, a false at its bottom
-    lg_up = (np.log(math.e + low.view(np.float64)).view(np.int64) + 2).view(np.float64)
-    ok &= (bits - _REACH - 1).view(np.float64) * lg_up <= target
-    lg_down = (np.log(math.e + (low + 1).view(np.float64)).view(np.int64) - 2).view(np.float64)
-    ok &= (bits + _REACH + 2).view(np.float64) * lg_down > target
     return low, ok
 
 
@@ -253,12 +252,12 @@ def _logtail_quantile(u: np.ndarray) -> np.ndarray:
        start is below the root and g is increasing and convex, so after the
        first step the iterates fall to the root; _NEWTON_STEPS leave them
        within a few floats of the crossing.
-    2. Evaluate above on the window x - _REACH ... x + _REACH + 1 (_crossing).
-       It must read false ... false, true ... true, with one of each at
-       least: L is the last false and H the float after it. Certify the
-       floats outside it by one log-free bound per side, with lgU (lgD) two
-       floats above np.log(fl(e + L)) (below np.log(fl(e + H))):
-       fl((x - _REACH - 1) * lgU) <= target < fl((x + _REACH + 2) * lgD).
+    2. Certify (_crossing) that above is false up to A = x - _REACH - 1 and
+       true from B = x + _REACH + 2, by one bound per side that takes no log
+       of the floats it covers, fl(A * lgA) <= target < fl(B * lgB) with
+       lgA (lgB) two floats above np.log(fl(e + A)) (below np.log(fl(e + B))),
+       and that the window between reads false ... false, true ... true.
+       L is the last false from A on, and H the float after it.
     3. Return 0.5 * (L + H). Elements that fail 2 are bisected, which is
        exact by construction; none did in 2^21 draws of u, log-uniform u down
        to 5e-324, the 2^-53 lattice, and u whose ln(e + x) is near 2^k.
@@ -282,14 +281,14 @@ def _logtail_quantile(u: np.ndarray) -> np.ndarray:
     RD(ln a), ln a rounded down (below RD(ln a) only at a binade edge, ln a
     just above a power of 2). RU and RD are monotone and at most one float
     apart, so for floats a <= b, np.log(a) <= RU(ln b) <= RD(ln b) + 1 float
-    <= np.log(b) + 2 floats, and mirrored for a >= b. A float 0 <= y <= x -
-    _REACH - 1 lies below L, so fl(e + y) <= fl(e + L) (rounding is
-    monotone), np.log(fl(e + y)) <= lgU and, all factors being >= 0,
-    fl(y * np.log(fl(e + y))) <= fl((x - _REACH - 1) * lgU) <= target:
-    above(y) is false. Mirrored, with lgD > 0 as ln(e + H) > 1, above(y) is
-    true for every float y >= x + _REACH + 2; the window covers the rest.
-    This holds for any _REACH and _NEWTON_STEPS, which set only how many
-    elements pass. np.log as called here errs by 0.5015 ulps against mpmath
+    <= np.log(b) + 2 floats, and mirrored for a >= b. For a float
+    0 <= y <= A, fl(e + y) <= fl(e + A) (rounding is monotone), so
+    np.log(fl(e + y)) <= lgA and, all factors being >= 0, fl(y * np.log(fl(e
+    + y))) <= fl(A * lgA) <= target: above(y) is false. Mirrored, with
+    lgB > 0 as ln(e + B) > 1, above(y) is true for every float y >= B, and
+    the window, between A and B, reads false up to L and true from H. This
+    holds for any _REACH and _NEWTON_STEPS, which set only how many elements
+    pass. np.log as called here errs by 0.5015 ulps against mpmath
     (test_log_error_fits_the_window).
     """
     target = 1.0 / np.sqrt(u)

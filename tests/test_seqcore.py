@@ -219,26 +219,27 @@ def test_logtail_quantile_falls_back_where_the_window_misses(monkeypatch, newton
 
 @pytest.mark.parametrize("reach", [0, 1, 5, 8])
 def test_crossing_certifies_only_a_crossing_in_the_window(monkeypatch, reach):
-    # one chunk of elements k = -(R + 2) ... R + 2 floats from their crossing L
-    # (above false at L, true at the float after it): the window around L + k
-    # holds the crossing only for |k| <= R, and a certified element returns
-    # it; the bounds hold 4 floats out from the crossing, so |k| <= R - 3
-    # is certified, but not always 1 float out, where they sit at |k| = R
+    # one chunk of elements k = -(R + 3) ... R + 3 floats from their crossing
+    # L (above false at L, true at the float after it): a certified element
+    # returns L, and one whose crossing lies outside A = x - R - 1 ... B =
+    # x + R + 2, where the bounds sit, is not certified; the bounds hold 4
+    # floats out from the crossing, so |k| <= R - 3 is certified, but not
+    # always 1 float out, at k = R (A = L - 1) and k = -R (B = L + 2)
     monkeypatch.setattr(seqcore, "_REACH", reach)
     u = 1.0 - np.random.default_rng(48).random(64)
-    ks = np.arange(-reach - 2, reach + 3)
+    ks = np.arange(-reach - 3, reach + 4)
     target = np.repeat(1.0 / np.sqrt(u), len(ks))
     crossing = seqcore._bisect(target).view(np.int64).copy()
     # the midpoint rounds to L or to the float after it
     crossing -= seqcore._above(crossing.view(np.float64), target)
-    for j in range(2 * reach + 4):  # no other crossing near
+    for j in range(2 * reach + 6):  # no other crossing near
         assert not seqcore._above((crossing - j).view(np.float64), target).any()
         assert seqcore._above((crossing + 1 + j).view(np.float64), target).all()
     k = np.tile(ks, 64)
     low, ok = seqcore._crossing(crossing + k, target)
-    assert not ok[abs(k) > reach].any() and ok[abs(k) <= reach - 3].all()
-    assert not ok[abs(k) == reach].all()
     np.testing.assert_array_equal(low[ok], crossing[ok])
+    assert not ok[abs(k) >= reach + 2].any() and ok[abs(k) <= reach - 3].all()
+    assert not ok[k == reach].all() and not ok[k == -reach].all()
 
 
 def test_logtail_quantile_needs_no_bisection_on_draws(monkeypatch):
