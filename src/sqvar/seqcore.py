@@ -9,8 +9,8 @@ where the samples enter (a lab trial, `sqvar compute`, `sqvar greedy`).
 
 Log-tail magnitudes are inverse-CDF draws: the root of x*ln(e+x) = 1/sqrt(u)
 for u in (0, 1]. Its bits are those of a float bisection, computed by Newton,
-the bisection's predicate on a window of floats and a log-free bound on each
-side of it, exact wherever np.log errs by less than 1 ulp (_logtail_quantile).
+the bisection's predicate on a window of floats and one bound for all floats
+on each side of it, exact wherever np.log errs by less than 1 ulp.
 """
 
 from __future__ import annotations
