@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -81,6 +82,7 @@ def partition_value(walk: PrefixSums, partition: Partition, p: float = 2.0) -> V
 
 
 _DP_LONG = 1 << 8  # a chain with more candidates is scored in one numpy call
+_DP_CHUNK = 1 << 12  # turning-point values held as Python floats at a time
 
 
 @np.errstate(over="ignore")  # partition_value refuses what overflows here
@@ -101,95 +103,129 @@ def _dp_breakpoints(a: np.ndarray, p: float) -> np.ndarray:
     reached in float64: two records whose differences from a[i] round to one
     float, each followed by the same rounded score, tie on both counts.
 
-    Every candidate is scored as |a_j - a_i|^p + G[j], and the candidates of
-    a point are compared in one order, from the end to the nearest record, a
-    later one winning a tie in score and count. A chain of at most _DP_LONG
-    candidates is scored in the stack walk itself, by d * d at p = 2 and by
-    Python's abs(d) ** p off 2; a longer one is scored in one numpy call by
-    _power. At p = 2 both give the same float; off 2 numpy's ** can differ
-    from Python's in the last bit, which changes a partition only where two
-    candidates tie to within an ulp.
+    The suffix recurrence on the turning points c is a prefix recurrence on
+    b = c reversed, which _dp_fold runs; this driver hands it b a _DP_CHUNK of
+    Python floats at a time and reads the breakpoints back from its `prev`.
 
     The time is the total chain length. On a mean-zero walk the chains are
     short (about 8 candidates per turning point at N = 1e6, Gaussian) and the
     time is near-linear; on a walk with drift the chains grow with N and the
     time is O(N^2), each long chain scored in one numpy call as the full DP
-    scores a row. Memory is O(N), the values, scores and stacks of the turning
-    points and their numpy copies: 89-96 bytes per point at N = 2^16 ... 2^20.
+    scores a row. Two arrays grow with N, the turning points' indices and
+    `prev`, at 8 bytes per turning point each; finding the turning points
+    takes three boolean arrays of a byte per point, freed before the fold.
+    The record stacks hold 0.8-1.3 sqrt(N) entries on a mean-zero walk, and
+    up to one per turning point on a walk with drift. The tracemalloc peak is
+    8-14 bytes per point of N at N = 2^16 ... 2^22 on Gaussian, Rademacher
+    and {-1, 0, 1} steps, and about 45 with drift.
     """
-    step = np.sign(np.diff(a))  # turn: a strict step in, another step out
-    turns = np.flatnonzero((step[:-1] != 0) & (step[1:] != step[:-1])) + 1
-    idx = np.concatenate(([0], turns, [len(a) - 1]))
-    del step, turns  # through the loop only per-turning-point state is held
-    # The suffix recurrence on the turning points c is a prefix recurrence on
-    # b = c reversed: point q of b is point m - q of c, and the candidates of
-    # q are the end (q' = 0) and a record chain of b to the left of q.
-    b = a[idx[::-1]]
-    vals = b.tolist()
-    m = len(vals) - 1
-    vals += (-math.inf, math.inf)  # vals[-2], vals[-1]: under lows, highs
-    g, cnt, prev = [0.0] * (m + 1), [0] * (m + 1), [0] * (m + 1)
-    square = p == 2.0
-
-    # scanning rightwards, after the pops `highs` holds the strict running-
-    # maximum records of b left of q, read leftwards from q, and `lows` the
-    # strict running-minimum ones, nearest (the previous greater and the
-    # previous smaller point) on top, above the sentinels -1 and -2 (vals +inf,
-    # -inf): no pop passes them, the bisection skips them and, as a stop, they
-    # lie left of every point; the end q' = 0 is scored on its own. Adjacent
-    # turning points differ but for the end and its neighbour, so each q > 1
-    # rises or falls from q - 1: a rise pops `highs` only and takes its chain
-    # from `lows`, whose top is q - 1, a fall the other way round. A point is
-    # pushed only onto the stack that the next point does not pop it from. A
-    # long chain is scored from numpy copies hm, lm of the stacks and gn, cn of
-    # g, cnt (current below `done`), which are brought up to date only then.
-    highs, lows = [-1], [-2]
-    rise, end = vals[1] > vals[0], vals[0]
-    hm, lm = np.zeros(m + 1, dtype=np.int64), np.zeros(m + 1, dtype=np.int64)
-    gn, cn = np.zeros(m + 1), np.zeros(m + 1, dtype=np.int64)
-    done = 0
-    for q in range(1, m + 1):
-        v = vals[q]
-        if rise:
-            while vals[highs[-1]] <= v:
-                highs.pop()
-            chain, stop = lows, highs[-1]
-        else:
-            while vals[lows[-1]] >= v:
-                lows.pop()
-            chain, stop = highs, lows[-1]
-        pos = bisect_right(chain, stop, 1)  # chain[pos:] lies right of stop
-        n = len(chain)
-        if n - pos <= _DP_LONG:  # the end q' = 0, then the chain from the farthest up
-            d = end - v
-            best, fewest, pick = d * d if square else abs(d) ** p, 0, 0
-            for j in chain[pos:]:
-                d = vals[j] - v
-                w = (d * d if square else abs(d) ** p) + g[j]
-                if w > best or (w == best and cnt[j] <= fewest):
-                    best, fewest, pick = w, cnt[j], j
-            g[q], cnt[q], prev[q] = best, fewest + 1, pick
-        else:
-            # each point is pushed once, so the copy still agrees with the
-            # stack up to the first position where it differs
-            mirror = hm if chain is highs else lm
-            lo = bisect_left(range(n), True, key=lambda k: mirror[k] != chain[k])
-            mirror[lo:n] = chain[lo:n]
-            gn[done:q], cn[done:q], done = g[done:q], cnt[done:q], q
-            js = np.append(0, mirror[pos:n])
-            w = _power(b[js] - v, p)
-            w += gn[js]
-            best = w.max()
-            ok, cj = w == best, cn[js]
-            fewest = cj[ok].min()
-            g[q], cnt[q], prev[q] = float(best), int(fewest) + 1, int(js[ok & (cj == fewest)].max())
-        rise = vals[q + 1] > v
-        (lows if rise else highs).append(q)
-
+    up = a[1:] > a[:-1]  # a turn: a strict step in, not the same step out
+    turn = np.ones(len(a), dtype=bool)  # and the two ends
+    np.greater(up[:-1], up[1:], out=turn[1:-1])
+    del up
+    down = a[1:] < a[:-1]
+    turn[1:-1] |= down[:-1] > down[1:]
+    del down
+    idx = np.flatnonzero(turn)
+    del turn
+    m = len(idx) - 1
+    rev = idx[::-1]  # point q of b is a[rev[q]]
+    prev = array("q", [0]) * (m + 1)
+    chunks = (a[rev[lo:lo + _DP_CHUNK]].tolist() for lo in range(2, m + 1, _DP_CHUNK))
+    _dp_fold(float(a[rev[0]]), float(a[rev[1]]), chunks, p, prev)
     bps = [m]
     while bps[-1] != 0:
         bps.append(prev[bps[-1]])
     return idx[m - np.array(bps)]
+
+
+def _dp_fold(end: float, first: float, chunks, p: float, prev) -> None:
+    """Run the record-chain recurrence g[q] = max over q' in {0} + chain(q) of
+    |b[q'] - b[q]|^p + g[q'] on the points b[0] = end, b[1] = first, and the
+    lists of floats in chunks, which carry b[2], b[3], ... in order, and write
+    the tie rule's pick q' into prev[q] (prev[1] = 0 is the caller's).
+
+    Scanning rightwards, `highs` holds the strict running-maximum records of b
+    left of q, read leftwards from q, and `lows` the strict running-minimum
+    ones, nearest (the previous greater and the previous smaller point) on
+    top, each as (index, value, g, cnt), above a sentinel of value +inf, -inf
+    and index -1, -2: no pop passes it, the bisection skips it and, as a stop,
+    it lies left of every point. Only the stacks hold a point's value, g and
+    cnt, so on a mean-zero walk nothing here but `prev` grows with the number
+    of points. The end q' = 0 is scored on its own. Adjacent turning
+    points differ but for the end and its neighbour, so each q > 1 rises or
+    falls from q - 1: a rise pops `highs` only and takes its chain from
+    `lows`, a fall the other way round, and q - 1 is pushed, on entry to q,
+    onto the stack that q takes its chain from, of which it is then the top.
+
+    Every candidate is scored as |b[q'] - b[q]|^p + g[q'], and the candidates
+    of a point are compared in one order, from the end to the nearest record,
+    a later one winning a tie in score and count. A chain of at most _DP_LONG
+    candidates is scored in the stack walk itself, by d * d at p = 2 and by
+    Python's abs(d) ** p off 2; a longer one is scored in one numpy call by
+    _power, on the end and the chain's rows of a numpy mirror of its stack.
+    Each point is pushed once, so a mirror agrees with its stack up to the
+    lowest position popped since its last copy, and is copied from there on.
+    At p = 2 both scorings give the same float; off 2 numpy's ** can differ
+    from Python's in the last bit, which changes a partition only where two
+    candidates tie to within an ulp.
+    """
+    square, long = p == 2.0, _DP_LONG
+    highs, lows = [(-1, math.inf, 0.0, 0)], [(-2, -math.inf, 0.0, 0)]
+    hix, lix = [-1], [-2]  # the stacks' indices, which the bisection reads
+    # per stack, keyed by its sentinel: rows value, g, cnt of its entries as of
+    # the last long chain it gave, and their indices
+    mirrors = {-1: [np.empty((3, 1)), [-1]], -2: [np.empty((3, 1)), [-2]]}
+    d = end - first
+    pv, pg, pc = first, d * d if square else abs(d) ** p, 1
+    q = 1
+    for chunk in chunks:
+        for v in chunk:
+            if v > pv:
+                lows.append((q, pv, pg, pc))
+                lix.append(q)
+                while highs[-1][1] <= v:
+                    highs.pop()
+                    hix.pop()
+                chain, cix, stop = lows, lix, hix[-1]
+            else:
+                highs.append((q, pv, pg, pc))
+                hix.append(q)
+                while lows[-1][1] >= v:
+                    lows.pop()
+                    lix.pop()
+                chain, cix, stop = highs, hix, lix[-1]
+            q += 1
+            pos = bisect_right(cix, stop, 1)  # chain[pos:] lies right of stop
+            n = len(chain)
+            if n - pos <= long:  # the end q' = 0, then the chain from the farthest up
+                d = end - v
+                best, fewest, pick = d * d if square else abs(d) ** p, 0, 0
+                for j, u, g, c in chain[pos:]:
+                    d = u - v
+                    w = (d * d if square else abs(d) ** p) + g
+                    if w > best or (w == best and c <= fewest):
+                        best, fewest, pick = w, c, j
+            else:
+                mirror, mix = mirrors[cix[0]]
+                lo = bisect_left(range(min(len(mix), n)), True, 1, key=lambda k: mix[k] != cix[k])
+                if mirror.shape[1] < n:
+                    grown = np.empty((3, 2 * n))
+                    grown[:, :lo] = mirror[:, :lo]
+                    mirror = mirrors[cix[0]][0] = grown
+                mirror[:, lo:n] = list(zip(*chain[lo:n]))[1:]
+                mix[lo:] = cix[lo:n]
+                rows = mirror[:, pos - 1:n].copy()  # the end in column 0, then the chain
+                rows[:, 0] = end, 0.0, 0.0
+                w = _power(rows[0] - v, p)
+                w += rows[1]
+                best = w.max()
+                ok, cj = w == best, rows[2]
+                fewest = cj[ok].min()
+                r = np.flatnonzero(ok & (cj == fewest))[-1]
+                best, fewest, pick = float(best), int(fewest), cix[pos - 1 + r] if r else 0
+            prev[q] = pick
+            pv, pg, pc = v, best, fewest + 1
 
 
 def sq_variation_exact(walk: PrefixSums) -> VariationResult:

@@ -1,14 +1,19 @@
-"""Brute-force oracles the tests compare the kernels against.
+"""Brute-force oracles the tests compare the kernels against, and the
+whole-text input parser that `sqvar compute`'s block parser must match.
 
-No command runs them: each enumerates every candidate, so they are exact by
-construction and slow by design. Import them as `from oracles import ...`;
-pytest puts this directory on sys.path, as `tests/` has no `__init__.py`.
+No command runs them: each enumerates every candidate, or holds the whole
+input, so they are exact by construction and slow by design. Import them as
+`from oracles import ...`; pytest puts this directory on sys.path, as
+`tests/` has no `__init__.py`.
 """
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
+from sqvar.cli import _is_number
 from sqvar.greedy import TwoCut
 from sqvar.seqcore import PrefixSums
 
@@ -56,3 +61,22 @@ def best_two_cut_bruteforce(walk: PrefixSums, j: int, window: int) -> TwoCut:
     i2, i1 = divmod(flat, window)
     rate = float((table.max(axis=1) / np.arange(1, window + 1)).max())
     return TwoCut(i1=i1 + 1, i2=i2 + 1, value=float(table[i2, i1]), rate=rate)
+
+
+def read_numbers(path: str) -> np.ndarray:
+    """The input parser of `sqvar compute` before it read its input a block
+    at a time: the whole text at once, then every token through float()."""
+    if path == "-":
+        text = sys.stdin.read().removeprefix("\ufeff")  # what utf-8-sig drops from a file
+    else:
+        with open(path, encoding="utf-8-sig") as fh:
+            text = fh.read()
+    vals = text.replace(",", " ").split()
+    start = 1 if vals and not _is_number(vals[0]) else 0
+    try:
+        return np.array([float(v) for v in vals[start:]])
+    except ValueError:
+        tokens = [(k, tok) for k, line in enumerate(text.splitlines(), 1)
+                  for tok in line.replace(",", " ").split()]
+        k, tok = next((k, tok) for k, tok in tokens[start:] if not _is_number(tok))
+        raise ValueError(f"input line {k}: {tok!r} is not a number") from None

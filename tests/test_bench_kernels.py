@@ -22,6 +22,7 @@ def bench_kernels():
 def test_writes_one_row_per_kernel_and_size(bench_kernels, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(bench_kernels, "MAX_LOG2", 12)
+    monkeypatch.setattr(bench_kernels, "EXACT_MAX_LOG2", 13)
     monkeypatch.setattr(bench_kernels, "DRIFT_MAX_LOG2", 11)
     held = np.ones(8 << 20)  # 64 MB resident here, which a child must not report
     del held
@@ -30,12 +31,13 @@ def test_writes_one_row_per_kernel_and_size(bench_kernels, tmp_path, monkeypatch
         out = json.load(fh)
     assert out["label"] == "smoke" and out["sizes"] == [1024, 2048, 4096]
     samples = [f"sample:{kind}" for kind in KINDS]
-    assert list(out["kernels"]) == [*samples, "prefix_sums", "exact", "exact:drift", "blocked",
-                                    "dyadic", "greedy", "classify", "dyadic:past_pow2",
-                                    "trial:lab_large", "process:compute"]
+    assert list(out["kernels"]) == [*samples, "prefix_sums", "exact", "exact:drift",
+                                    "exact:lattice", "blocked", "dyadic", "greedy", "classify",
+                                    "dyadic:past_pow2", "trial:lab_large", "process:compute"]
     for name, row in out["kernels"].items():
-        sizes = {"exact:drift": [1024, 2048], "process:compute": [16384, 32768],
-                 "dyadic:past_pow2": [1025, 4097], "trial:lab_large": [1024, 4096]}.get(
+        sizes = {"exact": [1024, 2048, 4096, 8192], "exact:drift": [1024, 2048],
+                 "process:compute": [16384, 32768], "dyadic:past_pow2": [1025, 4097],
+                 "trial:lab_large": [1024, 4096]}.get(
             name, out["sizes"])
         assert row["sizes"] == sizes and len(row["median_s"]) == len(row["min_s"]) == len(sizes)
         assert all(0 < lo <= q1 <= mid <= q3 for lo, q1, mid, q3 in zip(

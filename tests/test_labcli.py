@@ -5,10 +5,14 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sqvar import classify, cli, greedy, labcli, seqcore, variation
 from sqvar.greedy import GreedyParams
@@ -30,6 +34,8 @@ from sqvar.labcli import (
     write_outputs,
 )
 from sqvar.seqcore import DistributionSpec, mix_seed
+
+from oracles import read_numbers
 
 CONFIG_TEXT = """
 [experiment]
@@ -658,6 +664,114 @@ def test_cli_compute_skips_one_header_token(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(bom_led))
     assert cli.main(["compute", "--input", "-"]) == 0
     assert json.loads(capsys.readouterr().out)["value"] == 16.25
+
+
+# every spelling float() takes (the last is 12 in Arabic-Indic digits), a few
+# it refuses, and every kind of separator: str.split's whitespace, commas, and
+# str.splitlines' line ends, \r\n among them
+_NUMBERS = ["1", "-1", "0", "1_000", ".5", "-0.0", "nan", "-nan", "inf", "-inf", "Infinity",
+            "1e308", "2E-3", "+3", "\u0661\u0662"]
+_NON_NUMBERS = ["x", "4y", "--1", "1__0", "_1", "\ufeff1"]
+_SEPARATORS = [" ", "\t", "\n", "\r\n", "\r", ",", ", ", ",,", "\n\n", "\r\n\r\n", " \t,\r\n",
+               "\v", "\f", "\x1c", "\x85", "\u2028", "\xa0"]
+
+
+@st.composite
+def _number_texts(draw):
+    """Numbers, perhaps a header token, a non-number and a byte-order mark,
+    between any separators, with or without one before the first token and
+    after the last."""
+    tokens = draw(st.lists(st.sampled_from(_NUMBERS), max_size=20))
+    if draw(st.booleans()):
+        tokens.insert(draw(st.integers(0, len(tokens))), draw(st.sampled_from(_NON_NUMBERS)))
+    if draw(st.booleans()):
+        tokens.insert(0, draw(st.sampled_from(["steps", "value", "-"])))
+    seps = [draw(st.sampled_from(_SEPARATORS)) for _ in tokens]
+    if seps and draw(st.booleans()):
+        seps[-1] = ""  # the last token ends the text
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    lead = draw(st.sampled_from(["", *_SEPARATORS]))
+    return bom + lead + "".join(t + s for t, s in zip(tokens, seps))
+
+
+def _parsed(read, path):
+    """The bytes of the parsed numbers, or the text of the error."""
+    try:
+        return read(path).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(text=_number_texts(), block=st.sampled_from([1, 2, 3, 5, 16, 1 << 14]))
+def test_block_parser_matches_whole_text_parser(tmp_path_factory, text, block):
+    # blocks of a few characters split tokens, \r\n pairs, the header and a
+    # non-number across their boundaries; a file, stdin, and a buffer that
+    # must grow give the whole-text parser's numbers bit for bit, or its error
+    path = str(tmp_path_factory.getbasetemp() / "numbers.txt")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(text)
+    with mock.patch.object(cli, "_BLOCK", block):
+        want = _parsed(read_numbers, path)
+        assert _parsed(lambda p: cli._read_numbers(p)[1:], path) == want
+        with mock.patch.object(sys, "stdin", io.StringIO(text)):
+            want = _parsed(read_numbers, "-")
+        with mock.patch.object(sys, "stdin", io.StringIO(text)):
+            assert _parsed(lambda p: cli._read_numbers(p)[1:], "-") == want
+        grown = io.StringIO(text.removeprefix("\ufeff"))
+        assert _parsed(lambda fh: cli._parse_blocks(fh, 2)[1:], grown) == want
+
+
+def _read_through_pipe(tmp_path, data: bytes, read):
+    """read(path) on a named pipe that another thread fills with data."""
+    fifo = tmp_path / f"pipe{len(list(tmp_path.iterdir()))}"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+    writer.start()
+    try:
+        return read(str(fifo))
+    finally:
+        writer.join(timeout=60)
+        assert not writer.is_alive()
+
+
+def test_block_parser_fails_on_bad_utf8_as_one_read(tmp_path, monkeypatch):
+    # a non-number first, a byte that is not UTF-8 blocks later: the byte is
+    # reported, at its offset in the whole input, from a file, stdin or a pipe
+    data = b"1\nx\n" + b"1\n" * 20000 + b"\xff\n"
+    path = tmp_path / "x.txt"
+    path.write_bytes(data)
+    errors = []
+    for read in (read_numbers, cli._read_numbers):
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        for source in (lambda: read(str(path)), lambda: read("-"),
+                       lambda: _read_through_pipe(tmp_path, data, read)):
+            with pytest.raises(UnicodeDecodeError) as exc:
+                source()
+            errors.append(str(exc.value))
+    assert errors[:3] == errors[3:]
+    assert all("position 40004" in e for e in errors)
+    # and a pipe's numbers are a file's
+    good = data.replace(b"x", b"2").replace(b"\xff", b"3")
+    path.write_bytes(good)
+    from_pipe = _read_through_pipe(tmp_path, good, cli._read_numbers)
+    assert from_pipe[1:].tobytes() == cli._read_numbers(str(path))[1:].tobytes()
+
+
+def test_cli_compute_holds_at_most_40_bytes_per_value(tmp_path, capsys):
+    # the numbers are parsed a block at a time into one N + 1 buffer, the walk
+    # is built in it in place, and the DP holds about 16 bytes per point
+    n = 1 << 16
+    path = tmp_path / "lattice.txt"
+    path.write_text("".join(f"{v}\n" for v in np.random.default_rng(7).integers(-1, 2, n)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert cli.main(["compute", "--p", "3", "--input", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert json.loads(capsys.readouterr().out)["breakpoints"][0] == 0
+    assert peak <= 40 * n
 
 
 def _overflow_config(tmp_path, sigma: str, algorithms: str, n: int = 64, kind: str = "gaussian"):

@@ -687,17 +687,21 @@ def test_dyadic_upper_holds_little_beside_the_walk():
         assert peak <= bound * (n + 1) * 8, (n, peak)
 
 
-@pytest.mark.parametrize("kind", ["gaussian", "rademacher"])
-def test_dp_holds_at_most_100_bytes_per_point(kind):
-    # the per-turning-point lists and numpy mirrors, with the N-sized step
-    # signs freed before the loop; the stacks carry no value copies
+@pytest.mark.parametrize("kind,p", [("gaussian", 2.0), ("rademacher", 2.0), ("lattice", 3.0)])
+def test_dp_holds_at_most_32_bytes_per_point(kind, p):
+    # only the turning points' indices and `prev` grow with N, at 8 bytes per
+    # turning point each; the record stacks hold each member's value, score
+    # and count, but only about sqrt(N) members on a mean-zero walk, and the
+    # values reach Python floats a bounded chunk at a time
     n = 1 << 16
-    a = prefix_sums(sample_sequence(DistributionSpec(kind), n, 7)).values
+    x = (np.random.default_rng(7).integers(-1, 2, n).astype(float) if kind == "lattice"
+         else sample_sequence(DistributionSpec(kind), n, 7))
+    a = prefix_sums(x).values
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        _dp_breakpoints(a, 2.0)
+        _dp_breakpoints(a, p)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 100 * n
+    assert peak <= 32 * n

@@ -4,9 +4,12 @@
 
 Times each layer of a lab trial in process on one Gaussian walk per size
 (seed 7), at N = 2^10 ... 2^MAX_LOG2 (2^20): sampling of every kind
-(`sample:<kind>`), prefix sums, the exact DP, the exact DP on the walk of
-the same steps plus DRIFT (`exact:drift`, whose record chains grow with N, up
-to 2^DRIFT_MAX_LOG2 since its time is O(N^2)), the blocked DP (block 4), the
+(`sample:<kind>`), prefix sums, the exact DP (up to 2^EXACT_MAX_LOG2, 2^22,
+where its memory is measured), the exact DP on the walk of the same steps
+plus DRIFT (`exact:drift`, whose record chains grow with N, up to
+2^DRIFT_MAX_LOG2 since its time is O(N^2)), the exact DP at p = 3 on a walk
+of {-1, 0, 1} steps (`exact:lattice`, seed 7: `sqvar compute --p 3` on
+lattice values, with ties and plateaus), the blocked DP (block 4), the
 dyadic upper bound, the greedy partition and the classification of the
 exact partition. Two rows sit at 2^(MAX_LOG2-2) and 2^MAX_LOG2 only: the
 dyadic bound on the walk of one more step (`dyadic:past_pow2`, N = 2^k + 1,
@@ -59,24 +62,34 @@ from sqvar.classify import ClassParams, classify_partition, default_bad_threshol
 from sqvar.greedy import GreedyParams, greedy_partition
 from sqvar.labcli import ExperimentConfig, run_trial
 from sqvar.seqcore import KINDS, DistributionSpec, prefix_sums, sample_sequence
-from sqvar.variation import sq_variation_blocked, sq_variation_exact, sq_variation_upper_dyadic
+from sqvar.variation import (
+    p_variation_exact,
+    sq_variation_blocked,
+    sq_variation_exact,
+    sq_variation_upper_dyadic,
+)
 
 SEED = 7
 ROUNDS = 5
 MAX_REPS = 20  # per pass
 MIN_TOTAL_S = 0.25
 MAX_LOG2 = 20
+EXACT_MAX_LOG2 = 22
 DRIFT = 0.3
 DRIFT_MAX_LOG2 = 16
 PROCESS_SIZES = (1 << 14, 1 << 15)
 
 
 def _kernels(n: int):
-    """(name, N, thunk) for each layer, in trial order, on the walk of size n."""
+    """(name, N, thunk) for each layer, in trial order, on the walk of size n;
+    past 2^MAX_LOG2 the exact DP's only."""
     gaussian = DistributionSpec("gaussian")
     samples = sample_sequence(gaussian, n, SEED)
     walk = prefix_sums(samples)
+    if n > 1 << MAX_LOG2:
+        return [("exact", n, lambda: sq_variation_exact(walk))]
     exact = sq_variation_exact(walk)
+    lattice = prefix_sums(np.random.default_rng(SEED).integers(-1, 2, n).astype(float))
     drift = []
     if n <= 1 << DRIFT_MAX_LOG2:
         drift_walk = prefix_sums(samples + DRIFT)
@@ -99,6 +112,7 @@ def _kernels(n: int):
         ("prefix_sums", n, lambda: prefix_sums(samples)),
         ("exact", n, lambda: sq_variation_exact(walk)),
         *drift,
+        ("exact:lattice", n, lambda: p_variation_exact(lattice, 3.0)),
         ("blocked", n, lambda: sq_variation_blocked(walk, 4)),
         ("dyadic", n, lambda: sq_variation_upper_dyadic(walk)),
         ("greedy", n, lambda: greedy_partition(walk, params)),
@@ -178,7 +192,7 @@ def main(argv: list[str] | None = None) -> dict:
     ap.add_argument("--label", required=True)
     args = ap.parse_args(argv)
     sizes = [1 << k for k in range(10, MAX_LOG2 + 1)]
-    layers = {n: _kernels(n) for n in sizes}
+    layers = {1 << k: _kernels(1 << k) for k in range(10, max(MAX_LOG2, EXACT_MAX_LOG2) + 1)}
     timed: dict[tuple[str, int], list[float]] = {}
     cpu: dict[int, list[float]] = {}
     rss: dict[int, list[float]] = {}
@@ -188,7 +202,7 @@ def main(argv: list[str] | None = None) -> dict:
         for n, path in lattices.items():
             np.savetxt(path, rng.integers(-1, 2, n), fmt="%d")
         for _ in range(ROUNDS):
-            for n in sizes:
+            for n in layers:
                 for name, size, fn in layers[n]:
                     timed.setdefault((name, size), []).extend(_times(fn))
             for n, path in lattices.items():
@@ -196,7 +210,7 @@ def main(argv: list[str] | None = None) -> dict:
                 timed.setdefault(("process:compute", n), []).append(wall)
                 cpu.setdefault(n, []).append(cpu_s)
                 rss.setdefault(n, []).append(rss_mb)
-    peak = {(name, size): _peak_mb(fn) for n in sizes for name, size, fn in layers[n]}
+    peak = {(name, size): _peak_mb(fn) for n in layers for name, size, fn in layers[n]}
     kernels: dict[str, dict] = {}
     for (name, n), times in timed.items():
         row = kernels.setdefault(name, {"sizes": [], "median_s": [], "q1_s": [], "q3_s": [],
@@ -222,7 +236,8 @@ def main(argv: list[str] | None = None) -> dict:
         "context": {"nproc": os.cpu_count(), "cpu_model": _cpu_model(),
                     "python": platform.python_version(), "numpy": np.__version__},
         "walk": (f"gaussian:sigma=1, seed {SEED}, one walk per size; exact:drift on the "
-                 f"same steps + {DRIFT}; pareto_sym at a = 2.5; process:compute on "
+                 f"same steps + {DRIFT}; exact:lattice at p = 3 on {{-1, 0, 1}} steps, seed "
+                 f"{SEED}; pareto_sym at a = 2.5; process:compute on "
                  f"{{-1, 0, 1}} files, seed {SEED}, one fresh process per pass and size"),
         "memory": ("peak_mb: tracemalloc peak of one untimed call above what was held "
                    "before it; rss_max_mb: largest ru_maxrss of the process:compute "
