@@ -12,7 +12,7 @@ import math
 import os
 import stat
 import sys
-from itertools import accumulate, islice
+from itertools import islice
 
 # No kernel calls BLAS, so keep OpenBLAS from starting a busy-waiting worker
 # per core when numpy loads; a value the caller set wins. This must run before
@@ -37,15 +37,6 @@ class _Parser(argparse.ArgumentParser):
 
 
 _BLOCK = 1 << 14  # characters of input parsed at a time
-_RARE_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # str.splitlines' line ends but \n
-
-
-def _line_breaks(text: str) -> int:
-    """The line boundaries in text as str.splitlines counts them, \\r\\n as one."""
-    n = text.count("\n")
-    if any(c in text for c in _RARE_BREAKS):  # one memchr each, so checked before counted
-        n += sum(map(text.count, _RARE_BREAKS)) - text.count("\r\n")
-    return n
 
 
 def _read_numbers(path: str) -> np.ndarray:
@@ -54,20 +45,12 @@ def _read_numbers(path: str) -> np.ndarray:
     build the walk in place.
 
     Numbers are separated by whitespace or commas, after at most one header
-    token and a UTF-8 byte-order mark, and each is parsed by float(); a
-    ValueError names the line, as str.splitlines counts lines, and the token
-    of the first non-number. Text that is not UTF-8 fails before any token
-    does, with the error that one read of the whole input gives: stdin and
-    pipes are read whole first, and a regular file is read again whole to
-    report it.
-
-    The text is parsed _BLOCK characters at a time; a block's unfinished last
-    token, or its final \\r, which may open a \\r\\n, is carried into the
-    next. C characters, or a file of C bytes, hold at most C // 2 + 1 tokens:
-    the buffer is allocated at that size, which costs no memory until
-    written, doubled should a file grow while it is read, and shrunk in place
-    to N + 1. Beside the buffer, a regular file's parse holds one block's
-    text, tokens and floats.
+    token and a UTF-8 byte-order mark, and each is parsed by float(). A
+    regular file is parsed as it is read; stdin and pipes are read whole
+    first, into a stream that can seek back. Text that is not UTF-8 fails
+    with the error that one read of the whole input gives, and a non-number
+    with a ValueError that names its line, as str.splitlines counts lines,
+    and the token.
     """
     if path == "-":
         text = sys.stdin.read().removeprefix("\ufeff")  # what utf-8-sig drops from a file
@@ -75,59 +58,54 @@ def _read_numbers(path: str) -> np.ndarray:
         with open(path, encoding="utf-8-sig") as fh:
             info = os.fstat(fh.fileno())
             if stat.S_ISREG(info.st_mode):
-                try:
-                    return _parse_blocks(fh, info.st_size // 2 + 2)
-                except UnicodeDecodeError:  # reported at its offset in the whole file
-                    with open(path, encoding="utf-8-sig") as whole:
-                        whole.read()
-                    raise
-            text = fh.read()  # a pipe, which cannot be read again to report an error
+                return _parse_blocks(fh, info.st_size // 2 + 2)
+            text = fh.read()  # a pipe, which cannot seek back
     return _parse_blocks(io.StringIO(text), len(text) // 2 + 2)
 
 
 def _parse_blocks(fh, size: int) -> np.ndarray:
-    """_read_numbers on an open text stream, into a buffer of `size` floats."""
+    """_read_numbers on a seekable text stream, into a buffer of `size` floats.
+
+    The text is parsed _BLOCK characters at a time, a block's unfinished last
+    token carried into the next. C characters, or a file of C bytes, hold at
+    most C // 2 + 1 tokens: the buffer is allocated at that size, which costs
+    no memory until written, doubled should a file grow while it is read, and
+    shrunk in place to N + 1. Beside it the parse holds one block's text,
+    tokens and floats. On any failure the stream is read again whole from its
+    start: that one read raises a decode error at its offset in the whole
+    input, and the text it gives is searched for the first non-number.
+    """
     buf = np.empty(size)
-    n, lines, header, carry = 0, 0, True, fh.read(_BLOCK)  # header: no token read yet
-    while True:
-        block = fh.read(_BLOCK)
-        text = carry + block
-        seps = text.replace(",", " ")
-        tokens = seps.split()
-        keep = 0  # the characters carried over
-        if block and tokens and not seps[-1].isspace():
-            keep = len(tokens.pop())
-        elif block and seps.endswith("\r"):
-            keep = 1
-        text, carry = text[:len(text) - keep], text[len(text) - keep:]
-        skip = 0
-        if header and tokens:
-            skip, header = 0 if _is_number(tokens[0]) else 1, False
-        k = len(tokens) - skip
-        if n + k + 1 > len(buf):
-            buf.resize(max(2 * len(buf), n + k + 1), refcheck=False)
-        try:
+    n, header, carry = 0, True, ""  # header: no token read yet
+    try:
+        while True:
+            block = fh.read(_BLOCK)
+            seps = (carry + block).replace(",", " ")
+            tokens = seps.split()
+            carry = tokens.pop() if block and not seps[-1].isspace() else ""
+            skip = 0
+            if header and tokens:
+                skip, header = 0 if _is_number(tokens[0]) else 1, False
+            k = len(tokens) - skip
+            if n + k + 1 > len(buf):
+                buf.resize(max(2 * len(buf), n + k + 1), refcheck=False)
             buf[n + 1:n + k + 1] = np.fromiter(map(float, islice(tokens, skip, None)),
                                                np.float64, k)
-        except ValueError:
-            while fh.read(_BLOCK):  # the rest must decode, as one read of it would
-                pass
-            bad = next(i for i in range(skip, len(tokens)) if not _is_number(tokens[i]))
-            raise ValueError(f"input line {lines + _row_of(text, bad) + 1}: "
-                             f"{tokens[bad]!r} is not a number") from None
-        n += k
-        if not block:
-            break
-        lines += _line_breaks(text)
+            n += k
+            if not block:
+                break
+    except ValueError:  # a UnicodeDecodeError too
+        fh.seek(0)
+        lines = fh.read().splitlines()
+        tokens = ((row, tok) for row, line in enumerate(lines, 1)
+                  for tok in line.replace(",", " ").split())
+        bad = ((i, row, tok) for i, (row, tok) in enumerate(tokens) if not _is_number(tok))
+        i, row, tok = next(bad)
+        if i == 0:  # the header
+            i, row, tok = next(bad)
+        raise ValueError(f"input line {row}: {tok!r} is not a number") from None
     buf.resize(n + 1, refcheck=False)
     return buf
-
-
-def _row_of(text: str, k: int) -> int:
-    """The row of text.splitlines() that holds the token text.split()[k],
-    commas counting as whitespace."""
-    counts = accumulate(len(line.replace(",", " ").split()) for line in text.splitlines())
-    return next(row for row, seen in enumerate(counts) if seen > k)
 
 
 def _is_number(tok: str) -> bool:

@@ -673,7 +673,7 @@ _NUMBERS = ["1", "-1", "0", "1_000", ".5", "-0.0", "nan", "-nan", "inf", "-inf",
             "1e308", "2E-3", "+3", "\u0661\u0662"]
 _NON_NUMBERS = ["x", "4y", "--1", "1__0", "_1", "\ufeff1"]
 _SEPARATORS = [" ", "\t", "\n", "\r\n", "\r", ",", ", ", ",,", "\n\n", "\r\n\r\n", " \t,\r\n",
-               "\v", "\f", "\x1c", "\x85", "\u2028", "\xa0"]
+               "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029", "\xa0"]
 
 
 @st.composite
@@ -755,6 +755,22 @@ def test_block_parser_fails_on_bad_utf8_as_one_read(tmp_path, monkeypatch):
     path.write_bytes(good)
     from_pipe = _read_through_pipe(tmp_path, good, cli._read_numbers)
     assert from_pipe[1:].tobytes() == cli._read_numbers(str(path))[1:].tobytes()
+
+
+def test_block_parser_names_a_non_number_past_the_first_block(tmp_path, monkeypatch):
+    # the bad token lies blocks past the first at the default _BLOCK; a file
+    # seeks back to its start, and stdin and a pipe their whole text, to name it
+    data = b"1\n" * 20000 + b"x\n"
+    path = tmp_path / "x.txt"
+    path.write_bytes(data)
+    want = _parsed(read_numbers, str(path))
+    assert want == "input line 20001: 'x' is not a number"
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    for source in (lambda: cli._read_numbers(str(path)), lambda: cli._read_numbers("-"),
+                   lambda: _read_through_pipe(tmp_path, data, cli._read_numbers)):
+        with pytest.raises(ValueError) as exc:
+            source()
+        assert str(exc.value) == want
 
 
 def test_cli_compute_holds_at_most_40_bytes_per_value(tmp_path, capsys):

@@ -705,3 +705,18 @@ def test_dp_holds_at_most_32_bytes_per_point(kind, p):
     finally:
         tracemalloc.stop()
     assert peak <= 32 * n
+
+
+def test_dp_with_drift_holds_at_most_64_bytes_per_point():
+    # with drift the record stacks hold up to one member per turning point, a
+    # tuple of Python objects each, not about sqrt(N) of them
+    n = 1 << 13
+    a = prefix_sums(sample_sequence(DistributionSpec("gaussian"), n, 7) + 0.3).values
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _dp_breakpoints(a, 2.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * n

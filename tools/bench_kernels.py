@@ -16,10 +16,11 @@ dyadic bound on the walk of one more step (`dyadic:past_pow2`, N = 2^k + 1,
 whose levels run to 2^(k+1)), and one whole `labcli.run_trial` of the
 benchmark's `lab_large` cell (`trial:lab_large`: gaussian, blocked:256,
 dyadic_upper and greedy, classified at eps 0.1; seed SEED, trial 0), from
-sampling to its record. The run makes ROUNDS passes over every kernel and
-size, and in each pass repeats a kernel until its repetitions take
-MIN_TOTAL_S / ROUNDS; the file holds, per kernel, the sizes timed, the
-median, the quartiles
+sampling to its record. The `parse:compute` row reads each `process:compute`
+file below in process with `cli._read_numbers`, `sqvar compute`'s parser.
+The run makes ROUNDS passes over every kernel and size, and in each pass
+repeats a kernel until its repetitions take MIN_TOTAL_S / ROUNDS; the file
+holds, per kernel, the sizes timed, the median, the quartiles
 (`q1_s`, `q3_s`, linear interpolation) and the fastest repetition per size,
 and the exponents of N fitted by least squares to the log of the median and
 of the fastest over the larger half of those sizes. The `process:compute` row is
@@ -58,6 +59,7 @@ import tracemalloc
 import numpy as np
 
 import sqvar
+from sqvar import cli
 from sqvar.classify import ClassParams, classify_partition, default_bad_threshold
 from sqvar.greedy import GreedyParams, greedy_partition
 from sqvar.labcli import ExperimentConfig, run_trial
@@ -201,16 +203,18 @@ def main(argv: list[str] | None = None) -> dict:
         lattices = {n: os.path.join(work, f"lattice_{n}.txt") for n in PROCESS_SIZES}
         for n, path in lattices.items():
             np.savetxt(path, rng.integers(-1, 2, n), fmt="%d")
+        in_process = [*(k for n in layers for k in layers[n]),
+                      *(("parse:compute", n, lambda path=path: cli._read_numbers(path))
+                        for n, path in lattices.items())]
         for _ in range(ROUNDS):
-            for n in layers:
-                for name, size, fn in layers[n]:
-                    timed.setdefault((name, size), []).extend(_times(fn))
+            for name, size, fn in in_process:
+                timed.setdefault((name, size), []).extend(_times(fn))
             for n, path in lattices.items():
                 wall, cpu_s, rss_mb = _compute_process(path)
                 timed.setdefault(("process:compute", n), []).append(wall)
                 cpu.setdefault(n, []).append(cpu_s)
                 rss.setdefault(n, []).append(rss_mb)
-    peak = {(name, size): _peak_mb(fn) for n in layers for name, size, fn in layers[n]}
+        peak = {(name, size): _peak_mb(fn) for name, size, fn in in_process}
     kernels: dict[str, dict] = {}
     for (name, n), times in timed.items():
         row = kernels.setdefault(name, {"sizes": [], "median_s": [], "q1_s": [], "q3_s": [],
@@ -237,7 +241,7 @@ def main(argv: list[str] | None = None) -> dict:
                     "python": platform.python_version(), "numpy": np.__version__},
         "walk": (f"gaussian:sigma=1, seed {SEED}, one walk per size; exact:drift on the "
                  f"same steps + {DRIFT}; exact:lattice at p = 3 on {{-1, 0, 1}} steps, seed "
-                 f"{SEED}; pareto_sym at a = 2.5; process:compute on "
+                 f"{SEED}; pareto_sym at a = 2.5; parse:compute and process:compute on "
                  f"{{-1, 0, 1}} files, seed {SEED}, one fresh process per pass and size"),
         "memory": ("peak_mb: tracemalloc peak of one untimed call above what was held "
                    "before it; rss_max_mb: largest ru_maxrss of the process:compute "
