@@ -8,7 +8,6 @@ maximal partition are the statistics whose decay the lab trend-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,42 +29,22 @@ def check_thresholds(eps: float, b: float) -> None:
         raise ValueError(f"needs eps > 0 and b > 2 + eps, got eps = {eps:g}, b = {b:g}")
 
 
-@dataclass(frozen=True)
-class ClassParams:
-    epsilon: float
-    b_threshold: float
-    n_ref: int
-
-    def __post_init__(self):
-        check_thresholds(self.epsilon, self.b_threshold)
-        if self.n_ref < 16:
-            raise ValueError("n_ref must be >= 16 so that lnln(n_ref) > 0")
-
-    @property
-    def loglog(self) -> float:
-        return math.log(math.log(self.n_ref))
-
-
-@dataclass(frozen=True)
-class ClassBreakdown:
-    good_sum: float
-    medium_sum: float
-    bad_sum: float
-    good_len: int
-    medium_len: int
-    bad_len: int
-
-
-def classify_partition(scored: VariationResult, params: ClassParams) -> ClassBreakdown:
+def classify_partition(scored: VariationResult, eps: float, b: float) -> dict:
     """Label each interval of a p = 2 score (an exact, blocked or
-    partition_value result) by its contribution, S_I^2, and accumulate."""
+    partition_value result) of a walk of N >= 16 steps by its contribution,
+    S_I^2, against lnln N, and total each class: TrialRecord's six class
+    columns, good_sum .. bad_len."""
+    check_thresholds(eps, b)
+    n = scored.partition.n
+    if n < 16:
+        raise ValueError(f"classification needs N >= 16 so that lnln N > 0, got N = {n}")
     sums2 = scored.contributions
     lens = np.diff(scored.partition.breakpoints)
-    ll = params.loglog
-    good = sums2 <= (2.0 + params.epsilon) * lens * ll
-    bad = sums2 > params.b_threshold * lens * ll
+    ll = math.log(math.log(n))
+    good = sums2 <= (2.0 + eps) * lens * ll
+    bad = sums2 > b * lens * ll
     med = ~good & ~bad
-    return ClassBreakdown(
+    return dict(
         good_sum=float(sums2[good].sum()),
         medium_sum=float(sums2[med].sum()),
         bad_sum=float(sums2[bad].sum()),

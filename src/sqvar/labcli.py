@@ -19,7 +19,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import classify, greedy, variation
-from .classify import ClassParams
 from .greedy import GreedyParams
 from .seqcore import DistributionSpec, mix_seed, prefix_sums, sample_sequence
 
@@ -82,6 +81,7 @@ class TrialRecord:
 
 CSV_COLUMNS = [f.name for f in fields(TrialRecord)]
 _INT_COLUMNS = {"trial_index", "n", "seed", "good_len", "medium_len", "bad_len"}
+_CLASS_COLUMNS = CSV_COLUMNS[CSV_COLUMNS.index("good_sum"):]  # good_sum .. eps_param
 
 
 def _norm(n: int, sigma: float) -> float:
@@ -136,14 +136,8 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
 
     cls = {}
     if config.class_eps is not None and scored is not None and n >= 16:
-        br = classify.classify_partition(
-            scored, ClassParams(config.class_eps, config.class_b, n)
-        )
-        cls = dict(
-            good_sum=br.good_sum, medium_sum=br.medium_sum, bad_sum=br.bad_sum,
-            good_len=br.good_len, medium_len=br.medium_len, bad_len=br.bad_len,
-            b_param=config.class_b, eps_param=config.class_eps,
-        )
+        cls = classify.classify_partition(scored, config.class_eps, config.class_b)
+        cls.update(b_param=config.class_b, eps_param=config.class_eps)
 
     rec = TrialRecord(
         trial_index=trial_index, n=n, seed=seed,
@@ -207,7 +201,8 @@ def records_to_csv(records: list[TrialRecord]) -> str:
 
 
 def records_from_csv(text: str) -> list[TrialRecord]:
-    """Parse a records CSV; ValueError names the first malformed line (and cell)."""
+    """Parse a records CSV; ValueError names the first malformed line (and cell),
+    which includes an n below 1 and a class column at an n below 16."""
     lines = [(k, ln) for k, ln in enumerate(text.split("\n"), 1) if ln.strip()]
     if not lines or lines[0][1].split(",") != CSV_COLUMNS:
         raise ValueError("missing or unexpected CSV header; not a sqvar records file")
@@ -226,6 +221,13 @@ def records_from_csv(text: str) -> list[TrialRecord]:
                                  f"{raw!r}") from None
             if isinstance(kwargs[col], float) and not math.isfinite(kwargs[col]):
                 raise ValueError(f"records line {k} column {col!r} is not finite: {raw!r}")
+        n = kwargs["n"]
+        if n is None or n < 1:  # run_trial writes n >= 1, and class columns from n = 16
+            raise ValueError(f"records line {k} column 'n' must be >= 1, got {vals[1]!r}")
+        for col in _CLASS_COLUMNS if n < 16 else ():
+            if kwargs[col] is not None:
+                raise ValueError(f"records line {k} column {col!r} is set at n = {n}, "
+                                 f"but only trials with n >= 16 are classified")
         out.append(TrialRecord(**kwargs))
     return out
 

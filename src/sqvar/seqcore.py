@@ -383,15 +383,14 @@ def prefix_sums(x, out: np.ndarray | None = None) -> PrefixSums:
 
     The sums are accumulated _CHUNK samples at a time, in long double from
     N = _EXTENDED_CUTOFF and in float64 below it, and each chunk is rounded
-    straight into the walk. Every chunk after the first starts with the
-    previous chunk's last partial sum as its element 0, and cumsum adds
-    sequentially, so the walk has the bits of one cumsum of the whole input
-    in the accumulator's dtype. (The first chunk has no carry: 0 + x would
-    turn a first sample of -0.0 into +0.0.) A chunk is checked before it
-    overwrites its samples: a NaN or inf sample, and in float64 an overflow,
-    makes its last partial sum non-finite. A long double sum that rounds to
-    an infinite float64 is found in the rounded chunk. Beside the walk this
-    holds O(_CHUNK) memory.
+    straight into the walk. Every chunk starts with a carry as its element 0,
+    the previous chunk's last partial sum or, for the first chunk, -0.0, and
+    cumsum adds sequentially, so the walk has the bits of one cumsum of the
+    whole input in the accumulator's dtype: -0.0 + x is x for every x, -0.0
+    and NaN included. A chunk is checked before it overwrites its samples: a
+    NaN or inf sample, and in float64 an overflow, makes its last partial sum
+    non-finite. A long double sum that rounds to an infinite float64 is found
+    in the rounded chunk. Beside the walk this holds O(_CHUNK) memory.
     """
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim != 1 or len(arr) == 0:
@@ -406,22 +405,22 @@ def prefix_sums(x, out: np.ndarray | None = None) -> PrefixSums:
         raise ValueError("samples that share memory with out must be out[1:]")
     dtype = np.longdouble if n >= _EXTENDED_CUTOFF else np.float64
     acc = np.empty(min(n, _CHUNK) + 1, dtype=dtype)
-    carry = 0  # acc[0] holds the carry from the second chunk on
+    acc[0] = -0.0  # the first chunk's carry
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         for i in range(0, n, _CHUNK):
             m = min(_CHUNK, n - i)
-            part = acc[:carry + m]
-            part[carry:] = arr[i:i + m]
+            part = acc[:m + 1]
+            part[1:] = arr[i:i + m]
             np.cumsum(part, out=part)
             if not math.isfinite(part[-1]):  # a NaN or inf stays to the chunk's end
-                k = int(np.argmin(np.isfinite(part[carry:].astype(np.float64))))
+                k = int(np.argmin(np.isfinite(part[1:].astype(np.float64))))
                 raise _refusal(arr[i + k], i + k)
             chunk = out[i + 1:i + m + 1]
-            chunk[:] = part[carry:]
+            chunk[:] = part[1:]
             finite = np.isfinite(chunk)
             if not finite.all():  # finite samples: a long double sum rounded to inf
                 raise _refusal(0.0, i + int(np.argmin(finite)))
-            acc[0], carry = part[-1], 1
+            acc[0] = part[-1]
     out[0] = 0.0
     out.setflags(write=False)
     return PrefixSums(values=out)

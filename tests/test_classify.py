@@ -1,40 +1,38 @@
-import dataclasses
 import hashlib
 
 import numpy as np
 import pytest
 
-from sqvar.classify import ClassParams, classify_partition, default_bad_threshold
+from sqvar.classify import classify_partition, default_bad_threshold
 from sqvar.seqcore import DistributionSpec, prefix_sums, sample_sequence
 from sqvar.variation import Partition, partition_value, sq_variation_exact
 
-PARAMS = ClassParams(epsilon=0.1, b_threshold=100.0, n_ref=10**6)
 
-
-def _single(value: float):
-    return partition_value(prefix_sums([value]), Partition(np.array([0, 1])))
+def _three_singletons(n=16):
+    """Singletons of 1, 4 and 30, then one interval of n - 3 zeros."""
+    x = np.zeros(n)
+    x[:3] = (1.0, 4.0, 30.0)
+    return partition_value(prefix_sums(x), Partition(np.r_[0:4, n]))
 
 
 def test_singleton_thresholds():
-    # lnln(1e6) ~ 2.626: good cutoff 5.51, bad cutoff 262.6
-    br = classify_partition(_single(2.0), PARAMS)
-    assert (br.good_sum, br.medium_sum, br.bad_sum) == (4.0, 0.0, 0.0)
-    br = classify_partition(_single(4.0), PARAMS)
-    assert (br.good_sum, br.medium_sum, br.bad_sum) == (0.0, 16.0, 0.0)
-    br = classify_partition(_single(30.0), PARAMS)
-    assert (br.good_sum, br.medium_sum, br.bad_sum) == (0.0, 0.0, 900.0)
-    assert br.bad_len == 1 and br.good_len == 0
+    # lnln 16 ~ 1.020: good cutoff 2.14 |I|, bad cutoff 102.0 |I| at eps 0.1, b 100
+    br = classify_partition(_three_singletons(), 0.1, 100.0)
+    assert br == dict(good_sum=1.0, medium_sum=16.0, bad_sum=900.0,
+                      good_len=14, medium_len=1, bad_len=1)
 
 
 def test_params_validation():
+    scored = _three_singletons()
     with pytest.raises(ValueError):
-        ClassParams(epsilon=0.0, b_threshold=5.0, n_ref=100)
+        classify_partition(scored, 0.0, 5.0)
     with pytest.raises(ValueError):
-        ClassParams(epsilon=0.5, b_threshold=2.5, n_ref=100)  # B <= 2 + eps
+        classify_partition(scored, 0.5, 2.5)  # B <= 2 + eps
     with pytest.raises(ValueError):
-        ClassParams(epsilon=float("nan"), b_threshold=10.0, n_ref=100)
-    with pytest.raises(ValueError):
-        ClassParams(epsilon=0.1, b_threshold=10.0, n_ref=15)
+        classify_partition(scored, float("nan"), 10.0)
+    with pytest.raises(ValueError, match="N >= 16"):
+        classify_partition(partition_value(prefix_sums(np.ones(15)), Partition(np.r_[0, 15])),
+                           0.1, 10.0)
 
 
 def test_default_bad_threshold():
@@ -47,9 +45,10 @@ def test_partition_conservation():
     for trial in range(10):
         seq = sample_sequence(DistributionSpec("gaussian"), 256, trial)
         res = sq_variation_exact(prefix_sums(seq))
-        br = classify_partition(res, ClassParams(0.1, 8.0, 256))
-        assert br.good_sum + br.medium_sum + br.bad_sum == pytest.approx(res.value, rel=1e-9)
-        assert br.good_len + br.medium_len + br.bad_len == 256
+        br = classify_partition(res, 0.1, 8.0)
+        assert br["good_sum"] + br["medium_sum"] + br["bad_sum"] == pytest.approx(res.value,
+                                                                                 rel=1e-9)
+        assert br["good_len"] + br["medium_len"] + br["bad_len"] == 256
 
 
 def test_monotone_in_epsilon():
@@ -57,32 +56,31 @@ def test_monotone_in_epsilon():
     res = sq_variation_exact(prefix_sums(seq))
     prev_good = -1.0
     for eps in (0.05, 0.2, 0.8, 2.0):
-        br = classify_partition(res, ClassParams(eps, 50.0, 512))
-        assert br.good_sum >= prev_good
-        prev_good = br.good_sum
+        br = classify_partition(res, eps, 50.0)
+        assert br["good_sum"] >= prev_good
+        prev_good = br["good_sum"]
 
 
-def _maximal_breakdown(x, params):
-    return classify_partition(sq_variation_exact(prefix_sums(x)), params)
+def _maximal_breakdown(x, eps, b):
+    return classify_partition(sq_variation_exact(prefix_sums(x)), eps, b)
 
 
 def test_stats_trivial_cases():
     zeros = np.zeros(64)
-    br = _maximal_breakdown(zeros, ClassParams(0.1, 8.0, 64))
-    assert br.medium_len == 0
-    assert br.bad_sum == 0.0
+    br = _maximal_breakdown(zeros, 0.1, 8.0)
+    assert br["medium_len"] == 0
+    assert br["bad_sum"] == 0.0
     # bounded samples small enough that no interval can be bad:
-    # max |S_I|^2 <= (N max|x|)^2 kept below B * lnln(n_ref)
+    # max |S_I|^2 <= (N max|x|)^2 = 2.56 kept below B lnln N ~ 9.94
     tiny = np.full(32, 0.05)
-    assert _maximal_breakdown(tiny, ClassParams(0.1, 8.0, 10**6)).bad_sum == 0.0
+    assert _maximal_breakdown(tiny, 0.1, 8.0)["bad_sum"] == 0.0
 
 
 def test_stat_upper_bound():
     for trial in range(5):
         seq = sample_sequence(DistributionSpec("rademacher"), 128, trial)
-        params = ClassParams(0.1, 4.0, 128)
         v = sq_variation_exact(prefix_sums(seq)).value
-        assert _maximal_breakdown(seq, params).bad_sum <= v + 1e-12
+        assert _maximal_breakdown(seq, 0.1, 4.0)["bad_sum"] <= v + 1e-12
 
 
 def test_tilde_sandwich():
@@ -99,9 +97,10 @@ def test_tilde_sandwich():
         assert y <= 4.0 * tilde + 1e-12
 
 
-# SHA-256 of repr(dataclasses.astuple(breakdown)) for the exact partition of
-# gaussian sample_sequence(spec, n, seed) under ClassParams(0.1, 8.0, n),
-# recorded before classification read the exact result's contributions
+# SHA-256 of repr of the tuple of the six class totals, good_sum .. bad_len,
+# for the exact partition of gaussian sample_sequence(spec, n, seed) at
+# eps 0.1, b 8, recorded before classification read the exact result's
+# contributions
 BREAKDOWN_DIGESTS = {
     (100, 0): "c183acc1a78dad2755e572dbccb72df4ca4ef92e3bbb402076786bbcde7f3b8d",
     (100, 1): "22054822c8c9f2608e444dfe0076e0cd4af326c79f7d357d75c793f681f0fe70",
@@ -115,6 +114,6 @@ BREAKDOWN_DIGESTS = {
 @pytest.mark.parametrize("n,seed", sorted(BREAKDOWN_DIGESTS))
 def test_breakdown_golden(n, seed):
     x = sample_sequence(DistributionSpec("gaussian"), n, seed)
-    br = classify_partition(sq_variation_exact(prefix_sums(x)), ClassParams(0.1, 8.0, n))
-    digest = hashlib.sha256(repr(dataclasses.astuple(br)).encode()).hexdigest()
+    br = classify_partition(sq_variation_exact(prefix_sums(x)), 0.1, 8.0)
+    digest = hashlib.sha256(repr(tuple(br.values())).encode()).hexdigest()
     assert digest == BREAKDOWN_DIGESTS[n, seed]

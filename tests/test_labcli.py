@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sqvar import classify, cli, greedy, labcli, seqcore, variation
+from sqvar import bounds, classify, cli, greedy, labcli, seqcore, variation
 from sqvar.greedy import GreedyParams
 from sqvar.labcli import (
     CSV_COLUMNS,
@@ -98,6 +98,34 @@ def test_run_trial_fields_and_ordering(tmp_path):
         assert r.ratio == pytest.approx(r.v2_exact / (2 * r.n * math.log(math.log(r.n))))
         assert r.ratio_lo == pytest.approx(r.ratio) and r.ratio_hi == pytest.approx(r.ratio)
         assert r.good_len + r.medium_len + r.bad_len == r.n
+
+
+def test_classifies_the_blocked_score_without_exact(tmp_path, monkeypatch):
+    # without exact, each trial classifies the blocked partition of its walk;
+    # the expected columns are totalled here one interval at a time
+    monkeypatch.setattr(variation, "sq_variation_exact", _no_kernel)
+    cfg = _config(tmp_path, algorithms=("blocked", "dyadic_upper"), class_b=4.0)
+    seen = set()
+    for n in cfg.n_grid:
+        ll = math.log(math.log(n))
+        for t in range(cfg.trials):
+            rec = run_trial(cfg, n, t)
+            samples = seqcore.sample_sequence(cfg.spec, n, mix_seed(cfg.master_seed, n, t))
+            res = variation.sq_variation_blocked(seqcore.prefix_sums(samples), 4)
+            cuts = res.partition.breakpoints
+            sums = dict.fromkeys(("good", "medium", "bad"), 0.0)
+            lens = dict.fromkeys(sums, 0)
+            for a, b, s2 in zip(cuts[:-1], cuts[1:], res.contributions):
+                k = ("good" if s2 <= 2.1 * (b - a) * ll else
+                     "bad" if s2 > 4.0 * (b - a) * ll else "medium")
+                sums[k] += s2
+                lens[k] += int(b - a)
+            got_sums = (rec.good_sum, rec.medium_sum, rec.bad_sum)
+            assert got_sums == pytest.approx(tuple(sums.values()), rel=1e-12)
+            assert (rec.good_len, rec.medium_len, rec.bad_len) == tuple(lens.values())
+            assert (rec.eps_param, rec.b_param) == (0.1, 4.0)
+            seen.update(k for k, length in lens.items() if length)
+    assert seen == {"good", "medium", "bad"}
 
 
 def test_trials_zero_gives_header_only(tmp_path):
@@ -465,6 +493,12 @@ def test_cli_simulate_config_missing(tmp_path, capsys, edit, named):
     assert not (tmp_path / "r.csv").exists()
 
 
+def _records_text(**cells):
+    """A header and one row: the given cells, trial_index 0, seed 1, s_n_sq 9."""
+    row = {"trial_index": "0", "seed": "1", "s_n_sq": "9", **cells}
+    return ",".join(CSV_COLUMNS) + "\n" + ",".join(row.get(c, "") for c in CSV_COLUMNS) + "\n"
+
+
 @pytest.mark.parametrize("text,where", [
     ("", "header"),
     ("\n\n", "header"),
@@ -483,8 +517,12 @@ def test_cli_simulate_config_missing(tmp_path, capsys, edit, named):
         "\n" + ",".join(["0", "64", "1", "9", "", "", "", ratio] + [""] * (len(CSV_COLUMNS) - 8))
         for ratio in ("0.5", "inf")) + "\n",
      "line 3 column 'ratio' is not finite: 'inf'"),
+    # rows that run_trial never writes: n below 1, and a class column below n = 16
+    (_records_text(n="0", medium_len="1"), "line 2 column 'n' must be >= 1, got '0'"),
+    (_records_text(n="1", bad_sum="5"), "line 2 column 'bad_sum' is set at n = 1"),
+    (_records_text(n="2", bad_sum="5"), "line 2 column 'bad_sum' is set at n = 2"),
 ], ids=["empty", "blank", "short-row", "long-row", "non-numeric-int", "non-numeric-float",
-        "nan-ratio", "inf-ratio"])
+        "nan-ratio", "inf-ratio", "n-0", "class-at-n-1", "class-at-n-2"])
 def test_records_csv_malformed(tmp_path, capsys, text, where):
     with pytest.raises(ValueError, match=where):
         records_from_csv(text)
@@ -493,7 +531,7 @@ def test_records_csv_malformed(tmp_path, capsys, text, where):
     for argv in (["summarize"], ["plotdata", "--kind", "ratio_vs_n"]):
         assert cli.main([*argv, "--input", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("sqvar: error: ") and where in err
+        assert err.startswith("sqvar: error: ") and where in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("n_grid", ["8", "32"])
@@ -559,6 +597,22 @@ def test_cli_bounds_small(tmp_path):
         assert all(ln.endswith("true") for ln in lines[1:])
 
 
+def test_cli_bounds_violation_exits_2_after_writing(tmp_path, capsys, monkeypatch):
+    # a bound of 0, which an empirical frequency above 3 standard errors exceeds;
+    # the CSV is written first, its failed rows included
+    monkeypatch.setattr(bounds, "bernstein_maximal_bound", lambda t, sum_var, m: 0.0)
+    out = tmp_path / "bounds.csv"
+    rc = cli.main(["bounds", "--check", "bernstein", "--trials", "400", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "sqvar: invariant violation: empirical value exceeded its bound\n")
+    rows = [ln.split(",") for ln in out.read_text().splitlines()]
+    assert rows[0] == ["threshold", "empirical", "bound", "std_err", "pass"]
+    assert len(rows) == 1 + len(cli._DEFAULT_GRIDS["bernstein"])
+    assert all(row[2] == "0" for row in rows[1:])
+    assert "false" in {row[4] for row in rows[1:]}
+
+
 @pytest.mark.parametrize("check,text,where", [
     ("bernstein", "t,L\n8\n", "grid line 2: --check bernstein needs rows of width 2, got 1"),
     ("bernstein", "8,x\n", "grid line 1: 'x' is not a number"),
@@ -613,6 +667,18 @@ def test_cli_exit_codes(tmp_path, capsys):
         cli.main(["nonsense"])
     assert exc.value.code == 1
     capsys.readouterr()
+
+
+def test_cli_compute_no_values(tmp_path, capsys, monkeypatch):
+    # an empty file, a header with no values, and empty stdin
+    path = tmp_path / "x.csv"
+    for text in ("", "value\n"):
+        path.write_text(text)
+        assert cli.main(["compute", "--input", str(path)]) == 1
+        assert capsys.readouterr() == ("", "sqvar: error: no numeric input values found\n")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    assert cli.main(["compute", "--input", "-"]) == 1
+    assert capsys.readouterr() == ("", "sqvar: error: no numeric input values found\n")
 
 
 @pytest.mark.parametrize("text,bad,index", [("1\nnan\n-1\n", "nan", 1),

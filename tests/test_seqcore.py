@@ -369,6 +369,11 @@ def test_abs_moment_closed_forms():
     assert u.abs_moment(4.0) == pytest.approx(a**4 / 5.0)
     r = DistributionSpec("rademacher", sigma=2.0)
     assert r.abs_moment(3.0) == pytest.approx(8.0)
+    pa = DistributionSpec("pareto_sym", tail_exponent=5.0)
+    assert pa.abs_moment(2.0) == pytest.approx(1.0)
+    assert pa.abs_moment(4.0) == pytest.approx(9.0 / 5.0)
+    assert pa.abs_moment(5.0) == math.inf  # finite only below the tail exponent
+    assert DistributionSpec("pareto_sym", 3.0, 5.0).abs_moment(2.0) == pytest.approx(9.0)
     lt = DistributionSpec("logtail_sym")
     assert lt.abs_moment(2.0) == pytest.approx(1.0, rel=1e-9)
     assert lt.abs_moment(3.0) == math.inf

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from sqvar import variation
-from sqvar.classify import ClassParams, classify_partition
+from sqvar.classify import classify_partition
 from sqvar.greedy import GreedyParams, greedy_partition
 from sqvar.seqcore import DistributionSpec, prefix_sums, sample_sequence
 from sqvar.variation import (
@@ -408,9 +408,7 @@ _WALK_KERNELS = {
     "dyadic": sq_variation_upper_dyadic,
     "greedy": lambda walk: greedy_partition(walk, GreedyParams(2, 4, 0.25, 0.5)),
     "classify": lambda walk: classify_partition(
-        partition_value(walk, Partition(np.r_[0:walk.n:4096, walk.n])),
-        ClassParams(0.1, 8.0, walk.n),
-    ),
+        partition_value(walk, Partition(np.r_[0:walk.n:4096, walk.n])), 0.1, 8.0),
 }
 
 

@@ -60,7 +60,7 @@ import numpy as np
 
 import sqvar
 from sqvar import cli
-from sqvar.classify import ClassParams, classify_partition, default_bad_threshold
+from sqvar.classify import classify_partition, default_bad_threshold
 from sqvar.greedy import GreedyParams, greedy_partition
 from sqvar.labcli import ExperimentConfig, run_trial
 from sqvar.seqcore import KINDS, DistributionSpec, prefix_sums, sample_sequence
@@ -118,8 +118,7 @@ def _kernels(n: int):
         ("blocked", n, lambda: sq_variation_blocked(walk, 4)),
         ("dyadic", n, lambda: sq_variation_upper_dyadic(walk)),
         ("greedy", n, lambda: greedy_partition(walk, params)),
-        ("classify", n, lambda: classify_partition(
-            exact, ClassParams(0.1, default_bad_threshold(), n))),
+        ("classify", n, lambda: classify_partition(exact, 0.1, default_bad_threshold())),
         *large,
     ]
 
