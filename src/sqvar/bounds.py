@@ -137,7 +137,8 @@ def rosenthal_ratio(
     """
     if not (math.isfinite(p) and p > 2):
         raise ValueError(f"Rosenthal ratio needs a finite p > 2, got p = {p!r}")
-    if not spec.has_abs_moment(p):
+    m = spec.abs_moment(p)  # before any walk is drawn
+    if m == math.inf:
         raise ValueError(f"spec has infinite absolute moment of order {p}")
     if ell < 1 or trials < 1:
         raise ValueError("need ell >= 1 and trials >= 1")
@@ -148,8 +149,4 @@ def rosenthal_ratio(
     if not math.isfinite(acc):
         raise ValueError(f"empirical E|S_l|^p overflows float64 at p = {p!r}")
     numer = (acc / trials) ** (1.0 / p)
-    denom = max(
-        (ell * spec.abs_moment(p)) ** (1.0 / p),
-        math.sqrt(ell) * spec.sigma,
-    )
-    return numer / denom
+    return numer / max((ell * m) ** (1.0 / p), math.sqrt(ell) * spec.sigma)

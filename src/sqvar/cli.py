@@ -286,8 +286,7 @@ def _cmd_greedy(args) -> int:
     denom = labcli._norm(args.n, spec.sigma)  # refused before the trial is paid for
     buf = np.empty(args.n + 1)  # the samples, in buf[1:], then the walk
     walk = prefix_sums(sample_sequence(spec, args.n, args.seed, out=buf[1:]), out=buf)
-    params = greedy.GreedyParams(s=args.s, c_copies=args.c, alpha=args.alpha,
-                                 epsilon3=args.eps3)
+    params = greedy.GreedyParams(s=args.s, c=args.c, alpha=args.alpha, eps3=args.eps3)
     res = greedy.greedy_partition(walk, params)
     print(f"value={res.value:.17g} ratio={res.value / denom:.17g} "
           f"breakpoints={len(res.partition.breakpoints)}")
@@ -345,9 +344,9 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--spec", default="gaussian:sigma=1")
     p.add_argument("--s", type=int, default=greedy.GreedyParams.s)
-    p.add_argument("--c", type=int, default=greedy.GreedyParams.c_copies)
+    p.add_argument("--c", type=int, default=greedy.GreedyParams.c)
     p.add_argument("--alpha", type=float, default=greedy.GreedyParams.alpha)
-    p.add_argument("--eps3", type=float, default=greedy.GreedyParams.epsilon3)
+    p.add_argument("--eps3", type=float, default=greedy.GreedyParams.eps3)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_greedy)
 

@@ -192,14 +192,14 @@ def _geom_total(s: int, k: int) -> int:
     return (s ** (k + 1) - 1) // (s - 1)
 
 
-def _power_index(s: int, c_copies: int) -> int:
-    """m with s^m = C, rejecting C that is not a positive power of s."""
+def _power_index(s: int, c: int) -> int:
+    """m with s^m = c, rejecting c that is not a positive power of s."""
     m, v = 0, 1
-    while v < c_copies:
+    while v < c:
         v *= s
         m += 1
-    if v != c_copies:
-        raise ValueError(f"C={c_copies} is not a power of s={s}")
+    if v != c:
+        raise ValueError(f"c={c} is not a power of s={s}")
     return m
 
 

@@ -24,20 +24,20 @@ from .variation import Partition, VariationResult, partition_value
 @dataclass(frozen=True)
 class GreedyParams:
     s: int = 2
-    c_copies: int = 4
+    c: int = 4
     alpha: float = 0.25
-    epsilon3: float = 0.5
+    eps3: float = 0.5
 
     def __post_init__(self):
         if self.s <= 1:
             raise ValueError("s must be an integer > 1")
-        _power_index(self.s, self.c_copies)
-        if self.c_copies < self.s * self.s:
-            raise ValueError("C must be at least s^2 to keep gap fractions small")
+        _power_index(self.s, self.c)
+        if self.c < self.s * self.s:
+            raise ValueError("c must be at least s^2 to keep gap fractions small")
         if not 0 < self.alpha < 0.5:
             raise ValueError("alpha must lie in (0, 1/2)")
-        if not 0 < self.epsilon3 < 1:
-            raise ValueError("epsilon3 must lie in (0, 1)")
+        if not 0 < self.eps3 < 1:
+            raise ValueError("eps3 must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -130,8 +130,8 @@ def greedy_partition(walk: PrefixSums, params: GreedyParams) -> VariationResult:
     n = walk.n
     if n < params.s * params.s:
         return partition_value(walk, Partition(np.array([0, n])))
-    cover = select_cover_intervals(n, params.s, params.c_copies)
-    threshold = 2.0 * (1.0 - params.epsilon3) * math.log(math.log(n))
+    cover = select_cover_intervals(n, params.s, params.c)
+    threshold = 2.0 * (1.0 - params.eps3) * math.log(math.log(n))
     bps = [0]
     p = 0
     for a, b in cover:

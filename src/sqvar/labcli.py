@@ -246,7 +246,7 @@ def write_outputs(records: list[TrialRecord], config: ExperimentConfig) -> None:
 
 _CONFIG_KEYS = {
     "experiment": ("spec", "n_grid", "trials", "master_seed", "algorithms", "output", "jsonl"),
-    "greedy": ("s", "c", "alpha", "eps3"),
+    "greedy": tuple(f.name for f in fields(GreedyParams)),
     "classify": ("eps", "b"),
 }
 _TYPE_NAMES = {int: "an integer", float: "a number", bool: "a boolean"}
@@ -275,8 +275,8 @@ def parse_config(path: str) -> ExperimentConfig:
     a comma list of exact, blocked or blocked:<block> with block 4 by
     default, dyadic_upper, greedy), output (records.csv), jsonl (false: also
     write a JSON-lines mirror of the records).
-    [greedy] s, c, alpha, eps3, defaulting to the GreedyParams fields s,
-    c_copies, alpha, epsilon3; the section is required when greedy runs.
+    [greedy] s, c, alpha, eps3: the GreedyParams fields, each defaulting to
+    its field's default; the section is required when greedy runs.
     [classify] eps (0.1), b (default_bad_threshold()); when present, trials
     with n >= 16 and an exact or blocked partition are classified.
     Any other section or key is refused by name.
@@ -316,10 +316,8 @@ def parse_config(path: str) -> ExperimentConfig:
     gp = None
     if cp.has_section("greedy"):
         g = cp["greedy"]
-        values = dict(s=_get(g, "s", int, GreedyParams.s),
-                      c_copies=_get(g, "c", int, GreedyParams.c_copies),
-                      alpha=_get(g, "alpha", float, GreedyParams.alpha),
-                      epsilon3=_get(g, "eps3", float, GreedyParams.epsilon3))
+        values = {f.name: _get(g, f.name, type(f.default), f.default)
+                  for f in fields(GreedyParams)}
         try:
             gp = GreedyParams(**values)
         except ValueError as exc:

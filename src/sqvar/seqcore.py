@@ -16,7 +16,7 @@ on each side of it, exact wherever np.log errs by less than 1 ulp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,19 +26,10 @@ _GOLDEN = 0x9E3779B97F4A7C15
 # 40-digit quadrature of the tail, the third float above its correct rounding.
 _LOGTAIL_VARIANCE = float.fromhex("0x1.a524fdae73c1ap+1")
 
-KINDS = ("rademacher", "gaussian", "uniform_centered", "pareto_sym", "logtail_sym")
+KINDS = ("rademacher", "gaussian", "uniform", "pareto", "logtail")
 
-# short names used in config files and CSV columns
-_SHORT = {
-    "rademacher": "rademacher",
-    "gaussian": "gaussian",
-    "uniform_centered": "uniform",
-    "pareto_sym": "pareto",
-    "logtail_sym": "logtail",
-}
-_FROM_SHORT = {v: k for k, v in _SHORT.items()}
-_PARAM_FIELDS = {"sigma": "sigma", "s": "sigma",
-                 "a": "tail_exponent", "tail": "tail_exponent", "tail_exponent": "tail_exponent"}
+# spec-string key -> DistributionSpec field; to_string writes these keys
+_PARAM_FIELDS = {"sigma": "sigma", "a": "tail_exponent"}
 
 
 def _splitmix64(z: int) -> int:
@@ -61,71 +52,61 @@ def mix_seed(*parts: int) -> int:
 
 @dataclass(frozen=True)
 class DistributionSpec:
-    """A mean-zero distribution with target standard deviation sigma.
-
-    moment_order is the largest finite absolute moment order (inf allowed);
-    it is derived from the kind and not settable.
-    """
+    """A mean-zero distribution with target standard deviation sigma; only the
+    pareto kind takes a tail exponent, which it requires."""
 
     kind: str
     sigma: float = 1.0
     tail_exponent: float | None = None
-    moment_order: float = field(init=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown distribution kind {self.kind!r}")
         if not 0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and > 0, got {self.sigma!r}")
-        if self.kind == "uniform_centered" and math.isinf(2.0 * self.almost_sure_bound()):
+        if self.kind == "uniform" and math.isinf(2.0 * self.almost_sure_bound()):
             raise ValueError(f"uniform range 2 sigma sqrt(3) overflows float64 at "
                              f"sigma = {self.sigma!r}")
-        if self.kind == "pareto_sym":
-            a = self.tail_exponent
-            if a is None or a <= 2:
-                raise ValueError("pareto_sym tail exponent must be > 2: variance infinite")
-            if not math.isfinite(a):
-                raise ValueError(f"pareto_sym tail exponent must be finite, got a = {a!r}")
-            mo = float(a)
-        elif self.kind == "logtail_sym":
-            mo = 2.0
-        else:
-            mo = math.inf
-        object.__setattr__(self, "moment_order", mo)
-
-    def has_abs_moment(self, p: float) -> bool:
-        """Whether E|X|^p is finite (strict at the Pareto tail exponent)."""
-        if self.kind == "pareto_sym":
-            return p < self.moment_order
-        return p <= self.moment_order
+        a = self.tail_exponent
+        if self.kind != "pareto":
+            if a is not None:
+                raise ValueError(f"only the pareto kind takes a tail exponent, got "
+                                 f"a = {a!r} for {self.kind}")
+        elif a is None or a <= 2:
+            raise ValueError("pareto tail exponent must be > 2: variance infinite")
+        elif not math.isfinite(a):
+            raise ValueError(f"pareto tail exponent must be finite, got a = {a!r}")
 
     def almost_sure_bound(self) -> float:
         """Smallest M with |X| <= M a.s.; inf for unbounded kinds."""
         if self.kind == "rademacher":
             return self.sigma
-        if self.kind == "uniform_centered":
+        if self.kind == "uniform":
             return self.sigma * math.sqrt(3.0)
         return math.inf
 
     def abs_moment(self, p: float) -> float:
-        """E|X|^p in closed form; the log-tail kind has it only at p = 2 (and
-        inf above). A ValueError names p where the value overflows float64."""
-        if p < 0:
+        """E|X|^p in closed form, inf from the pareto tail exponent on and above
+        p = 2 for logtail (computed below that only at p = 2). A ValueError
+        names p where the value overflows float64."""
+        if not p >= 0:  # nan too, which no branch below would name
             raise ValueError(f"moment order must be >= 0, got p = {p!r}")
-        if not self.has_abs_moment(p):
-            return math.inf
         s = self.sigma
         try:
             if self.kind == "rademacher":
                 value = s**p
             elif self.kind == "gaussian":
                 value = s**p * 2 ** (p / 2) * math.gamma((p + 1) / 2) / math.sqrt(math.pi)
-            elif self.kind == "uniform_centered":
+            elif self.kind == "uniform":
                 value = (s * math.sqrt(3.0)) ** p / (p + 1)
-            elif self.kind == "pareto_sym":
+            elif self.kind == "pareto":
                 a = self.tail_exponent
+                if p >= a:
+                    return math.inf
                 value = (s / math.sqrt(a / (a - 2))) ** p * a / (a - p)
-            elif p == 2:  # logtail_sym, rescaled so the variance is sigma**2
+            elif p > 2:  # logtail
+                return math.inf
+            elif p == 2:  # rescaled so the variance is sigma**2
                 value = (s / math.sqrt(_LOGTAIL_VARIANCE)) ** p * _LOGTAIL_VARIANCE
             else:
                 raise ValueError(f"log-tail E|X|^p is computed only at p = 2 (inf above), "
@@ -137,32 +118,33 @@ class DistributionSpec:
         return value
 
     def to_string(self) -> str:
-        parts = [_SHORT[self.kind]]
-        if self.kind == "pareto_sym":
+        parts = [self.kind]
+        if self.kind == "pareto":
             parts.append(f"a={float(self.tail_exponent)!r}")
         parts.append(f"sigma={float(self.sigma)!r}")
         return ":".join(parts)
 
     @staticmethod
     def from_string(text: str) -> "DistributionSpec":
-        """Parse "gaussian:sigma=1" / "pareto:a=4:sigma=1" style strings."""
-        fields = text.strip().split(":")
-        name = fields[0].strip().lower()
-        kind = _FROM_SHORT.get(name, name)
+        """Parse "gaussian:sigma=1" / "pareto:a=4:sigma=1" style strings, each
+        key at most once."""
+        name, *params = text.strip().split(":")
         kwargs: dict[str, float] = {}
-        for f in fields[1:]:
+        for f in params:
             if not f.strip():
                 continue
             key, _, val = f.partition("=")
             key = key.strip().lower()
             if key not in _PARAM_FIELDS:
                 raise ValueError(f"unknown distribution parameter {key!r} in {text!r}")
+            if _PARAM_FIELDS[key] in kwargs:
+                raise ValueError(f"distribution parameter {key!r} repeated in {text!r}")
             try:
                 kwargs[_PARAM_FIELDS[key]] = float(val)
             except ValueError:
                 raise ValueError(f"distribution parameter {key!r} in {text!r} is not a "
                                  f"number: {val.strip()!r}") from None
-        return DistributionSpec(kind, **kwargs)
+        return DistributionSpec(name.strip().lower(), **kwargs)
 
 
 @dataclass(frozen=True)
@@ -327,7 +309,7 @@ def sample_sequence(spec: DistributionSpec, n: int, seed: int,
     if spec.kind == "gaussian":
         rng.standard_normal(out=x)
         x *= s
-    elif spec.kind == "uniform_centered":
+    elif spec.kind == "uniform":
         a = s * math.sqrt(3.0)
         rng.random(out=x)  # the bits of rng.uniform(-a, a), which takes no out
         x *= 2.0 * a
@@ -339,7 +321,7 @@ def sample_sequence(spec: DistributionSpec, n: int, seed: int,
         else:
             rng.random(out=x)
             np.subtract(1.0, x, out=x)  # u in (0, 1]
-            if spec.kind == "pareto_sym":
+            if spec.kind == "pareto":
                 a = spec.tail_exponent
                 x **= -1.0 / a
                 x *= s / math.sqrt(a / (a - 2))

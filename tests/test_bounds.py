@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from sqvar import cli
+from sqvar import bounds, cli
 from sqvar.bounds import (
     _normal_cdf,
     bernstein_maximal_bound,
@@ -17,7 +17,7 @@ from sqvar.bounds import (
 from sqvar.seqcore import DistributionSpec
 
 RAD = DistributionSpec("rademacher")
-UNI = DistributionSpec("uniform_centered")
+UNI = DistributionSpec("uniform")
 
 
 def test_bernstein_closed_form():
@@ -130,11 +130,20 @@ def test_rosenthal_bounded_over_ell():
     assert max(vals) / min(vals) < 2.0
 
 
-def test_rosenthal_rejects_infinite_moment():
-    with pytest.raises(ValueError):
-        rosenthal_ratio(DistributionSpec("logtail_sym"), 4.0, 10, 100, 0)
-    with pytest.raises(ValueError):
-        rosenthal_ratio(DistributionSpec("pareto_sym", tail_exponent=3.0), 4.0, 10, 100, 0)
+def test_rosenthal_rejects_infinite_moment(monkeypatch):
+    def no_walks(*args, **kwargs):
+        raise AssertionError("a walk was drawn")
+
+    # each moment is refused before any walk is drawn
+    monkeypatch.setattr(bounds, "sample_sequence", no_walks)
+    for spec, p, named in [
+        (DistributionSpec("pareto", tail_exponent=3.0), 4.0,
+         "^spec has infinite absolute moment of order 4.0$"),
+        (DistributionSpec("logtail"), 4.0, "^spec has infinite absolute moment of order 4.0$"),
+        (DistributionSpec("gaussian"), 400.0, "^E\\|X\\|\\^p overflows float64 at p = 400.0$"),
+    ]:
+        with pytest.raises(ValueError, match=named):
+            rosenthal_ratio(spec, p, 10, 100, 0)
     with pytest.raises(ValueError):
         rosenthal_ratio(RAD, 2.0, 10, 100, 0)
 
@@ -149,7 +158,7 @@ def test_rosenthal_rejects_non_finite_p(p):
 @pytest.mark.filterwarnings("error")
 def test_overflowing_walks_fail_by_name():
     # finite samples whose partial sums leave float64 within 1000 steps
-    spec = DistributionSpec("uniform_centered", sigma=1e307)
+    spec = DistributionSpec("uniform", sigma=1e307)
     with pytest.raises(ValueError, match="^a Monte Carlo walk overflows float64$"):
         maximal_tail_empirical(spec, 1000, 1.0, 20, 0)
     with pytest.raises(ValueError, match="^a Monte Carlo walk overflows float64$"):

@@ -19,20 +19,20 @@ from sqvar.variation import sq_variation_exact
 
 from oracles import best_two_cut_bruteforce
 
-PARAMS = GreedyParams(s=2, c_copies=4, alpha=0.25, epsilon3=0.5)
+PARAMS = GreedyParams(s=2, c=4, alpha=0.25, eps3=0.5)
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        GreedyParams(s=1, c_copies=1, alpha=0.25, epsilon3=0.5)
+        GreedyParams(s=1, c=1, alpha=0.25, eps3=0.5)
     with pytest.raises(ValueError):
-        GreedyParams(s=2, c_copies=6, alpha=0.25, epsilon3=0.5)  # not a power
+        GreedyParams(s=2, c=6, alpha=0.25, eps3=0.5)  # not a power
     with pytest.raises(ValueError):
-        GreedyParams(s=2, c_copies=2, alpha=0.25, epsilon3=0.5)  # C < s^2
+        GreedyParams(s=2, c=2, alpha=0.25, eps3=0.5)  # c < s^2
     with pytest.raises(ValueError):
-        GreedyParams(s=2, c_copies=4, alpha=0.5, epsilon3=0.5)
+        GreedyParams(s=2, c=4, alpha=0.5, eps3=0.5)
     with pytest.raises(ValueError):
-        GreedyParams(s=2, c_copies=4, alpha=0.25, epsilon3=1.0)
+        GreedyParams(s=2, c=4, alpha=0.25, eps3=1.0)
 
 
 def test_best_two_cut_example():
@@ -64,7 +64,7 @@ def test_fast_path_equals_bruteforce():
     kinds = [
         DistributionSpec("gaussian"),
         DistributionSpec("rademacher"),
-        DistributionSpec("pareto_sym", tail_exponent=4.0),
+        DistributionSpec("pareto", tail_exponent=4.0),
     ]
     for case in range(400):
         spec = kinds[case % len(kinds)]
@@ -180,7 +180,7 @@ def test_greedy_dominated_by_exact():
     kinds = [
         DistributionSpec("gaussian"),
         DistributionSpec("rademacher"),
-        DistributionSpec("logtail_sym"),
+        DistributionSpec("logtail"),
     ]
     for trial in range(30):
         spec = kinds[trial % len(kinds)]
@@ -196,7 +196,7 @@ def test_greedy_dominated_by_exact():
 def test_greedy_ratio_trend():
     # median of value/(2 N lnln N) should grow toward the covered fraction;
     # 48 seeds keep the median noise below the ~3% step between grid points
-    params = GreedyParams(s=2, c_copies=8, alpha=0.25, epsilon3=0.5)
+    params = GreedyParams(s=2, c=8, alpha=0.25, eps3=0.5)
     medians = []
     for n in (1 << 10, 1 << 12, 1 << 14):
         vals = []

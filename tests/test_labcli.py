@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import io
 import json
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from sqvar import bounds, classify, cli, greedy, labcli, seqcore, variation
 from sqvar.greedy import GreedyParams
 from sqvar.labcli import (
+    _CONFIG_KEYS,
     CSV_COLUMNS,
     PLOT_KINDS,
     ExperimentConfig,
@@ -250,7 +252,7 @@ def test_parse_config(tmp_path):
         assert cfg.n_grid == (64, 128)
         assert cfg.algorithms == ("exact", "blocked", "dyadic_upper", "greedy")
         assert cfg.block == 4
-        assert cfg.greedy_params.c_copies == 4
+        assert cfg.greedy_params.c == 4
         assert cfg.class_b == 8.0
 
 
@@ -479,11 +481,17 @@ def test_cli_simulate_greedy_small_n(tmp_path, capsys):
     (lambda s: s.replace("algorithms = exact, blocked:4, dyadic_upper, greedy",
                          "algorithms = exact, foo"),
      "config [experiment] algorithms: unknown 'foo'"),
+    (lambda s: s.replace("eps3 = 0.5", "eps3 = 1.5"), "config [greedy] eps3 must lie in (0, 1)"),
+    (lambda s: s.replace("\ns = 2\nc = 4\n", "\ns = 3\nc = 8\n"),
+     "config [greedy] c=8 is not a power of s=3"),
+    (lambda s: s.replace("gaussian:sigma=1", "gaussian:a=3"),
+     "config [experiment] spec: only the pareto kind takes a tail exponent, got a = 3.0 "
+     "for gaussian"),
 ], ids=["no-header", "no-section", "no-n_grid", "no-trials", "misspelt-key", "stale-key",
         "greedy-key", "unknown-section", "default-key", "default-n_grid", "n_grid-float",
         "trials-word", "master_seed-float", "jsonl-word", "greedy-s-word", "greedy-alpha-range",
         "classify-eps-word", "spec-missing-value", "n_grid-negative", "trials-negative",
-        "algorithms-unknown"])
+        "algorithms-unknown", "greedy-eps3-range", "greedy-c-power", "spec-a-off-pareto"])
 def test_cli_simulate_config_missing(tmp_path, capsys, edit, named):
     ini = tmp_path / "exp.ini"
     ini.write_text(edit(CONFIG_TEXT.format(out=tmp_path / "r.csv")))
@@ -635,7 +643,7 @@ def test_cli_bounds_bad_grid(tmp_path, capsys, check, text, where):
 
 @pytest.mark.parametrize("argv,named", [
     (["bounds", "--check", "etemadi", "--spec", "pareto:a=nan", "--trials", "100"],
-     "pareto_sym tail exponent must be finite, got a = nan"),
+     "pareto tail exponent must be finite, got a = nan"),
     (["bounds", "--check", "rosenthal", "--spec", "gaussian:sigma=inf", "--trials", "100"],
      "sigma must be finite and > 0, got inf"),
     (["greedy", "--n", "64", "--spec", "gaussian:sigma=inf"],
@@ -653,6 +661,30 @@ def test_cli_non_finite_spec(capsys, argv, named):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"sqvar: error: {named}\n"
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--eps3", "1.5"], "eps3 must lie in (0, 1)"),
+    (["--s", "3", "--c", "8"], "c=8 is not a power of s=3"),
+    (["--c", "2"], "c must be at least s^2 to keep gap fractions small"),
+], ids=["eps3-range", "c-power", "c-below-s-squared"])
+def test_cli_greedy_refusals_name_their_flags(capsys, flags, named):
+    assert cli.main(["greedy", "--n", "64", *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"sqvar: error: {named}\n"
+
+
+def test_greedy_parameters_have_one_name():
+    # the GreedyParams fields are the [greedy] keys and the sqvar greedy flags
+    fields = dataclasses.fields(GreedyParams)
+    names = [f.name for f in fields]
+    assert names == ["s", "c", "alpha", "eps3"]
+    assert list(_CONFIG_KEYS["greedy"]) == names
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    flags = {a.option_strings[-1]: a.default for a in sub.choices["greedy"]._actions}
+    assert list(flags) == ["--help", "--n", "--spec", *(f"--{n}" for n in names), "--seed"]
+    assert all(flags[f"--{f.name}"] == f.default for f in fields)
 
 
 def test_cli_exit_codes(tmp_path, capsys):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from sqvar import seqcore
 from sqvar.seqcore import (
     _LOGTAIL_VARIANCE,
+    KINDS,
     DistributionSpec,
     _logtail_quantile,
     mix_seed,
@@ -21,10 +22,18 @@ from sqvar.seqcore import (
 ALL_SPECS = [
     DistributionSpec("rademacher"),
     DistributionSpec("gaussian"),
-    DistributionSpec("uniform_centered"),
-    DistributionSpec("pareto_sym", tail_exponent=5.0),
-    DistributionSpec("logtail_sym"),
+    DistributionSpec("uniform"),
+    DistributionSpec("pareto", tail_exponent=5.0),
+    DistributionSpec("logtail"),
 ]
+
+# test ids and golden keys keep the kind names they were recorded under, so
+# each test's results compare across the renaming of the kinds
+_RECORDED = {"uniform": "uniform_centered", "pareto": "pareto_sym", "logtail": "logtail_sym"}
+
+
+def _recorded_id(spec):
+    return _RECORDED.get(spec.kind, spec.kind)
 
 
 def test_rademacher_support():
@@ -34,7 +43,7 @@ def test_rademacher_support():
     assert set(np.unique(scaled)) <= {-2.5, 2.5}
 
 
-@pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.kind)
+@pytest.mark.parametrize("spec", ALL_SPECS, ids=_recorded_id)
 def test_determinism_bit_for_bit(spec):
     a = sample_sequence(spec, 512, 123456789)
     b = sample_sequence(spec, 512, 123456789)
@@ -63,17 +72,18 @@ SIGMA3_GOLDEN = {
                    "cde5a3cc559b3431af8019a91b24e57c5252ade239915236d341f08451566d1e"),
     "gaussian": (DistributionSpec("gaussian", sigma=3.0),
                  "83ceb6799165525ad9f3abab19d9d5cf2693af05d78012b3e386206ef65ec390"),
-    "uniform_centered": (DistributionSpec("uniform_centered", sigma=3.0),
+    "uniform_centered": (DistributionSpec("uniform", sigma=3.0),
                          "1d95a24d273490fa9d63cbfdd000604a47231729d6416c17fad92362945f7cd8"),
-    "pareto_sym": (DistributionSpec("pareto_sym", sigma=3.0, tail_exponent=2.5),
+    "pareto_sym": (DistributionSpec("pareto", sigma=3.0, tail_exponent=2.5),
                    "537dead822602b2c0f65bf38f5936a0fec3378f3f57ee353758add9a454f5aae"),
-    "logtail_sym": (DistributionSpec("logtail_sym", sigma=3.0),
+    "logtail_sym": (DistributionSpec("logtail", sigma=3.0),
                     "9b1023daa43edf887c1c4ade303b1ecd1fc3b0caf256dc8649a78d103bfd895a"),
 }
 
 
 @pytest.mark.parametrize("spec,n,digest", [
-    *(pytest.param(spec, 512, GOLDEN_DIGESTS[spec.kind], id=spec.kind) for spec in ALL_SPECS),
+    *(pytest.param(spec, 512, GOLDEN_DIGESTS[_recorded_id(spec)], id=_recorded_id(spec))
+      for spec in ALL_SPECS),
     *(pytest.param(spec, (1 << 15) + 3, digest, id=f"{kind}-sigma3")
       for kind, (spec, digest) in SIGMA3_GOLDEN.items()),
 ])
@@ -176,7 +186,7 @@ def test_logtail_quantile_exact_on_chunked_draws():
     assert still is not None and still < 100
     expected *= 3.0 / math.sqrt(_LOGTAIL_VARIANCE)
     expected *= sign
-    samples = sample_sequence(DistributionSpec("logtail_sym", sigma=3.0), n, seed)
+    samples = sample_sequence(DistributionSpec("logtail", sigma=3.0), n, seed)
     assert samples.tobytes() == expected.tobytes()
 
 
@@ -293,7 +303,7 @@ def test_logtail_variance_pinned_to_quadrature():
         above = math.nextafter(above, math.inf)
     assert _LOGTAIL_VARIANCE == above
     assert abs(mpmath.mpf(_LOGTAIL_VARIANCE) - exact) / exact < 1e-15
-    assert DistributionSpec("logtail_sym", sigma=3.0).abs_moment(2.0) == pytest.approx(9.0)
+    assert DistributionSpec("logtail", sigma=3.0).abs_moment(2.0) == pytest.approx(9.0)
 
 
 def test_gaussian_sample_variance_tight():
@@ -305,7 +315,7 @@ def test_gaussian_sample_variance_tight():
 def test_pareto_fourth_moment_matches_closed_form():
     # rescaled symmetric Pareto, a=5: E|X|^4 = (a/(a-4)) / (a/(a-2))^2 = 9/5
     n = 10**6
-    seq = sample_sequence(DistributionSpec("pareto_sym", tail_exponent=5.0), n, 1)
+    seq = sample_sequence(DistributionSpec("pareto", tail_exponent=5.0), n, 1)
     m4 = float(np.mean(np.abs(seq) ** 4))
     analytic = 9.0 / 5.0
     assert math.isfinite(m4)
@@ -321,12 +331,12 @@ def test_empirical_variance_per_kind():
     bands = {
         "rademacher": 1e-12,
         "gaussian": 3.0 * math.sqrt(2.0 / n),
-        "uniform_centered": 3.0 * math.sqrt(0.8 / n),
-        "pareto_sym": 3.0 * math.sqrt(0.8 / n) * 30,  # heavy-tailed spread
+        "uniform": 3.0 * math.sqrt(0.8 / n),
+        "pareto": 3.0 * math.sqrt(0.8 / n) * 30,  # heavy-tailed spread
     }
     for spec in ALL_SPECS:
         var = float(np.mean(sample_sequence(spec, n, 2024) ** 2))
-        if spec.kind == "logtail_sym":
+        if spec.kind == "logtail":
             assert 0.80 <= var <= 1.02
         else:
             assert abs(var - 1.0) <= bands[spec.kind], spec.kind
@@ -334,47 +344,53 @@ def test_empirical_variance_per_kind():
 
 def test_pareto_requires_finite_variance():
     with pytest.raises(ValueError, match="variance infinite"):
-        DistributionSpec("pareto_sym", tail_exponent=2.0)
+        DistributionSpec("pareto", tail_exponent=2.0)
     with pytest.raises(ValueError, match="variance infinite"):
-        DistributionSpec("pareto_sym", tail_exponent=1.5)
+        DistributionSpec("pareto", tail_exponent=1.5)
 
 
 @pytest.mark.filterwarnings("error")
 def test_uniform_range_must_be_finite():
     with pytest.raises(ValueError, match="^uniform range 2 sigma sqrt\\(3\\) overflows float64 "
                                          "at sigma = 1e\\+308$"):
-        DistributionSpec("uniform_centered", sigma=1e308)
-    spec = DistributionSpec("uniform_centered", sigma=2.5e307)  # 2 sigma sqrt(3) = 8.7e307
+        DistributionSpec("uniform", sigma=1e308)
+    spec = DistributionSpec("uniform", sigma=2.5e307)  # 2 sigma sqrt(3) = 8.7e307
     x = sample_sequence(spec, 4096, 5)
     assert np.isfinite(x).all() and np.abs(x).max() <= spec.almost_sure_bound()
 
 
 def test_moment_orders():
-    assert DistributionSpec("gaussian").moment_order == math.inf
-    assert DistributionSpec("pareto_sym", tail_exponent=3.5).moment_order == 3.5
-    assert DistributionSpec("logtail_sym").moment_order == 2.0
-    p = DistributionSpec("pareto_sym", tail_exponent=4.0)
-    assert p.has_abs_moment(3.9) and not p.has_abs_moment(4.0)
-    lt = DistributionSpec("logtail_sym")
-    assert lt.has_abs_moment(2.0) and not lt.has_abs_moment(2.01)
+    # E|X|^p is finite below the pareto tail exponent and inf from it on; the
+    # log-tail kind has it at p = 2 and inf above; the light kinds at every p
+    assert math.isfinite(DistributionSpec("gaussian").abs_moment(50.0))
+    assert math.isfinite(DistributionSpec("uniform").abs_moment(50.0))
+    p = DistributionSpec("pareto", tail_exponent=4.0)
+    assert math.isfinite(p.abs_moment(3.9)) and math.isfinite(p.abs_moment(math.nextafter(4.0, 0)))
+    assert p.abs_moment(4.0) == p.abs_moment(4.5) == math.inf
+    lt = DistributionSpec("logtail")
+    assert math.isfinite(lt.abs_moment(2.0))
+    assert lt.abs_moment(math.nextafter(2.0, 3)) == lt.abs_moment(2.01) == math.inf
+    for spec in (p, lt, DistributionSpec("gaussian")):
+        with pytest.raises(ValueError, match="^moment order must be >= 0, got p = nan$"):
+            spec.abs_moment(math.nan)
 
 
 def test_abs_moment_closed_forms():
     g = DistributionSpec("gaussian")
     assert g.abs_moment(2.0) == pytest.approx(1.0)
     assert g.abs_moment(4.0) == pytest.approx(3.0)
-    u = DistributionSpec("uniform_centered")
+    u = DistributionSpec("uniform")
     assert u.abs_moment(2.0) == pytest.approx(1.0)
     a = math.sqrt(3.0)
     assert u.abs_moment(4.0) == pytest.approx(a**4 / 5.0)
     r = DistributionSpec("rademacher", sigma=2.0)
     assert r.abs_moment(3.0) == pytest.approx(8.0)
-    pa = DistributionSpec("pareto_sym", tail_exponent=5.0)
+    pa = DistributionSpec("pareto", tail_exponent=5.0)
     assert pa.abs_moment(2.0) == pytest.approx(1.0)
     assert pa.abs_moment(4.0) == pytest.approx(9.0 / 5.0)
     assert pa.abs_moment(5.0) == math.inf  # finite only below the tail exponent
-    assert DistributionSpec("pareto_sym", 3.0, 5.0).abs_moment(2.0) == pytest.approx(9.0)
-    lt = DistributionSpec("logtail_sym")
+    assert DistributionSpec("pareto", 3.0, 5.0).abs_moment(2.0) == pytest.approx(9.0)
+    lt = DistributionSpec("logtail")
     assert lt.abs_moment(2.0) == pytest.approx(1.0, rel=1e-9)
     assert lt.abs_moment(3.0) == math.inf
     for p in (0.0, 1.0, 1.5):  # computed only where a command needs it
@@ -425,8 +441,8 @@ WALK_DIGESTS = {
     ("pareto", 3 * _BIG + 5): "ff9af7615e9073d06c34ccc01016da20c9edd2e0cd68ed668b9c496e6fea9d93",
 }
 _WALK_SPECS = {"gaussian": DistributionSpec("gaussian"),
-               "logtail": DistributionSpec("logtail_sym"),
-               "pareto": DistributionSpec("pareto_sym", tail_exponent=2.5)}
+               "logtail": DistributionSpec("logtail"),
+               "pareto": DistributionSpec("pareto", tail_exponent=2.5)}
 
 
 @pytest.mark.parametrize("kind,n", sorted(WALK_DIGESTS))
@@ -513,8 +529,8 @@ def test_extended_walk_holds_little_beside_the_walk():
 
 
 @pytest.mark.parametrize("spec", [DistributionSpec("rademacher"),
-                                  DistributionSpec("pareto_sym", tail_exponent=2.5),
-                                  DistributionSpec("logtail_sym")], ids=lambda s: s.kind)
+                                  DistributionSpec("pareto", tail_exponent=2.5),
+                                  DistributionSpec("logtail")], ids=_recorded_id)
 def test_signed_sample_holds_little_beside_itself(spec):
     # |X| is built in the returned array, and the log-tail quantiles and the
     # signs a _CHUNK at a time, so no other N-sized array is held
@@ -531,19 +547,51 @@ def test_signed_sample_holds_little_beside_itself(spec):
 def test_spec_string_round_trip():
     for text, kind in [
         ("gaussian:sigma=1", "gaussian"),
-        ("pareto:a=4:sigma=1", "pareto_sym"),
+        ("pareto:a=4:sigma=1", "pareto"),
         ("rademacher:sigma=2", "rademacher"),
-        ("uniform:sigma=1.5", "uniform_centered"),
-        ("logtail:sigma=1", "logtail_sym"),
+        ("uniform:sigma=1.5", "uniform"),
+        ("logtail:sigma=1", "logtail"),
         # exact, not rounded to 6 significant digits
         ("gaussian:sigma=0.1234567", "gaussian"),
-        ("pareto:a=2.123456789:sigma=1", "pareto_sym"),
+        ("pareto:a=2.123456789:sigma=1", "pareto"),
     ]:
         spec = DistributionSpec.from_string(text)
         assert spec.kind == kind
         again = DistributionSpec.from_string(spec.to_string())
         assert again == spec
     assert DistributionSpec.from_string("pareto:a=4:sigma=1").tail_exponent == 4.0
+    for kind in KINDS:  # each kind under its one name, at sigma != 1
+        spec = DistributionSpec(kind, 2.5, 2.5 if kind == "pareto" else None)
+        assert spec.to_string().startswith(f"{kind}:")
+        assert DistributionSpec.from_string(spec.to_string()) == spec
+
+
+@pytest.mark.parametrize("make,named", [
+    (lambda: DistributionSpec.from_string("gaussian:a=3"),
+     "^only the pareto kind takes a tail exponent, got a = 3.0 for gaussian$"),
+    (lambda: DistributionSpec.from_string("logtail:a=3"), "got a = 3.0 for logtail$"),
+    (lambda: DistributionSpec("uniform", tail_exponent=3.0), "got a = 3.0 for uniform$"),
+    (lambda: DistributionSpec.from_string("pareto:a=3:a=4"),
+     "^distribution parameter 'a' repeated in 'pareto:a=3:a=4'$"),
+    (lambda: DistributionSpec.from_string("gaussian:sigma=1:sigma=2"),
+     "^distribution parameter 'sigma' repeated in 'gaussian:sigma=1:sigma=2'$"),
+    (lambda: DistributionSpec.from_string("pareto_sym:a=3"),
+     "^unknown distribution kind 'pareto_sym'$"),
+    (lambda: DistributionSpec.from_string("uniform_centered"),
+     "^unknown distribution kind 'uniform_centered'$"),
+    (lambda: DistributionSpec.from_string("logtail_sym"), "^unknown distribution kind 'logtail_sym'$"),
+    (lambda: DistributionSpec.from_string("gaussian:s=1"),
+     "^unknown distribution parameter 's' in 'gaussian:s=1'$"),
+    (lambda: DistributionSpec.from_string("pareto:tail=3"),
+     "^unknown distribution parameter 'tail' in 'pareto:tail=3'$"),
+    (lambda: DistributionSpec.from_string("pareto:tail_exponent=3"),
+     "^unknown distribution parameter 'tail_exponent' in 'pareto:tail_exponent=3'$"),
+])
+def test_spec_one_spelling_per_input(make, named):
+    # one name per kind and one key per field, each at most once, and a tail
+    # exponent only where a kind reads one
+    with pytest.raises(ValueError, match=named):
+        make()
 
 
 def test_mix_seed_spreads_and_repeats():

@@ -26,9 +26,9 @@ from oracles import sq_variation_bruteforce
 KINDS = [
     DistributionSpec("rademacher"),
     DistributionSpec("gaussian"),
-    DistributionSpec("uniform_centered"),
-    DistributionSpec("pareto_sym", tail_exponent=4.0),
-    DistributionSpec("logtail_sym"),
+    DistributionSpec("uniform"),
+    DistributionSpec("pareto", tail_exponent=4.0),
+    DistributionSpec("logtail"),
 ]
 
 
@@ -129,7 +129,7 @@ def test_blocked_endpoints_and_bounds():
 
 def test_blocked_monotone_in_block():
     for trial in range(10):
-        seq = prefix_sums(sample_sequence(DistributionSpec("uniform_centered"), 240, trial))
+        seq = prefix_sums(sample_sequence(DistributionSpec("uniform"), 240, trial))
         v2 = sq_variation_blocked(seq, 2).value
         v4 = sq_variation_blocked(seq, 4).value
         v8 = sq_variation_blocked(seq, 8).value
@@ -304,7 +304,7 @@ _DYADIC_DIGESTS = {
 
 @pytest.mark.parametrize("kind", sorted(_DYADIC_DIGESTS))
 def test_dyadic_upper_golden(kind):
-    spec = DistributionSpec("logtail_sym" if kind == "logtail" else "gaussian")
+    spec = DistributionSpec("logtail" if kind == "logtail" else "gaussian")
     hexes = []
     for n in (1, 3, 4097, 1 << 16, 1 << 18):
         for seed in (11, 12):
@@ -328,13 +328,14 @@ _DYADIC_OFF_POW2 = {
 
 @pytest.mark.parametrize("kind,n", sorted(_DYADIC_OFF_POW2))
 def test_dyadic_upper_golden_off_powers_of_two(kind, n):
-    walk = prefix_sums(sample_sequence(DistributionSpec(kind), n, 11))
+    # keyed by the kind names the values were first recorded under
+    walk = prefix_sums(sample_sequence(DistributionSpec(kind.removesuffix("_sym")), n, 11))
     assert sq_variation_upper_dyadic(walk).hex() == _DYADIC_OFF_POW2[kind, n]
 
 
 def test_lower_bounds_by_construction():
     for trial in range(20):
-        seq = sample_sequence(DistributionSpec("pareto_sym", tail_exponent=4.0), 100, trial)
+        seq = sample_sequence(DistributionSpec("pareto", tail_exponent=4.0), 100, trial)
         v = sq_variation_exact(prefix_sums(seq)).value
         assert v >= float(np.sum(seq)) ** 2 - 1e-9
         assert v >= float(np.sum(seq**2)) - 1e-9
@@ -555,7 +556,7 @@ def _golden_walks(kind):
     if kind == "lattice":
         return [rng.choice([-1.0, 0.0, 1.0], 1 << 16), rng.choice([-1.0, 1.0], 1 << 16)]
     return [sample_sequence(DistributionSpec("gaussian"), 1 << 16, 22),
-            sample_sequence(DistributionSpec("logtail_sym"), 1 << 14, 23),
+            sample_sequence(DistributionSpec("logtail"), 1 << 14, 23),
             rng.standard_normal(1 << 12) + 0.3]
 
 

@@ -97,7 +97,7 @@ def _kernels(n: int):
         drift_walk = prefix_sums(samples + DRIFT)
         drift.append(("exact:drift", n, lambda: sq_variation_exact(drift_walk)))
     params = GreedyParams()
-    specs = [DistributionSpec(kind, tail_exponent=2.5 if kind == "pareto_sym" else None)
+    specs = [DistributionSpec(kind, tail_exponent=2.5 if kind == "pareto" else None)
              for kind in KINDS]
     large = []
     if n in (1 << (MAX_LOG2 - 2), 1 << MAX_LOG2):
@@ -240,7 +240,7 @@ def main(argv: list[str] | None = None) -> dict:
                     "python": platform.python_version(), "numpy": np.__version__},
         "walk": (f"gaussian:sigma=1, seed {SEED}, one walk per size; exact:drift on the "
                  f"same steps + {DRIFT}; exact:lattice at p = 3 on {{-1, 0, 1}} steps, seed "
-                 f"{SEED}; pareto_sym at a = 2.5; parse:compute and process:compute on "
+                 f"{SEED}; pareto at a = 2.5; parse:compute and process:compute on "
                  f"{{-1, 0, 1}} files, seed {SEED}, one fresh process per pass and size"),
         "memory": ("peak_mb: tracemalloc peak of one untimed call above what was held "
                    "before it; rss_max_mb: largest ru_maxrss of the process:compute "
