@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .seqcore import DistributionSpec, mix_seed, sample_sequence
+from .seqcore import DistributionSpec, _rng_for, mix_seed, sample_sequence
 
 _CHUNK = 1 << 22  # elements per Monte Carlo block
 
@@ -104,17 +104,10 @@ def berry_esseen_distance(spec: DistributionSpec, k: int, trials: int, seed: int
         raise ValueError("Berry-Esseen check requires a unit-variance spec")
     if k < 1 or trials < 1:
         raise ValueError("need k >= 1 and trials >= 1")
-    sums = np.empty(trials)
-    done = 0
-    if spec.kind == "rademacher":
-        # S_k = 2 Binomial(k, 1/2) - k, drawn directly
-        rng = np.random.Generator(np.random.Philox(key=mix_seed(seed, 0)))
-        sums[:] = 2.0 * rng.binomial(k, 0.5, size=trials) - k
+    if spec.kind == "rademacher":  # S_k = 2 Binomial(k, 1/2) - k, drawn directly
+        sums = 2.0 * _rng_for(mix_seed(seed, 0)).binomial(k, 0.5, size=trials) - k
     else:
-        for block in _iter_chunks(spec, k, trials, seed):
-            take = block.shape[0]
-            sums[done : done + take] = block.sum(axis=1)
-            done += take
+        sums = np.concatenate([block.sum(axis=1) for block in _iter_chunks(spec, k, trials, seed)])
     z = np.sort(sums / math.sqrt(k))
     cdf = _normal_cdf(z)
     grid = np.arange(1, trials + 1) / trials

@@ -157,28 +157,28 @@ def _cmd_plotdata(args) -> int:
     return 0
 
 
-def _family_rows(args):
-    if args.scheme == "dyadic":
-        for n in range(1, args.n + 1):
-            yield families.check_dyadic_cover(n)
-        f, fs = families.build_F_Fs(args.n)
-        yield families.check_family_disjoint(f)
-        yield families.check_family_disjoint(fs)
-    elif args.scheme == "h":
-        for fam in families.build_H(args.eps, args.n):
-            yield families.check_family_disjoint(fam)
-        yield families.check_H_cover(args.eps, args.n)
-    elif args.scheme == "l":
-        if not args.s or not args.c:
-            raise ValueError("scheme l requires --s and --c")
-        for fam in families.build_L(args.s, args.c):
-            yield families.check_family_disjoint(fam)
-        yield families.check_L_gaps(args.s, args.c)
+def _dyadic_rows(args):
+    for n in range(1, args.n + 1):
+        yield families.check_dyadic_cover(n)
+    for fam in families.build_F_Fs(args.n):
+        yield families.check_family_disjoint(fam)
+
+
+def _h_rows(args):
+    for fam in families.build_H(args.eps, args.n):
+        yield families.check_family_disjoint(fam)
+    yield families.check_H_cover(args.eps, args.n)
+
+
+def _l_rows(args):
+    for fam in families.build_L(args.s, args.c):
+        yield families.check_family_disjoint(fam)
+    yield families.check_L_gaps(args.s, args.c)
 
 
 def _cmd_families(args) -> int:
     failures = 0
-    for row in _family_rows(args):  # printed as checked: an error still shows the rows before it
+    for row in args.rows(args):  # printed as checked: an error still shows the rows before it
         bad = row.get("violations", 0) + row.get("overlaps", 0) + row.get("gap_violations", 0)
         failures += bad
         state = "PASS" if bad == 0 else "FAIL"
@@ -215,7 +215,7 @@ def _read_grid(path: str | None, check: str) -> list[tuple]:
             if not tokens or not _is_number(tokens[0]):
                 continue
             if len(tokens) != len(types):
-                raise ValueError(f"grid line {k}: --check {check} needs rows of width "
+                raise ValueError(f"grid line {k}: bounds {check} needs rows of width "
                                  f"{len(types)}, got {len(tokens)}")
             point = []
             for tok, typ in zip(tokens, types):
@@ -317,28 +317,34 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_plotdata)
 
     p = sub.add_parser("families", help="family property suites")
-    fsub = p.add_subparsers(dest="families_command", required=True)
-    fc = fsub.add_parser("check")
-    fc.add_argument("--scheme", choices=("dyadic", "h", "l"), required=True)
-    fc.add_argument("--n", type=int, default=7)
-    fc.add_argument("--eps", type=float, default=0.5,
+    fsub = p.add_subparsers(dest="scheme", required=True)
+    fp = fsub.add_parser("dyadic", help="dyadic covers and the F/Fs families")
+    fp.add_argument("--n", type=int, default=7)
+    fp.set_defaults(func=_cmd_families, rows=_dyadic_rows)
+    fp = fsub.add_parser("h", help="the geometric families H and their cover")
+    fp.add_argument("--n", type=int, default=7)
+    fp.add_argument("--eps", type=float, default=0.5,
                     help="eps' = 1/k for an integer k >= 1, e.g. 1, 0.5, 0.3333333333333333")
-    fc.add_argument("--s", type=int)
-    fc.add_argument("--c", type=int)
-    fc.set_defaults(func=_cmd_families)
+    fp.set_defaults(func=_cmd_families, rows=_h_rows)
+    fp = fsub.add_parser("l", help="the shifted families L and their gap law")
+    fp.add_argument("--s", type=int, required=True)
+    fp.add_argument("--c", type=int, required=True)
+    fp.set_defaults(func=_cmd_families, rows=_l_rows)
 
     p = sub.add_parser("bounds", help="concentration-bound verification CSV")
-    p.add_argument("--check", choices=("bernstein", "etemadi", "berry-esseen", "rosenthal"),
-                   required=True,
-                   help="rosenthal rows are report-only: Rosenthal's constant is not "
-                        "known, so their pass column reads report-only and never gates")
-    p.add_argument("--spec", default="rademacher:sigma=1")
-    p.add_argument("--grid", help="CSV of grid points; defaults to a built-in grid")
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--p", type=float, default=4.0, help="moment order for rosenthal")
-    p.add_argument("--out")
-    p.set_defaults(func=_cmd_bounds)
+    common = _Parser(add_help=False)
+    common.add_argument("--spec", default="rademacher:sigma=1")
+    common.add_argument("--grid", help="CSV of grid points; defaults to a built-in grid")
+    common.add_argument("--trials", type=int, default=100_000)
+    common.add_argument("--seed", type=int, default=0)
+    common.add_argument("--out")
+    bsub = p.add_subparsers(dest="check", required=True)
+    for check in _DEFAULT_GRIDS:
+        bsub.add_parser(check, parents=[common]).set_defaults(func=_cmd_bounds)
+    p = bsub.choices["rosenthal"]
+    p.description = ("rosenthal rows are report-only: Rosenthal's constant is not known, "
+                     "so their pass column reads report-only and never gates")
+    p.add_argument("--p", type=float, default=4.0, help="moment order")
 
     p = sub.add_parser("greedy", help="constructive lower-bound partition of one sample")
     p.add_argument("--n", type=int, required=True)

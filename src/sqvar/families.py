@@ -203,7 +203,7 @@ def _power_index(s: int, c: int) -> int:
     return m
 
 
-# --- exhaustive property checks (used by `sqvar families check`) ------------
+# --- exhaustive property checks (used by `sqvar families`) ------------------
 
 def _cover_counts(intervals, cover, ratio: float, tol: float,
                   fams: list[IntervalFamily]) -> dict:

@@ -43,7 +43,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         """A ValueError starts with the config key at fault, which parse_config
-        prefixes with its section."""
+        prefixes with its section; it sets the classify thresholds as a pair."""
         if self.trials < 0:
             raise ValueError(f"trials: must be >= 0, got {self.trials}")
         if list(self.n_grid) != sorted(set(self.n_grid)) or any(n < 1 for n in self.n_grid):
@@ -52,8 +52,14 @@ class ExperimentConfig:
         bad = set(self.algorithms) - {"exact", "blocked", "dyadic_upper", "greedy"}
         if bad:
             raise ValueError(f"algorithms: unknown {', '.join(map(repr, sorted(bad)))}")
+        again = sorted({a for a in self.algorithms if self.algorithms.count(a) > 1})
+        if again:
+            raise ValueError(f"algorithms: repeated {', '.join(map(repr, again))}")
         if "greedy" in self.algorithms and self.greedy_params is None:
             raise ValueError("algorithms: greedy needs greedy parameters, a [greedy] section")
+        if (self.class_eps is None) != (self.class_b is None):
+            raise ValueError(f"class_eps and class_b: set both or neither, got "
+                             f"class_eps = {self.class_eps}, class_b = {self.class_b}")
 
 
 @dataclass(frozen=True)

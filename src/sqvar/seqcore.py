@@ -134,7 +134,7 @@ class DistributionSpec:
             if not f.strip():
                 continue
             key, _, val = f.partition("=")
-            key = key.strip().lower()
+            key = key.strip()
             if key not in _PARAM_FIELDS:
                 raise ValueError(f"unknown distribution parameter {key!r} in {text!r}")
             if _PARAM_FIELDS[key] in kwargs:
@@ -144,7 +144,7 @@ class DistributionSpec:
             except ValueError:
                 raise ValueError(f"distribution parameter {key!r} in {text!r} is not a "
                                  f"number: {val.strip()!r}") from None
-        return DistributionSpec(name.strip().lower(), **kwargs)
+        return DistributionSpec(name.strip(), **kwargs)
 
 
 @dataclass(frozen=True)

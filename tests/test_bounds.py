@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -112,6 +113,19 @@ def test_berry_esseen_decreasing_in_k():
         berry_esseen_distance(DistributionSpec("gaussian", sigma=2.0), 4, 100, 0)
 
 
+@pytest.mark.parametrize("spec,digest", [
+    ("rademacher:sigma=1", "759c4baed8b7078877e5c1fd91193b072acfe09b8f1275e8141fb4df5a6a63ba"),
+    ("gaussian:sigma=1", "419d167975c4299496fc37fad6b0a02e86bb797a2748749e79dcdaad261121d0"),
+    ("logtail:sigma=1", "e80f373cf80d30a9abd25a958d4cf33110d529c219fca7e94d2efbe70ea3defe"),
+])
+def test_berry_esseen_golden(capsys, spec, digest):
+    # SHA-256 of `sqvar bounds berry-esseen` stdout: the Rademacher sums drawn
+    # as binomials, the others summed from sample blocks, two of them at k = 10000
+    argv = ["bounds", "berry-esseen", "--spec", spec, "--trials", "500", "--seed", "4"]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_rosenthal_single_summand():
     assert rosenthal_ratio(RAD, 4.0, 1, 5000, 1) <= 1.0 + 1e-9
     assert rosenthal_ratio(DistributionSpec("gaussian"), 4.0, 1, 50_000, 1) <= 1.05
@@ -170,7 +184,7 @@ def test_overflowing_walks_fail_by_name():
 def test_rosenthal_overflow_fails_by_name(spec, p, capsys):
     # rademacher: the empirical |S_l|^p overflows; gaussian: E|X|^p, where
     # math.gamma raises (p = 400) or the product rounds to inf (p = 305)
-    argv = ["bounds", "--check", "rosenthal", "--spec", spec, "--p", p, "--trials", "100"]
+    argv = ["bounds", "rosenthal", "--spec", spec, "--p", p, "--trials", "100"]
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy overflow warning either
         assert cli.main(argv) == 1

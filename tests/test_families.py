@@ -169,7 +169,7 @@ def test_eps_prime_not_a_reciprocal_integer_refused(capsys):
         build_H(0.3, 7)
     with pytest.raises(ValueError, match=named):
         cover_H(RealInterval(1.0, 2.0), 0.3, 7)
-    assert cli.main(["families", "check", "--scheme", "h", "--eps", "0.3", "--n", "7"]) == 1
+    assert cli.main(["families", "h", "--eps", "0.3", "--n", "7"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"sqvar: error: {named}\n"
@@ -182,7 +182,7 @@ def test_families_check_overflow_names_eps_and_n(capsys):
         build_H(1.0, 1100)
     with pytest.raises(ValueError, match=re.escape(named)):
         cover_H(RealInterval(1.0, 2.0), 1.0, 1100)
-    assert cli.main(["families", "check", "--scheme", "h", "--eps", "1", "--n", "1100"]) == 1
+    assert cli.main(["families", "h", "--eps", "1", "--n", "1100"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"sqvar: error: {named}\n"
@@ -232,23 +232,25 @@ def test_real_interval_validation():
         RealInterval(-1.0, 1.0)
 
 
-@pytest.mark.parametrize("argv,digest", [
-    ("--scheme dyadic --n 8", "78710d7fed633cb66921ee032b65729831ea983dea18295278609c20e6d87d19"),
-    ("--scheme h --eps 0.25 --n 7",
-     "eba921f94f96b0ed671f47216b0b9e4fe6a67b91c66b64279175f48a108b8c8a"),
-    ("--scheme h --eps 0.5 --n 7",
-     "eafbc6579348f79c1486d6f377417ea899e89b81f54344f6ebb5e02a3a8b7754"),
-    ("--scheme h --eps 1.0 --n 7",
-     "bd2e9a085330336da06885b858f6230d2166e65f1569403425f159babaa63461"),
-    ("--scheme h --eps 0.3333333333333333 --n 7",
+_GOLDEN = [
+    ("dyadic --n 8", "78710d7fed633cb66921ee032b65729831ea983dea18295278609c20e6d87d19"),
+    ("h --eps 0.25 --n 7", "eba921f94f96b0ed671f47216b0b9e4fe6a67b91c66b64279175f48a108b8c8a"),
+    ("h --eps 0.5 --n 7", "eafbc6579348f79c1486d6f377417ea899e89b81f54344f6ebb5e02a3a8b7754"),
+    ("h --eps 1.0 --n 7", "bd2e9a085330336da06885b858f6230d2166e65f1569403425f159babaa63461"),
+    ("h --eps 0.3333333333333333 --n 7",
      "241598f7069f0369e34dc56ffcf172cedc99031b78233f486fff3e7f1eadbb08"),
-    ("--scheme l --s 2 --c 4", "cf46f1f892b40b749fa1b6968dd356d9f29bd3e32ebd5993ef160cd6c8eefb5b"),
-    ("--scheme l --s 3 --c 9", "64951983ca9fd8d51bc0bf38fbe44b5d9a15b295ecb005f685c670f254cfc237"),
-])
+    ("l --s 2 --c 4", "cf46f1f892b40b749fa1b6968dd356d9f29bd3e32ebd5993ef160cd6c8eefb5b"),
+    ("l --s 3 --c 9", "64951983ca9fd8d51bc0bf38fbe44b5d9a15b295ecb005f685c670f254cfc237"),
+]
+
+
+# each id keeps the name its digest was first recorded under, when the scheme was a flag
+@pytest.mark.parametrize("argv,digest", _GOLDEN,
+                         ids=[f"--scheme {argv}-{digest}" for argv, digest in _GOLDEN])
 def test_families_check_golden(capsys, argv, digest):
-    # SHA-256 of `sqvar families check` stdout: any change to a family, a cover
-    # or a check that alters a printed byte fails here
-    assert cli.main(["families", "check", *argv.split()]) == 0
+    # SHA-256 of `sqvar families <scheme>` stdout: any change to a family, a
+    # cover or a check that alters a printed byte fails here
+    assert cli.main(["families", *argv.split()]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
@@ -259,7 +261,7 @@ def test_families_check_prints_rows_before_a_cover_error(capsys, monkeypatch):
         raise ValueError("no cover")
 
     monkeypatch.setattr(families, "check_H_cover", no_cover)
-    assert cli.main(["families", "check", "--scheme", "h", "--eps", "0.25", "--n", "7"]) == 1
+    assert cli.main(["families", "h", "--eps", "0.25", "--n", "7"]) == 1
     captured = capsys.readouterr()
     assert captured.out == "".join(f"PASS  scheme=H shift={k} overlaps=0\n" for k in range(5))
     assert captured.err == "sqvar: error: no cover\n"

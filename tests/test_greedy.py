@@ -134,7 +134,7 @@ def test_select_cover_respects_divisibility():
 
 def test_cover_chain_reads_the_L_family():
     # every interval greedy covers with is an interval of the family that
-    # `sqvar families check --scheme l` certifies
+    # `sqvar families l` certifies
     for s, c in ((2, 4), (2, 8), (3, 9)):
         members = {(iv.start, iv.end) for fam in build_L(s, c) for iv in fam.all_intervals()}
         for n_total in range(16, 5001):

@@ -89,6 +89,16 @@ def test_config_validation():
         _config(None, algorithms=("greedy",))
 
 
+def test_config_classify_thresholds_come_as_a_pair():
+    # a trial classifies with both thresholds: one without the other is
+    # refused where the config is built, not in the first trial
+    for eps, b in ((0.1, None), (None, 8.0)):
+        with pytest.raises(ValueError, match=f"^class_eps and class_b: set both or neither, "
+                                             f"got class_eps = {eps}, class_b = {b}$"):
+            _config(None, class_eps=eps, class_b=b)
+    assert _config(None, class_eps=None, class_b=None).class_eps is None
+
+
 def test_run_trial_fields_and_ordering(tmp_path):
     cfg = _config(tmp_path)
     records = run_experiment(cfg)
@@ -415,10 +425,38 @@ def test_cli_plotdata(tmp_path, capsys):
 
 
 def test_cli_families(capsys):
-    assert cli.main(["families", "check", "--scheme", "dyadic", "--n", "5"]) == 0
+    assert cli.main(["families", "dyadic", "--n", "5"]) == 0
     assert "PASS" in capsys.readouterr().out
-    assert cli.main(["families", "check", "--scheme", "h", "--n", "5", "--eps", "0.5"]) == 0
-    assert cli.main(["families", "check", "--scheme", "l", "--s", "2", "--c", "4"]) == 0
+    assert cli.main(["families", "h", "--n", "5", "--eps", "0.5"]) == 0
+    assert cli.main(["families", "l", "--s", "2", "--c", "4"]) == 0
+
+
+@pytest.mark.parametrize("argv,message", [
+    ("families h --s 3", "sqvar: error: unrecognized arguments: --s 3"),
+    ("families dyadic --eps 0.5", "sqvar: error: unrecognized arguments: --eps 0.5"),
+    ("families l --n 7", "sqvar families l: error: the following arguments are required: "
+                         "--s, --c"),
+    ("families l --s 2 --c 4 --n 7", "sqvar: error: unrecognized arguments: --n 7"),
+    ("families l --c 4", "sqvar families l: error: the following arguments are required: --s"),
+    ("families l --s 2", "sqvar families l: error: the following arguments are required: --c"),
+    ("bounds bernstein --p 3", "sqvar: error: unrecognized arguments: --p 3"),
+    ("families check --scheme h", "argument scheme: invalid choice: 'check'"),
+    ("bounds --check bernstein", "sqvar: error: unrecognized arguments: --check"),
+])
+def test_cli_variant_takes_only_the_flags_it_reads(capsys, argv, message):
+    # each family scheme and bound check has its own flags, and refuses the others
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv.split())
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: sqvar ") and message in captured.err
+
+
+def test_cli_families_l_refuses_s_below_2(capsys):
+    assert cli.main(["families", "l", "--s", "0", "--c", "4"]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "sqvar: error: s must be an integer > 1\n")
 
 
 def test_cli_greedy(capsys):
@@ -487,11 +525,15 @@ def test_cli_simulate_greedy_small_n(tmp_path, capsys):
     (lambda s: s.replace("gaussian:sigma=1", "gaussian:a=3"),
      "config [experiment] spec: only the pareto kind takes a tail exponent, got a = 3.0 "
      "for gaussian"),
+    (lambda s: s.replace("algorithms = exact, blocked:4, dyadic_upper, greedy",
+                         "algorithms = exact, blocked:4, blocked:8, exact"),
+     "config [experiment] algorithms: repeated 'blocked', 'exact'"),
 ], ids=["no-header", "no-section", "no-n_grid", "no-trials", "misspelt-key", "stale-key",
         "greedy-key", "unknown-section", "default-key", "default-n_grid", "n_grid-float",
         "trials-word", "master_seed-float", "jsonl-word", "greedy-s-word", "greedy-alpha-range",
         "classify-eps-word", "spec-missing-value", "n_grid-negative", "trials-negative",
-        "algorithms-unknown", "greedy-eps3-range", "greedy-c-power", "spec-a-off-pareto"])
+        "algorithms-unknown", "greedy-eps3-range", "greedy-c-power", "spec-a-off-pareto",
+        "algorithms-repeated"])
 def test_cli_simulate_config_missing(tmp_path, capsys, edit, named):
     ini = tmp_path / "exp.ini"
     ini.write_text(edit(CONFIG_TEXT.format(out=tmp_path / "r.csv")))
@@ -596,7 +638,7 @@ def test_cli_bounds_small(tmp_path):
     out = tmp_path / "bounds.csv"
     for text in ("t,L\n8,16\n10 32\n", "\ufeff8,16\n10 32\n"):  # a byte-order mark
         grid.write_text(text, encoding="utf-8")
-        rc = cli.main(["bounds", "--check", "bernstein", "--spec", "rademacher:sigma=1",
+        rc = cli.main(["bounds", "bernstein", "--spec", "rademacher:sigma=1",
                        "--grid", str(grid), "--trials", "4000", "--out", str(out)])
         assert rc == 0
         lines = out.read_text().strip().splitlines()
@@ -610,7 +652,7 @@ def test_cli_bounds_violation_exits_2_after_writing(tmp_path, capsys, monkeypatc
     # the CSV is written first, its failed rows included
     monkeypatch.setattr(bounds, "bernstein_maximal_bound", lambda t, sum_var, m: 0.0)
     out = tmp_path / "bounds.csv"
-    rc = cli.main(["bounds", "--check", "bernstein", "--trials", "400", "--out", str(out)])
+    rc = cli.main(["bounds", "bernstein", "--trials", "400", "--out", str(out)])
     assert rc == 2
     assert capsys.readouterr().err == (
         "sqvar: invariant violation: empirical value exceeded its bound\n")
@@ -622,10 +664,10 @@ def test_cli_bounds_violation_exits_2_after_writing(tmp_path, capsys, monkeypatc
 
 
 @pytest.mark.parametrize("check,text,where", [
-    ("bernstein", "t,L\n8\n", "grid line 2: --check bernstein needs rows of width 2, got 1"),
+    ("bernstein", "t,L\n8\n", "grid line 2: bounds bernstein needs rows of width 2, got 1"),
     ("bernstein", "8,x\n", "grid line 1: 'x' is not a number"),
-    ("bernstein", "8,16,3\n", "grid line 1: --check bernstein needs rows of width 2, got 3"),
-    ("rosenthal", "# ell\n10,100\n", "grid line 2: --check rosenthal needs rows of width 1, got 2"),
+    ("bernstein", "8,16,3\n", "grid line 1: bounds bernstein needs rows of width 2, got 3"),
+    ("rosenthal", "# ell\n10,100\n", "grid line 2: bounds rosenthal needs rows of width 1, got 2"),
     ("bernstein", "8,16.5\n", "grid line 1: '16.5' is not an integer"),
     ("berry-esseen", "k\n4\n4.5\n", "grid line 3: '4.5' is not an integer"),
     ("etemadi", "nan,16\n", "grid line 1: 'nan' is not finite"),
@@ -635,20 +677,20 @@ def test_cli_bounds_violation_exits_2_after_writing(tmp_path, capsys, monkeypatc
 def test_cli_bounds_bad_grid(tmp_path, capsys, check, text, where):
     grid = tmp_path / "grid.csv"
     grid.write_text(text)
-    assert cli.main(["bounds", "--check", check, "--grid", str(grid), "--trials", "10"]) == 1
+    assert cli.main(["bounds", check, "--grid", str(grid), "--trials", "10"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"sqvar: error: {where}\n"
 
 
 @pytest.mark.parametrize("argv,named", [
-    (["bounds", "--check", "etemadi", "--spec", "pareto:a=nan", "--trials", "100"],
+    (["bounds", "etemadi", "--spec", "pareto:a=nan", "--trials", "100"],
      "pareto tail exponent must be finite, got a = nan"),
-    (["bounds", "--check", "rosenthal", "--spec", "gaussian:sigma=inf", "--trials", "100"],
+    (["bounds", "rosenthal", "--spec", "gaussian:sigma=inf", "--trials", "100"],
      "sigma must be finite and > 0, got inf"),
     (["greedy", "--n", "64", "--spec", "gaussian:sigma=inf"],
      "sigma must be finite and > 0, got inf"),
-    (["bounds", "--check", "etemadi", "--spec", "pareto:a", "--trials", "100"],
+    (["bounds", "etemadi", "--spec", "pareto:a", "--trials", "100"],
      "distribution parameter 'a' in 'pareto:a' is not a number: ''"),
     (["greedy", "--n", "64", "--spec", "gaussian:sigma"],
      "distribution parameter 'sigma' in 'gaussian:sigma' is not a number: ''"),
@@ -1031,7 +1073,7 @@ def test_norm_is_refused_unless_twice_the_variance_is_normal():
 
 def test_cli_bounds_bernstein_variance_overflow_refused(capsys):
     # sigma^2 overflows in Python's float ** before the bound sees it
-    argv = ["bounds", "--check", "bernstein", "--spec", "rademacher:sigma=1e200",
+    argv = ["bounds", "bernstein", "--spec", "rademacher:sigma=1e200",
             "--trials", "100"]
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
@@ -1049,7 +1091,7 @@ def test_cli_bounds_overflowing_walk_refused_without_warning(tmp_path, capsys, c
     # Bernstein bound refuses sigma^2 before its Monte Carlo run
     grid = tmp_path / "grid.csv"
     grid.write_text("8,1024\n")
-    argv = ["bounds", "--check", check, "--spec", "uniform:sigma=1e307", "--trials", "20",
+    argv = ["bounds", check, "--spec", "uniform:sigma=1e307", "--trials", "20",
             "--grid", str(grid)]
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
@@ -1060,7 +1102,7 @@ def test_cli_bounds_overflowing_walk_refused_without_warning(tmp_path, capsys, c
 def test_cli_uniform_range_overflow_refused(tmp_path, capsys):
     argvs = [["simulate", "--config", str(_overflow_config(tmp_path, "1e308", "exact", n=16,
                                                             kind="uniform"))],
-             ["bounds", "--check", "etemadi", "--spec", "uniform:sigma=1e308", "--trials", "20"]]
+             ["bounds", "etemadi", "--spec", "uniform:sigma=1e308", "--trials", "20"]]
     for argv in argvs:
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
@@ -1093,7 +1135,7 @@ def test_cli_memory_error_is_one_line(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_bounds_etemadi_no_trials(capsys):
-    assert cli.main(["bounds", "--check", "etemadi", "--trials", "0"]) == 1
+    assert cli.main(["bounds", "etemadi", "--trials", "0"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "sqvar: error: need L >= 1 and trials >= 1\n"
@@ -1174,11 +1216,11 @@ def test_every_subcommand_runs_on_numpy_alone(tmp_path):
             ["summarize", "--input", str(records)],
             *(["plotdata", "--input", str(records), "--kind", kind,
                "--out", str(tmp_path / f"{kind}.csv")] for kind in PLOT_KINDS),
-            ["families", "check", "--scheme", "dyadic", "--n", "4"],
-            ["families", "check", "--scheme", "h", "--n", "4"],
-            ["families", "check", "--scheme", "l", "--s", "2", "--c", "4"],
+            ["families", "dyadic", "--n", "4"],
+            ["families", "h", "--n", "4"],
+            ["families", "l", "--s", "2", "--c", "4"],
             ["greedy", "--n", "64"],
-            *(["bounds", "--check", check, "--trials", "500",
+            *(["bounds", check, "--trials", "500",
                "--out", str(tmp_path / f"{check}.csv")]
               for check in ("bernstein", "etemadi", "berry-esseen", "rosenthal"))]
     proc = _run_python(NUMPY_ONLY_SCRIPT, json.dumps(runs))
@@ -1231,7 +1273,7 @@ def test_cli_compute_closes_input(tmp_path):
 
 
 def test_cli_bounds_rosenthal_report_only(capsys):
-    rc = cli.main(["bounds", "--check", "rosenthal", "--spec", "gaussian:sigma=1",
+    rc = cli.main(["bounds", "rosenthal", "--spec", "gaussian:sigma=1",
                    "--trials", "200"])
     assert rc == 0
     lines = capsys.readouterr().out.strip().splitlines()
@@ -1241,7 +1283,7 @@ def test_cli_bounds_rosenthal_report_only(capsys):
 
 @pytest.mark.parametrize("p", ["inf", "nan"])
 def test_cli_bounds_rosenthal_non_finite_p(capsys, p):
-    assert cli.main(["bounds", "--check", "rosenthal", "--p", p, "--trials", "100"]) == 1
+    assert cli.main(["bounds", "rosenthal", "--p", p, "--trials", "100"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"sqvar: error: Rosenthal ratio needs a finite p > 2, got p = {p}\n"
@@ -1265,11 +1307,11 @@ def test_cli_chain_warning_free(tmp_path):
     drift.write_text("\n".join(map(repr, increments.tolist())))
     steps = [["simulate", "--config", str(ini)], ["summarize", "--input", str(out)]]
     steps += [["plotdata", "--input", str(out), "--kind", kind] for kind in PLOT_KINDS]
-    steps += [["families", "check", "--scheme", "dyadic", "--n", "4"],
-              ["families", "check", "--scheme", "h", "--n", "5"],
-              ["families", "check", "--scheme", "h", "--eps", "0.3333333333333333", "--n", "7"],
-              ["families", "check", "--scheme", "l", "--s", "2", "--c", "4"]]
-    steps += [["bounds", "--check", check, "--trials", "200"]
+    steps += [["families", "dyadic", "--n", "4"],
+              ["families", "h", "--n", "5"],
+              ["families", "h", "--eps", "0.3333333333333333", "--n", "7"],
+              ["families", "l", "--s", "2", "--c", "4"]]
+    steps += [["bounds", check, "--trials", "200"]
               for check in ("bernstein", "etemadi", "berry-esseen", "rosenthal")]
     steps += [["greedy", "--n", "64"], ["compute", "--input", str(values)],
               ["compute", "--input", str(values), "--p", "3"],

@@ -586,6 +586,10 @@ def test_spec_string_round_trip():
      "^unknown distribution parameter 'tail' in 'pareto:tail=3'$"),
     (lambda: DistributionSpec.from_string("pareto:tail_exponent=3"),
      "^unknown distribution parameter 'tail_exponent' in 'pareto:tail_exponent=3'$"),
+    (lambda: DistributionSpec.from_string("GAUSSIAN:sigma=2"),
+     "^unknown distribution kind 'GAUSSIAN'$"),
+    (lambda: DistributionSpec.from_string("gaussian:SIGMA=2"),
+     "^unknown distribution parameter 'SIGMA' in 'gaussian:SIGMA=2'$"),
 ])
 def test_spec_one_spelling_per_input(make, named):
     # one name per kind and one key per field, each at most once, and a tail
