@@ -12,6 +12,7 @@ import math
 import os
 import stat
 import sys
+from dataclasses import fields
 from itertools import islice
 
 # No kernel calls BLAS, so keep OpenBLAS from starting a busy-waiting worker
@@ -31,6 +32,9 @@ USAGE_ERROR, INVARIANT_ERROR, IO_ERROR = 1, 2, 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # a flag has one spelling, not its prefixes too
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
@@ -231,47 +235,49 @@ def _read_grid(path: str | None, check: str) -> list[tuple]:
     return out
 
 
+def _bernstein_rows(args, spec, grid):
+    for idx, (t, length) in enumerate(grid):
+        m = spec.almost_sure_bound()
+        if not math.isfinite(m):
+            raise ValueError("bernstein comparison needs a bounded spec")
+        try:  # Python's float ** raises where numpy's gives inf
+            sum_var = length * spec.sigma**2
+        except OverflowError:
+            sum_var = math.inf  # refused by name in the bound
+        bd = bounds.bernstein_maximal_bound(t, sum_var, m)  # refuses sigma^2 before any walk
+        emp = bounds.maximal_tail_empirical(spec, length, t, args.trials,
+                                            mix_seed(args.seed, idx))
+        yield t, emp.frequency, bd, emp.std_err, emp.frequency <= bd + 3.0 * emp.std_err
+
+
+def _etemadi_rows(args, spec, grid):
+    for idx, (a, length) in enumerate(grid):
+        lhs, rhs = bounds.etemadi_check(spec, length, a, args.trials, mix_seed(args.seed, idx))
+        yield a, lhs.frequency, rhs, lhs.std_err, lhs.frequency <= rhs + 3.0 * lhs.std_err
+
+
+def _berry_esseen_rows(args, spec, grid):
+    prev = None
+    for idx, (k,) in enumerate(grid):
+        d = bounds.berry_esseen_distance(spec, k, args.trials, mix_seed(args.seed, idx))
+        se = 0.5 / math.sqrt(args.trials)
+        yield k, d, float("nan"), se, prev is None or d <= prev + 2.0 * se
+        prev = d
+
+
+def _rosenthal_rows(args, spec, grid):
+    for idx, (ell,) in enumerate(grid):
+        r = bounds.rosenthal_ratio(spec, args.p, ell, args.trials, mix_seed(args.seed, idx))
+        yield ell, r, float("nan"), float("nan"), "report-only"
+
+
 def _cmd_bounds(args) -> int:
     spec = DistributionSpec.from_string(args.spec)
     grid = _read_grid(args.grid, args.check)
     lines = ["threshold,empirical,bound,std_err,pass"]
-    prev = None
-    for idx, point in enumerate(grid):
-        seed = mix_seed(args.seed, idx)
-        if args.check == "bernstein":
-            t, length = point
-            m = spec.almost_sure_bound()
-            if not math.isfinite(m):
-                raise ValueError("bernstein comparison needs a bounded spec")
-            try:  # Python's float ** raises where numpy's gives inf
-                sum_var = length * spec.sigma**2
-            except OverflowError:
-                sum_var = math.inf  # refused by name in the bound
-            bd = bounds.bernstein_maximal_bound(t, sum_var, m)  # refuses sigma^2 before any walk
-            emp = bounds.maximal_tail_empirical(spec, length, t, args.trials, seed)
-            ok = emp.frequency <= bd + 3.0 * emp.std_err
-            row = (t, emp.frequency, bd, emp.std_err, ok)
-        elif args.check == "etemadi":
-            a, length = point
-            lhs, rhs = bounds.etemadi_check(spec, length, a, args.trials, seed)
-            ok = lhs.frequency <= rhs + 3.0 * lhs.std_err
-            row = (a, lhs.frequency, rhs, lhs.std_err, ok)
-        elif args.check == "berry-esseen":
-            (k,) = point
-            d = bounds.berry_esseen_distance(spec, k, args.trials, seed)
-            se = 0.5 / math.sqrt(args.trials)
-            ok = prev is None or d <= prev + 2.0 * se
-            prev = d
-            row = (k, d, float("nan"), se, ok)
-        else:  # rosenthal
-            (ell,) = point
-            r = bounds.rosenthal_ratio(spec, args.p, ell, args.trials, seed)
-            row = (ell, r, float("nan"), float("nan"), "report-only")
-        lines.append(",".join(
-            format(v, ".17g") if isinstance(v, float) else str(v).lower()
-            if isinstance(v, bool) else str(v)
-            for v in row
-        ))
+    for row in args.rows(args, spec, grid):  # a bool reads true or false
+        lines.append(",".join(format(v, ".17g") if isinstance(v, float) else str(v).lower()
+                              for v in row))
     _write_out("\n".join(lines) + "\n", args.out)
     if any(line.endswith("false") for line in lines[1:]):
         raise InvariantViolation("empirical value exceeded its bound")
@@ -286,7 +292,8 @@ def _cmd_greedy(args) -> int:
     denom = labcli._norm(args.n, spec.sigma)  # refused before the trial is paid for
     buf = np.empty(args.n + 1)  # the samples, in buf[1:], then the walk
     walk = prefix_sums(sample_sequence(spec, args.n, args.seed, out=buf[1:]), out=buf)
-    params = greedy.GreedyParams(s=args.s, c=args.c, alpha=args.alpha, eps3=args.eps3)
+    params = greedy.GreedyParams(**{f.name: getattr(args, f.name)
+                                    for f in fields(greedy.GreedyParams)})
     res = greedy.greedy_partition(walk, params)
     print(f"value={res.value:.17g} ratio={res.value / denom:.17g} "
           f"breakpoints={len(res.partition.breakpoints)}")
@@ -339,8 +346,9 @@ def build_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--out")
     bsub = p.add_subparsers(dest="check", required=True)
-    for check in _DEFAULT_GRIDS:
-        bsub.add_parser(check, parents=[common]).set_defaults(func=_cmd_bounds)
+    for check, rows in (("bernstein", _bernstein_rows), ("etemadi", _etemadi_rows),
+                        ("berry-esseen", _berry_esseen_rows), ("rosenthal", _rosenthal_rows)):
+        bsub.add_parser(check, parents=[common]).set_defaults(func=_cmd_bounds, rows=rows)
     p = bsub.choices["rosenthal"]
     p.description = ("rosenthal rows are report-only: Rosenthal's constant is not known, "
                      "so their pass column reads report-only and never gates")
@@ -349,10 +357,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("greedy", help="constructive lower-bound partition of one sample")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--spec", default="gaussian:sigma=1")
-    p.add_argument("--s", type=int, default=greedy.GreedyParams.s)
-    p.add_argument("--c", type=int, default=greedy.GreedyParams.c)
-    p.add_argument("--alpha", type=float, default=greedy.GreedyParams.alpha)
-    p.add_argument("--eps3", type=float, default=greedy.GreedyParams.eps3)
+    for f in fields(greedy.GreedyParams):  # the [greedy] keys of a config
+        p.add_argument(f"--{f.name}", type=type(f.default), default=f.default)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_greedy)
 

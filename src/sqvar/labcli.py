@@ -1,16 +1,17 @@
 """Configuration-driven experiment harness and record persistence.
 
 A run samples one sequence per (n, trial) cell of the grid, applies the
-requested variation algorithms plus classification, and emits one CSV row
-per trial. Per-trial seeds are derived from (master_seed, n, trial_index),
+variation algorithms its ExperimentConfig selects plus classification, and
+writes one CSV row per trial to the config's output path, with nothing
+beside it. Per-trial seeds are derived from (master_seed, n, trial_index),
 so records are reproducible cell by cell and identical under any degree of
-parallelism; rows are always ordered by (n, trial_index).
+parallelism; rows are always ordered by (n, trial_index). A config comes
+from an INI file through parse_config, or is built field by field.
 """
 
 from __future__ import annotations
 
 import configparser
-import json
 import math
 import os
 import sys
@@ -29,37 +30,28 @@ class InvariantViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One field per choice that changes the records: exact runs the exact DP,
+    block (when set) the blocked DP, dyadic_upper the dyadic upper bound,
+    greedy_params (when set) the greedy partition, and thresholds (eps, b), when
+    set, classify each trial with n >= 16 and an exact or blocked partition."""
     spec: DistributionSpec
     n_grid: tuple[int, ...]
     trials: int
     master_seed: int
-    algorithms: tuple[str, ...] = ("exact",)
-    block: int = 4
+    exact: bool = True
+    block: int | None = None
+    dyadic_upper: bool = False
     greedy_params: GreedyParams | None = None
-    class_eps: float | None = None
-    class_b: float | None = None
+    thresholds: tuple[float, float] | None = None
     output_path: str = "records.csv"
-    jsonl_mirror: bool = False
 
     def __post_init__(self):
-        """A ValueError starts with the config key at fault, which parse_config
-        prefixes with its section; it sets the classify thresholds as a pair."""
+        """A ValueError starts with the key at fault; parse_config adds the section."""
         if self.trials < 0:
             raise ValueError(f"trials: must be >= 0, got {self.trials}")
         if list(self.n_grid) != sorted(set(self.n_grid)) or any(n < 1 for n in self.n_grid):
             raise ValueError(f"n_grid: must be strictly increasing positive integers, "
                              f"got {', '.join(map(str, self.n_grid))}")
-        bad = set(self.algorithms) - {"exact", "blocked", "dyadic_upper", "greedy"}
-        if bad:
-            raise ValueError(f"algorithms: unknown {', '.join(map(repr, sorted(bad)))}")
-        again = sorted({a for a in self.algorithms if self.algorithms.count(a) > 1})
-        if again:
-            raise ValueError(f"algorithms: repeated {', '.join(map(repr, again))}")
-        if "greedy" in self.algorithms and self.greedy_params is None:
-            raise ValueError("algorithms: greedy needs greedy parameters, a [greedy] section")
-        if (self.class_eps is None) != (self.class_b is None):
-            raise ValueError(f"class_eps and class_b: set both or neither, got "
-                             f"class_eps = {self.class_eps}, class_b = {self.class_b}")
 
 
 @dataclass(frozen=True)
@@ -102,7 +94,7 @@ def _norm(n: int, sigma: float) -> float:
 
 
 def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord:
-    """One grid cell: sample, run the requested algorithms, classify."""
+    """One grid cell: sample, run the algorithms the config selects, classify."""
     seed = mix_seed(config.master_seed, n, trial_index)
     try:
         buf = np.empty(n + 1)  # the samples, in buf[1:], then the walk
@@ -118,17 +110,17 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
         denom = _norm(n, config.spec.sigma) if n >= 16 else None  # refused before any kernel
 
         exact = blocked = dyadic = greedy_v = scored = None  # scored: exact, else blocked
-        if "exact" in config.algorithms:
+        if config.exact:
             scored = variation.sq_variation_exact(walk)
             exact = scored.value
-        if "blocked" in config.algorithms:
+        if config.block is not None:
             res = variation.sq_variation_blocked(walk, min(config.block, n))
             blocked = res.value
             if scored is None:
                 scored = res
-        if "dyadic_upper" in config.algorithms:
+        if config.dyadic_upper:
             dyadic = variation.sq_variation_upper_dyadic(walk)
-        if "greedy" in config.algorithms:
+        if config.greedy_params is not None:
             greedy_v = greedy.greedy_partition(walk, config.greedy_params).value
     except ValueError as exc:
         raise ValueError(f"trial (spec={config.spec.to_string()}, n={n}, trial={trial_index}, "
@@ -141,9 +133,9 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
     ratio_hi = min(highs) / denom if (highs and denom) else None
 
     cls = {}
-    if config.class_eps is not None and scored is not None and n >= 16:
-        cls = classify.classify_partition(scored, config.class_eps, config.class_b)
-        cls.update(b_param=config.class_b, eps_param=config.class_eps)
+    if config.thresholds is not None and scored is not None and n >= 16:
+        eps, b = config.thresholds
+        cls = dict(classify.classify_partition(scored, eps, b), b_param=b, eps_param=eps)
 
     rec = TrialRecord(
         trial_index=trial_index, n=n, seed=seed,
@@ -241,29 +233,24 @@ def records_from_csv(text: str) -> list[TrialRecord]:
 def write_outputs(records: list[TrialRecord], config: ExperimentConfig) -> None:
     with open(config.output_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(records_to_csv(records))
-    if config.jsonl_mirror:
-        path = config.output_path + ".jsonl"
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for r in records:
-                fh.write(json.dumps({c: getattr(r, c) for c in CSV_COLUMNS}) + "\n")
 
 
 # --- config files ------------------------------------------------------------
 
 _CONFIG_KEYS = {
-    "experiment": ("spec", "n_grid", "trials", "master_seed", "algorithms", "output", "jsonl"),
+    "experiment": ("spec", "n_grid", "trials", "master_seed", "algorithms", "output"),
     "greedy": tuple(f.name for f in fields(GreedyParams)),
     "classify": ("eps", "b"),
 }
-_TYPE_NAMES = {int: "an integer", float: "a number", bool: "a boolean"}
+_TYPE_NAMES = {int: "an integer", float: "a number"}
 
 
 def _parse(section: configparser.SectionProxy, key: str, typ: type, text: str):
     """text, the value of section[key] or one token of it, read as typ; a
     ValueError names the section, the key and the text."""
     try:
-        return configparser.ConfigParser.BOOLEAN_STATES[text.lower()] if typ is bool else typ(text)
-    except (KeyError, ValueError):
+        return typ(text)
+    except ValueError:
         raise ValueError(f"config [{section.name}] {key}: {text!r} is not "
                          f"{_TYPE_NAMES[typ]}") from None
 
@@ -278,9 +265,9 @@ def parse_config(path: str) -> ExperimentConfig:
 
     [experiment] spec (default gaussian:sigma=1), n_grid (required, comma or
     space separated), trials (required), master_seed (0), algorithms (exact;
-    a comma list of exact, blocked or blocked:<block> with block 4 by
-    default, dyadic_upper, greedy), output (records.csv), jsonl (false: also
-    write a JSON-lines mirror of the records).
+    a comma list, in any order and each at most once, of exact, blocked or
+    blocked:<block> with block 4 by default, dyadic_upper, greedy), output
+    (records.csv).
     [greedy] s, c, alpha, eps3: the GreedyParams fields, each defaulting to
     its field's default; the section is required when greedy runs.
     [classify] eps (0.1), b (default_bad_threshold()); when present, trials
@@ -305,8 +292,7 @@ def parse_config(path: str) -> ExperimentConfig:
     for key in ("n_grid", "trials"):
         if key not in exp:
             raise ValueError(f"config [experiment] is missing the required key {key!r}")
-    algorithms = []
-    block = ExperimentConfig.block
+    names, block = [], 4
     for token in exp.get("algorithms", "exact").split(","):
         token = token.strip()
         if not token:
@@ -316,9 +302,17 @@ def parse_config(path: str) -> ExperimentConfig:
             if not size.strip().isdigit() or int(size) < 1:
                 raise ValueError(f"config [experiment] algorithms: {token!r} needs an "
                                  f"integer block >= 1")
-            block = int(size)
-            token = "blocked"
-        algorithms.append(token)
+            block, token = int(size), "blocked"
+        names.append(token)
+    bad = sorted(set(names) - {"exact", "blocked", "dyadic_upper", "greedy"})
+    if bad:
+        raise ValueError(f"config [experiment] algorithms: unknown {', '.join(map(repr, bad))}")
+    again = sorted({a for a in names if names.count(a) > 1})
+    if again:
+        raise ValueError(f"config [experiment] algorithms: repeated {', '.join(map(repr, again))}")
+    if "greedy" in names and not cp.has_section("greedy"):
+        raise ValueError("config [experiment] algorithms: greedy needs greedy parameters, "
+                         "a [greedy] section")
     gp = None
     if cp.has_section("greedy"):
         g = cp["greedy"]
@@ -328,13 +322,13 @@ def parse_config(path: str) -> ExperimentConfig:
             gp = GreedyParams(**values)
         except ValueError as exc:
             raise ValueError(f"config [greedy] {exc}") from None
-    class_eps = class_b = None
+    thresholds = None
     if cp.has_section("classify"):
         c = cp["classify"]
-        class_eps = _get(c, "eps", float, 0.1)
-        class_b = _get(c, "b", float, classify.default_bad_threshold())
+        thresholds = (_get(c, "eps", float, 0.1),
+                      _get(c, "b", float, classify.default_bad_threshold()))
         try:
-            classify.check_thresholds(class_eps, class_b)
+            classify.check_thresholds(*thresholds)
         except ValueError as exc:
             raise ValueError(f"config [classify] {exc}") from None
     try:
@@ -347,13 +341,12 @@ def parse_config(path: str) -> ExperimentConfig:
                      for v in exp["n_grid"].replace(",", " ").split()),
         trials=_get(exp, "trials", int),
         master_seed=_get(exp, "master_seed", int, 0),
-        algorithms=tuple(algorithms),
-        block=block,
-        greedy_params=gp,
-        class_eps=class_eps,
-        class_b=class_b,
+        exact="exact" in names,
+        block=block if "blocked" in names else None,
+        dyadic_upper="dyadic_upper" in names,
+        greedy_params=gp if "greedy" in names else None,
+        thresholds=thresholds,
         output_path=exp.get("output", "records.csv"),
-        jsonl_mirror=_get(exp, "jsonl", bool, False),
     )
     try:
         return ExperimentConfig(**values)

@@ -67,10 +67,9 @@ def _config(tmp_path, **overrides):
         n_grid=(64, 128),
         trials=3,
         master_seed=99,
-        algorithms=("exact", "blocked", "dyadic_upper"),
         block=4,
-        class_eps=0.1,
-        class_b=8.0,
+        dyadic_upper=True,
+        thresholds=(0.1, 8.0),
         output_path=out,
     )
     kwargs.update(overrides)
@@ -82,21 +81,7 @@ def test_config_validation():
         _config(None, n_grid=(128, 64))
     with pytest.raises(ValueError):
         _config(None, trials=-1)
-    with pytest.raises(ValueError):
-        _config(None, algorithms=("exact", "magic"))
     assert _config(None, n_grid=(1 << 16,)).n_grid == (1 << 16,)  # no size cap on exact
-    with pytest.raises(ValueError, match="greedy"):
-        _config(None, algorithms=("greedy",))
-
-
-def test_config_classify_thresholds_come_as_a_pair():
-    # a trial classifies with both thresholds: one without the other is
-    # refused where the config is built, not in the first trial
-    for eps, b in ((0.1, None), (None, 8.0)):
-        with pytest.raises(ValueError, match=f"^class_eps and class_b: set both or neither, "
-                                             f"got class_eps = {eps}, class_b = {b}$"):
-            _config(None, class_eps=eps, class_b=b)
-    assert _config(None, class_eps=None, class_b=None).class_eps is None
 
 
 def test_run_trial_fields_and_ordering(tmp_path):
@@ -116,7 +101,7 @@ def test_classifies_the_blocked_score_without_exact(tmp_path, monkeypatch):
     # without exact, each trial classifies the blocked partition of its walk;
     # the expected columns are totalled here one interval at a time
     monkeypatch.setattr(variation, "sq_variation_exact", _no_kernel)
-    cfg = _config(tmp_path, algorithms=("blocked", "dyadic_upper"), class_b=4.0)
+    cfg = _config(tmp_path, exact=False, thresholds=(0.1, 4.0))
     seen = set()
     for n in cfg.n_grid:
         ll = math.log(math.log(n))
@@ -205,17 +190,6 @@ def test_csv_round_trip(tmp_path):
     assert records_to_csv(back) == text
 
 
-def test_jsonl_mirror(tmp_path):
-    cfg = _config(tmp_path, jsonl_mirror=True, trials=1)
-    records = run_experiment(cfg)
-    write_outputs(records, cfg)
-    with open(cfg.output_path + ".jsonl") as fh:
-        lines = fh.read().splitlines()
-    assert len(lines) == len(records)
-    row = json.loads(lines[0])
-    assert row["n"] == 64 and row["v2_exact"] == records[0].v2_exact
-
-
 def test_invariant_violation_detected():
     rec = TrialRecord(
         trial_index=0, n=64, seed=1,
@@ -260,10 +234,9 @@ def test_parse_config(tmp_path):
         cfg = parse_config(str(path))
         assert cfg.spec == DistributionSpec("gaussian")
         assert cfg.n_grid == (64, 128)
-        assert cfg.algorithms == ("exact", "blocked", "dyadic_upper", "greedy")
-        assert cfg.block == 4
-        assert cfg.greedy_params.c == 4
-        assert cfg.class_b == 8.0
+        assert (cfg.exact, cfg.block, cfg.dyadic_upper) == (True, 4, True)
+        assert cfg.greedy_params == GreedyParams(s=2, c=4, alpha=0.25, eps3=0.5)
+        assert cfg.thresholds == (0.1, 8.0)
 
 
 def test_summarize_single_and_synthetic():
@@ -372,6 +345,27 @@ def test_cli_simulate_identical_bytes(tmp_path, capsys):
     assert "ratio_median" in capsys.readouterr().out
 
 
+def test_config_built_field_by_field_writes_the_ini_bytes(tmp_path, capsys):
+    # a script may build ExperimentConfig field by field: CONFIG_TEXT's fields
+    # give its records byte for byte, as does any order of its algorithms
+    out = tmp_path / "records.csv"
+    ini = tmp_path / "exp.ini"
+    ini.write_text(CONFIG_TEXT.format(out=out))
+    assert cli.main(["simulate", "--config", str(ini)]) == 0
+    direct = tmp_path / "direct.csv"
+    cfg = ExperimentConfig(spec=DistributionSpec("gaussian", sigma=1.0), n_grid=(64, 128),
+                           trials=3, master_seed=99, exact=True, block=4, dyadic_upper=True,
+                           greedy_params=GreedyParams(s=2, c=4, alpha=0.25, eps3=0.5),
+                           thresholds=(0.1, 8.0), output_path=str(direct))
+    write_outputs(run_experiment(cfg), cfg)
+    assert direct.read_bytes() == out.read_bytes()
+    reordered = tmp_path / "reordered.csv"
+    ini.write_text(CONFIG_TEXT.format(out=reordered).replace(
+        "exact, blocked:4, dyadic_upper, greedy", "greedy, dyadic_upper, blocked:4, exact"))
+    assert cli.main(["simulate", "--config", str(ini)]) == 0
+    assert reordered.read_bytes() == out.read_bytes()
+
+
 def _count_walks(monkeypatch) -> list[int]:
     """Wrap every sqvar module's binding of seqcore.prefix_sums, as the
     benchmark's probe does; the returned list receives each call's length."""
@@ -453,6 +447,27 @@ def test_cli_variant_takes_only_the_flags_it_reads(capsys, argv, message):
     assert captured.err.startswith("usage: sqvar ") and message in captured.err
 
 
+@pytest.mark.parametrize("argv,message", [
+    ("greedy --n 64 --se 3", "sqvar: error: unrecognized arguments: --se 3"),
+    ("greedy --n 64 --sp gaussian:sigma=1",
+     "sqvar: error: unrecognized arguments: --sp gaussian:sigma=1"),
+    ("greedy --n 64 --al 0.3", "sqvar: error: unrecognized arguments: --al 0.3"),
+    ("families h --e 0.5", "sqvar: error: unrecognized arguments: --e 0.5"),
+    ("bounds etemadi --tri 10", "sqvar: error: unrecognized arguments: --tri 10"),
+    ("compute --inp x", "sqvar compute: error: the following arguments are required: --input"),
+    ("--he compute --input x", "sqvar: error: unrecognized arguments: --he"),
+])
+def test_cli_refuses_flag_prefixes(capsys, argv, message):
+    # a flag has one spelling: the top parser, each subcommand and the
+    # flags bounds' checks share all refuse a prefix of one
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv.split())
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: sqvar") and message in captured.err
+
+
 def test_cli_families_l_refuses_s_below_2(capsys):
     assert cli.main(["families", "l", "--s", "0", "--c", "4"]) == 1
     captured = capsys.readouterr()
@@ -504,8 +519,8 @@ def test_cli_simulate_greedy_small_n(tmp_path, capsys):
      "config [experiment] trials: 'x' is not an integer"),
     (lambda s: s.replace("master_seed = 99", "master_seed = 1e3"),
      "config [experiment] master_seed: '1e3' is not an integer"),
-    (lambda s: s.replace("trials = 3\n", "trials = 3\njsonl = maybe\n"),
-     "config [experiment] jsonl: 'maybe' is not a boolean"),
+    (lambda s: s.replace("trials = 3\n", "trials = 3\njsonl = true\n"),
+     "config [experiment] has unknown keys: jsonl"),
     (lambda s: s.replace("\ns = 2\n", "\ns = x\n"), "config [greedy] s: 'x' is not an integer"),
     (lambda s: s.replace("alpha = 0.25", "alpha = 0.7"),
      "config [greedy] alpha must lie in (0, 1/2)"),
@@ -528,12 +543,14 @@ def test_cli_simulate_greedy_small_n(tmp_path, capsys):
     (lambda s: s.replace("algorithms = exact, blocked:4, dyadic_upper, greedy",
                          "algorithms = exact, blocked:4, blocked:8, exact"),
      "config [experiment] algorithms: repeated 'blocked', 'exact'"),
+    (lambda s: s[:s.index("[greedy]")],
+     "config [experiment] algorithms: greedy needs greedy parameters, a [greedy] section"),
 ], ids=["no-header", "no-section", "no-n_grid", "no-trials", "misspelt-key", "stale-key",
         "greedy-key", "unknown-section", "default-key", "default-n_grid", "n_grid-float",
-        "trials-word", "master_seed-float", "jsonl-word", "greedy-s-word", "greedy-alpha-range",
+        "trials-word", "master_seed-float", "jsonl-key", "greedy-s-word", "greedy-alpha-range",
         "classify-eps-word", "spec-missing-value", "n_grid-negative", "trials-negative",
         "algorithms-unknown", "greedy-eps3-range", "greedy-c-power", "spec-a-off-pareto",
-        "algorithms-repeated"])
+        "algorithms-repeated", "algorithms-greedy-unset"])
 def test_cli_simulate_config_missing(tmp_path, capsys, edit, named):
     ini = tmp_path / "exp.ini"
     ini.write_text(edit(CONFIG_TEXT.format(out=tmp_path / "r.csv")))
@@ -1290,13 +1307,13 @@ def test_cli_bounds_rosenthal_non_finite_p(capsys, p):
 
 
 def test_cli_chain_warning_free(tmp_path):
-    # simulate (every algorithm, classify, JSON-lines mirror), summarize, every
+    # simulate (every algorithm and classify), summarize, every
     # plotdata kind, the three family schemes (h at eps' = 1/2 and 1/3), the
     # four bound checks, greedy and compute (at p = 2, and off 2 on short and
     # on long record chains), with warnings raised as errors and dev-mode checks
     out = tmp_path / "records.csv"
     ini = tmp_path / "exp.ini"
-    ini.write_text(CONFIG_TEXT.format(out=out).replace("[classify]", "jsonl = true\n\n[classify]"))
+    ini.write_text(CONFIG_TEXT.format(out=out))
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = {k: v for k, v in os.environ.items() if k != "SQVAR_THREADS"}
     env["PYTHONPATH"] = os.path.abspath(src)
@@ -1322,7 +1339,6 @@ def test_cli_chain_warning_free(tmp_path):
             capture_output=True, text=True, env=env, timeout=120,
         )
         assert (proc.returncode, proc.stderr) == (0, ""), argv
-    assert os.path.getsize(str(out) + ".jsonl") > 0
 
 
 def test_large_trial_holds_only_the_walk_on_entry_to_each_kernel(tmp_path, monkeypatch):
@@ -1330,8 +1346,8 @@ def test_large_trial_holds_only_the_walk_on_entry_to_each_kernel(tmp_path, monke
     # what was held before run_trial, is the walk and small change
     n = 1 << 20
     cfg = _config(tmp_path, n_grid=(n,), trials=1,
-                  algorithms=("blocked", "dyadic_upper", "greedy"), block=256,
-                  greedy_params=GreedyParams(), class_b=2432.0)
+                  exact=False, block=256, greedy_params=GreedyParams(),
+                  thresholds=(0.1, 2432.0))
     held = {}
 
     def entry(module, name):

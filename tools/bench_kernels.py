@@ -103,9 +103,8 @@ def _kernels(n: int):
     if n in (1 << (MAX_LOG2 - 2), 1 << MAX_LOG2):
         past = prefix_sums(sample_sequence(gaussian, n + 1, SEED))
         cell = ExperimentConfig(spec=gaussian, n_grid=(n,), trials=1, master_seed=SEED,
-                                algorithms=("blocked", "dyadic_upper", "greedy"), block=256,
-                                greedy_params=params, class_eps=0.1,
-                                class_b=default_bad_threshold())
+                                exact=False, block=256, dyadic_upper=True, greedy_params=params,
+                                thresholds=(0.1, default_bad_threshold()))
         large = [("dyadic:past_pow2", n + 1, lambda: sq_variation_upper_dyadic(past)),
                  ("trial:lab_large", n, lambda: run_trial(cell, n, 0))]
     return [
