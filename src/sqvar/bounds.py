@@ -4,12 +4,13 @@ Covered: the maximal Bernstein/Hoeffding tail bound for bounded summands
 (with explicit constant 2 from the one-sided exponential-martingale argument
 applied to both signs), Etemadi's maximal inequality, the Kolmogorov
 distance to the normal limit (CDF from math.erfc), and the Rosenthal moment ratio.
+Each estimator refuses an empty ensemble (_check_ensemble) before it draws and
+returns floats; std_err gives a tail frequency's binomial standard error.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,14 +19,15 @@ from .seqcore import DistributionSpec, _rng_for, mix_seed, sample_sequence
 _CHUNK = 1 << 22  # elements per Monte Carlo block
 
 
-@dataclass(frozen=True)
-class EmpiricalTail:
-    frequency: float
-    trials: int
+def std_err(frequency: float, trials: int) -> float:
+    """The binomial standard error of a frequency over `trials` draws."""
+    return math.sqrt(frequency * (1.0 - frequency) / trials)
 
-    @property
-    def std_err(self) -> float:
-        return math.sqrt(self.frequency * (1.0 - self.frequency) / self.trials)
+
+def _check_ensemble(length: int, trials: int) -> None:
+    """Refuse an ensemble of no walks, or of walks of no steps."""
+    if length < 1 or trials < 1:
+        raise ValueError("need L >= 1 and trials >= 1")
 
 
 def bernstein_maximal_bound(t: float, sum_var: float, m_bound: float) -> float:
@@ -36,21 +38,16 @@ def bernstein_maximal_bound(t: float, sum_var: float, m_bound: float) -> float:
     for name, value in (("t", t), ("sum_var", sum_var), ("m_bound", m_bound)):
         if not 0 < value < math.inf:
             raise ValueError(f"bernstein bound needs finite {name} > 0, got {value!r}")
-    expo = -(t * t / 2.0) / (sum_var + m_bound * t / 3.0)
-    return min(1.0, 2.0 * math.exp(expo))
+    return min(1.0, 2.0 * math.exp(-(t * t / 2.0) / (sum_var + m_bound * t / 3.0)))
 
 
 def _iter_chunks(spec: DistributionSpec, length: int, trials: int, seed: int):
     """Yield (rows, length) sample blocks; blocks are keyed by index so the
     stream is independent of how callers schedule them."""
-    rows = max(1, _CHUNK // max(1, length))
-    done = 0
-    idx = 0
-    while done < trials:
+    rows = max(1, _CHUNK // length)
+    for idx, done in enumerate(range(0, trials, rows)):
         take = min(rows, trials - done)
         yield sample_sequence(spec, take * length, mix_seed(seed, idx)).reshape(take, length)
-        done += take
-        idx += 1
 
 
 def _abs_walks(spec: DistributionSpec, length: int, trials: int, seed: int):
@@ -64,37 +61,29 @@ def _abs_walks(spec: DistributionSpec, length: int, trials: int, seed: int):
         yield walks
 
 
-def maximal_tail_empirical(
-    spec: DistributionSpec, length: int, t: float, trials: int, seed: int
-) -> EmpiricalTail:
+def maximal_tail_empirical(spec: DistributionSpec, length: int, t: float, trials: int,
+                           seed: int) -> float:
     """Monte Carlo frequency of max_{1<=l<=L} |S_l| > t."""
     if t <= 0:
         raise ValueError("t must be > 0")
-    if length < 1 or trials < 1:
-        raise ValueError("need L >= 1 and trials >= 1")
-    hits = 0
-    for walks in _abs_walks(spec, length, trials, seed):
-        hits += int(np.count_nonzero(walks.max(axis=1) > t))
-    return EmpiricalTail(frequency=hits / trials, trials=trials)
+    _check_ensemble(length, trials)
+    walks = _abs_walks(spec, length, trials, seed)
+    return sum(int(np.count_nonzero(w.max(axis=1) > t)) for w in walks) / trials
 
 
-def etemadi_check(
-    spec: DistributionSpec, length: int, a: float, trials: int, seed: int
-) -> tuple[EmpiricalTail, float]:
+def etemadi_check(spec: DistributionSpec, length: int, a: float, trials: int,
+                  seed: int) -> tuple[float, float]:
     """Empirical P[max_l |S_l| >= 3a] against 3 max_l P[|S_l| >= a], both
-    estimated from the same trial ensemble."""
+    frequencies of the same trial ensemble."""
     if a <= 0:
         raise ValueError("a must be > 0")
-    if length < 1 or trials < 1:
-        raise ValueError("need L >= 1 and trials >= 1")
+    _check_ensemble(length, trials)
     lhs_hits = 0
     per_step = np.zeros(length, dtype=np.int64)
     for walks in _abs_walks(spec, length, trials, seed):
         lhs_hits += int(np.count_nonzero(walks.max(axis=1) >= 3.0 * a))
         per_step += np.count_nonzero(walks >= a, axis=0)
-    lhs = EmpiricalTail(frequency=lhs_hits / trials, trials=trials)
-    rhs = 3.0 * float(per_step.max()) / trials
-    return lhs, rhs
+    return lhs_hits / trials, 3.0 * float(per_step.max()) / trials
 
 
 def berry_esseen_distance(spec: DistributionSpec, k: int, trials: int, seed: int) -> float:
@@ -102,8 +91,7 @@ def berry_esseen_distance(spec: DistributionSpec, k: int, trials: int, seed: int
     standard normal, by the sorted-sample sup formula."""
     if spec.sigma != 1.0:
         raise ValueError("Berry-Esseen check requires a unit-variance spec")
-    if k < 1 or trials < 1:
-        raise ValueError("need k >= 1 and trials >= 1")
+    _check_ensemble(k, trials)
     if spec.kind == "rademacher":  # S_k = 2 Binomial(k, 1/2) - k, drawn directly
         sums = 2.0 * _rng_for(mix_seed(seed, 0)).binomial(k, 0.5, size=trials) - k
     else:
@@ -119,9 +107,7 @@ def _normal_cdf(z: np.ndarray) -> np.ndarray:
     return np.array([0.5 * math.erfc(-x / math.sqrt(2)) for x in z.tolist()])
 
 
-def rosenthal_ratio(
-    spec: DistributionSpec, p: float, ell: int, trials: int, seed: int
-) -> float:
+def rosenthal_ratio(spec: DistributionSpec, p: float, ell: int, trials: int, seed: int) -> float:
     """(E|S_l|^p)^(1/p) divided by max{(l E|X|^p)^(1/p), (l E X^2)^(1/2)}.
 
     Rosenthal's inequality says this stays below a constant depending only
@@ -133,13 +119,11 @@ def rosenthal_ratio(
     m = spec.abs_moment(p)  # before any walk is drawn
     if m == math.inf:
         raise ValueError(f"spec has infinite absolute moment of order {p}")
-    if ell < 1 or trials < 1:
-        raise ValueError("need ell >= 1 and trials >= 1")
+    _check_ensemble(ell, trials)
     acc = 0.0
     with np.errstate(over="ignore"):  # checked just below
         for block in _iter_chunks(spec, ell, trials, seed):
             acc += float(np.sum(np.abs(block.sum(axis=1)) ** p))
     if not math.isfinite(acc):
         raise ValueError(f"empirical E|S_l|^p overflows float64 at p = {p!r}")
-    numer = (acc / trials) ** (1.0 / p)
-    return numer / max((ell * m) ** (1.0 / p), math.sqrt(ell) * spec.sigma)
+    return (acc / trials) ** (1.0 / p) / max((ell * m) ** (1.0 / p), math.sqrt(ell) * spec.sigma)

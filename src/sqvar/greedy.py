@@ -23,6 +23,10 @@ from .variation import Partition, VariationResult, partition_value
 
 @dataclass(frozen=True)
 class GreedyParams:
+    """c moves no value on the lab's power-of-two grids and eps3 barely any; alpha does.
+    At s = 2, c = 4 ... 64 select one cover chain at every N = 2^7 ... 2^30 (most other N
+    differ); eps3 = 0.5, 0.25, 0.1 moved the Gaussian ratio by < 0.01 at 2^10 ... 2^20,
+    and alpha = 0.05, 0.25, 0.45 gave 0.52, 0.67, 0.69 of 2 sigma^2 N lnln N at 2^20."""
     s: int = 2
     c: int = 4
     alpha: float = 0.25

@@ -33,7 +33,8 @@ class ExperimentConfig:
     """One field per choice that changes the records: exact runs the exact DP,
     block (when set) the blocked DP, dyadic_upper the dyadic upper bound,
     greedy_params (when set) the greedy partition, and thresholds (eps, b), when
-    set, classify each trial with n >= 16 and an exact or blocked partition."""
+    set, classify the exact (else the blocked) partition of each trial with
+    n >= 16, so they need one of the two."""
     spec: DistributionSpec
     n_grid: tuple[int, ...]
     trials: int
@@ -46,12 +47,21 @@ class ExperimentConfig:
     output_path: str = "records.csv"
 
     def __post_init__(self):
-        """A ValueError starts with the key at fault; parse_config adds the section."""
+        """A ValueError starts with the field at fault; parse_config names its section."""
         if self.trials < 0:
             raise ValueError(f"trials: must be >= 0, got {self.trials}")
         if list(self.n_grid) != sorted(set(self.n_grid)) or any(n < 1 for n in self.n_grid):
             raise ValueError(f"n_grid: must be strictly increasing positive integers, "
                              f"got {', '.join(map(str, self.n_grid))}")
+        if self.block is not None and self.block < 1:
+            raise ValueError(f"block: must be >= 1, got {self.block}")
+        if self.thresholds is not None:
+            try:
+                classify.check_thresholds(*self.thresholds)
+            except ValueError as exc:
+                raise ValueError(f"thresholds: {exc}") from None
+            if not self.exact and self.block is None:
+                raise ValueError("thresholds: needs an exact or blocked partition to classify")
 
 
 @dataclass(frozen=True)
@@ -133,7 +143,7 @@ def run_trial(config: ExperimentConfig, n: int, trial_index: int) -> TrialRecord
     ratio_hi = min(highs) / denom if (highs and denom) else None
 
     cls = {}
-    if config.thresholds is not None and scored is not None and n >= 16:
+    if config.thresholds is not None and n >= 16:  # then scored is set
         eps, b = config.thresholds
         cls = dict(classify.classify_partition(scored, eps, b), b_param=b, eps_param=eps)
 
@@ -169,9 +179,11 @@ def run_experiment(config: ExperimentConfig) -> list[TrialRecord]:
     tasks = [(config, n, t) for n in config.n_grid for t in range(config.trials)]
     threads = os.environ.get("SQVAR_THREADS", "1")
     try:
-        workers = max(1, int(threads))
+        workers = int(threads)
     except ValueError:
         raise ValueError(f"SQVAR_THREADS must be an integer, got {threads!r}") from None
+    if workers < 1:
+        raise ValueError(f"SQVAR_THREADS must be >= 1, got {threads!r}")
     workers = min(workers, len(tasks))  # a fork-started pool forks them all at once
     if workers <= 1:
         return [run_trial(*task) for task in tasks]
@@ -271,7 +283,7 @@ def parse_config(path: str) -> ExperimentConfig:
     [greedy] s, c, alpha, eps3: the GreedyParams fields, each defaulting to
     its field's default; the section is required when greedy runs.
     [classify] eps (0.1), b (default_bad_threshold()); when present, trials
-    with n >= 16 and an exact or blocked partition are classified.
+    with n >= 16 are classified, and exact or blocked must run.
     Any other section or key is refused by name.
     """
     cp = configparser.ConfigParser(default_section="")  # no default: [DEFAULT] is unknown
@@ -327,10 +339,6 @@ def parse_config(path: str) -> ExperimentConfig:
         c = cp["classify"]
         thresholds = (_get(c, "eps", float, 0.1),
                       _get(c, "b", float, classify.default_bad_threshold()))
-        try:
-            classify.check_thresholds(*thresholds)
-        except ValueError as exc:
-            raise ValueError(f"config [classify] {exc}") from None
     try:
         spec = DistributionSpec.from_string(exp.get("spec", "gaussian:sigma=1"))
     except ValueError as exc:
@@ -350,8 +358,10 @@ def parse_config(path: str) -> ExperimentConfig:
     )
     try:
         return ExperimentConfig(**values)
-    except ValueError as exc:
-        raise ValueError(f"config [experiment] {exc}") from None
+    except ValueError as exc:  # [classify] holds the thresholds, [experiment] the rest
+        field, _, why = str(exc).partition(": ")
+        where = "[classify]" if field == "thresholds" else f"[experiment] {field}:"
+        raise ValueError(f"config {where} {why}") from None
 
 
 # --- summaries ---------------------------------------------------------------

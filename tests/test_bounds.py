@@ -14,6 +14,7 @@ from sqvar.bounds import (
     etemadi_check,
     maximal_tail_empirical,
     rosenthal_ratio,
+    std_err,
 )
 from sqvar.seqcore import DistributionSpec
 
@@ -53,11 +54,10 @@ def test_bernstein_monotonicity():
 
 def test_maximal_tail_impossible_and_certain():
     # t above L*M makes the event impossible
-    tail = maximal_tail_empirical(RAD, 8, 9.0, 2000, 1)
-    assert tail.frequency == 0.0
-    tail = maximal_tail_empirical(RAD, 8, 1e-6, 2000, 1)
-    assert tail.frequency == 1.0
-    assert tail.std_err == 0.0
+    assert maximal_tail_empirical(RAD, 8, 9.0, 2000, 1) == 0.0
+    freq = maximal_tail_empirical(RAD, 8, 1e-6, 2000, 1)
+    assert freq == 1.0
+    assert std_err(freq, 2000) == 0.0
     with pytest.raises(ValueError):
         maximal_tail_empirical(RAD, 8, -1.0, 10, 1)
 
@@ -66,21 +66,35 @@ def test_maximal_tail_under_bernstein():
     for spec in (RAD, UNI):
         m = spec.almost_sure_bound()
         for t, ell in ((8.0, 64), (12.0, 64), (10.0, 128)):
-            emp = maximal_tail_empirical(spec, ell, t, 20_000, 42)
+            freq = maximal_tail_empirical(spec, ell, t, 20_000, 42)
             bound = bernstein_maximal_bound(t, float(ell), m)
-            assert emp.frequency <= bound + 3.0 * emp.std_err
+            assert freq <= bound + 3.0 * std_err(freq, 20_000)
 
 
 def test_etemadi():
     lhs, rhs = etemadi_check(RAD, 8, 4.0, 2000, 3)
-    assert lhs.frequency == 0.0 and lhs.frequency <= rhs  # 3a = 12 > L*M = 8
+    assert lhs == 0.0 and lhs <= rhs  # 3a = 12 > L*M = 8
     lhs, rhs = etemadi_check(RAD, 8, 1e-9, 500, 3)
-    assert rhs == 3.0 and lhs.frequency <= 1.0
+    assert rhs == 3.0 and lhs <= 1.0
     lhs, rhs = etemadi_check(RAD, 32, 4.0, 20_000, 7)
-    assert lhs.frequency <= rhs + 3.0 * lhs.std_err
-    for length, trials in ((0, 10), (8, 0)):
+    assert lhs <= rhs + 3.0 * std_err(lhs, 20_000)
+
+
+@pytest.mark.parametrize("length,trials", [(0, 10), (8, 0)])
+def test_estimators_refuse_an_empty_ensemble_before_any_draw(monkeypatch, length, trials):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a walk was drawn")
+
+    monkeypatch.setattr(bounds, "sample_sequence", no_draw)
+    monkeypatch.setattr(bounds, "_rng_for", no_draw)  # berry-esseen's binomial path
+    gauss = DistributionSpec("gaussian")
+    for estimate in (lambda: maximal_tail_empirical(RAD, length, 4.0, trials, 3),
+                     lambda: etemadi_check(RAD, length, 4.0, trials, 3),
+                     lambda: berry_esseen_distance(RAD, length, trials, 3),
+                     lambda: berry_esseen_distance(gauss, length, trials, 3),
+                     lambda: rosenthal_ratio(RAD, 4.0, length, trials, 3)):
         with pytest.raises(ValueError, match="^need L >= 1 and trials >= 1$"):
-            etemadi_check(RAD, length, 4.0, trials, 3)
+            estimate()
 
 
 def test_berry_esseen_two_atom():
@@ -192,3 +206,41 @@ def test_rosenthal_overflow_fails_by_name(spec, p, capsys):
     assert captured.out == ""
     assert captured.err.startswith("sqvar: error: ") and captured.err.count("\n") == 1
     assert f"p = {float(p)!r}" in captured.err
+
+
+# Each check's estimator, stubbed to give a row whose pass value fails: a
+# frequency above its bound, or a Berry-Esseen distance growing with k.
+_FAILING = {
+    "bernstein": ("maximal_tail_empirical", lambda spec, length, t, trials, seed: 1.0),
+    "etemadi": ("etemadi_check", lambda spec, length, a, trials, seed: (1.0, 0.0)),
+    "berry-esseen": ("berry_esseen_distance", lambda spec, k, trials, seed: float(k)),
+    "rosenthal": ("rosenthal_ratio", lambda spec, p, ell, trials, seed: 1e9),
+}
+
+
+@pytest.mark.parametrize("check", list(_FAILING))
+def test_cli_bounds_exit_code_follows_the_pass_values(tmp_path, capsys, monkeypatch, check):
+    # exit 2 once the whole CSV is written; rosenthal's rows are report-only
+    monkeypatch.setattr(bounds, *_FAILING[check])
+    out = tmp_path / "bounds.csv"
+    rc = cli.main(["bounds", check, "--trials", "10", "--out", str(out)])
+    rows = [ln.split(",") for ln in out.read_text().splitlines()]
+    assert len(rows) == 1 + len(cli._DEFAULT_GRIDS[check])
+    passes = {row[4] for row in rows[1:]}
+    if check == "rosenthal":
+        assert (rc, passes) == (0, {"report-only"})
+        assert capsys.readouterr().err == ""
+    else:
+        assert rc == 2 and "false" in passes
+        assert capsys.readouterr().err == (
+            "sqvar: invariant violation: empirical value exceeded its bound\n")
+
+
+def test_cli_bernstein_refuses_an_unbounded_spec_whatever_the_grid(tmp_path, capsys):
+    grid = tmp_path / "grid.csv"
+    grid.write_text("")
+    for extra in ([], ["--grid", str(grid)]):
+        assert cli.main(["bounds", "bernstein", "--spec", "gaussian:sigma=1", *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "sqvar: error: bernstein comparison needs a bounded spec\n"

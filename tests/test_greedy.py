@@ -132,6 +132,15 @@ def test_select_cover_respects_divisibility():
         assert (b - a) & (b - a - 1) == 0  # power of two sizes
 
 
+def test_c_moves_no_cover_chain_at_powers_of_two():
+    # GreedyParams' docstring: at s = 2 every c gives one chain at N = 2^7 ... 2^24,
+    # so c moves no value on a power-of-two grid; it does at other N
+    copies = (4, 8, 16, 32, 64)
+    for k in range(7, 25):
+        assert len({tuple(select_cover_intervals(1 << k, 2, c)) for c in copies}) == 1, k
+    assert len({tuple(select_cover_intervals(100, 2, c)) for c in copies}) > 1
+
+
 def test_cover_chain_reads_the_L_family():
     # every interval greedy covers with is an interval of the family that
     # `sqvar families l` certifies

@@ -84,6 +84,20 @@ def test_config_validation():
     assert _config(None, n_grid=(1 << 16,)).n_grid == (1 << 16,)  # no size cap on exact
 
 
+@pytest.mark.parametrize("kwargs,named", [
+    (dict(block=0), "^block: must be >= 1, got 0$"),
+    (dict(thresholds=(0.1, 1.0)),
+     "^thresholds: needs eps > 0 and b > 2 \\+ eps, got eps = 0.1, b = 1$"),
+    (dict(exact=False, block=None),
+     "^thresholds: needs an exact or blocked partition to classify$"),
+], ids=["block-0", "thresholds-range", "thresholds-unscored"])
+def test_config_built_in_code_refuses_at_construction(monkeypatch, kwargs, named):
+    # named by field before any trial, as parse_config names them by section
+    monkeypatch.setattr(labcli, "sample_sequence", _no_kernel)
+    with pytest.raises(ValueError, match=named):
+        run_experiment(_config(None, **kwargs))
+
+
 def test_run_trial_fields_and_ordering(tmp_path):
     cfg = _config(tmp_path)
     records = run_experiment(cfg)
@@ -545,12 +559,15 @@ def test_cli_simulate_greedy_small_n(tmp_path, capsys):
      "config [experiment] algorithms: repeated 'blocked', 'exact'"),
     (lambda s: s[:s.index("[greedy]")],
      "config [experiment] algorithms: greedy needs greedy parameters, a [greedy] section"),
+    (lambda s: s.replace("algorithms = exact, blocked:4, dyadic_upper, greedy",
+                         "algorithms = dyadic_upper, greedy"),
+     "config [classify] needs an exact or blocked partition to classify"),
 ], ids=["no-header", "no-section", "no-n_grid", "no-trials", "misspelt-key", "stale-key",
         "greedy-key", "unknown-section", "default-key", "default-n_grid", "n_grid-float",
         "trials-word", "master_seed-float", "jsonl-key", "greedy-s-word", "greedy-alpha-range",
         "classify-eps-word", "spec-missing-value", "n_grid-negative", "trials-negative",
         "algorithms-unknown", "greedy-eps3-range", "greedy-c-power", "spec-a-off-pareto",
-        "algorithms-repeated", "algorithms-greedy-unset"])
+        "algorithms-repeated", "algorithms-greedy-unset", "classify-unscored"])
 def test_cli_simulate_config_missing(tmp_path, capsys, edit, named):
     ini = tmp_path / "exp.ini"
     ini.write_text(edit(CONFIG_TEXT.format(out=tmp_path / "r.csv")))
@@ -647,6 +664,20 @@ def test_cli_simulate_bad_threads(tmp_path, capsys, monkeypatch):
     assert cli.main(["simulate", "--config", str(ini)]) == 1
     err = capsys.readouterr().err
     assert err == "sqvar: error: SQVAR_THREADS must be an integer, got 'two'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_cli_simulate_threads_below_one(tmp_path, capsys, monkeypatch, threads):
+    # a count of workers below 1 is refused, not run serially as a second spelling of 1
+    monkeypatch.setattr(labcli, "sample_sequence", _no_kernel)
+    monkeypatch.setenv("SQVAR_THREADS", threads)
+    out = tmp_path / "r.csv"
+    ini = tmp_path / "exp.ini"
+    ini.write_text(CONFIG_TEXT.format(out=out))
+    assert cli.main(["simulate", "--config", str(ini)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"sqvar: error: SQVAR_THREADS must be >= 1, got '{threads}'\n"
     assert not out.exists()
 
 

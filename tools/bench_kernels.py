@@ -16,30 +16,23 @@ dyadic bound on the walk of one more step (`dyadic:past_pow2`, N = 2^k + 1,
 whose levels run to 2^(k+1)), and one whole `labcli.run_trial` of the
 benchmark's `lab_large` cell (`trial:lab_large`: gaussian, blocked:256,
 dyadic_upper and greedy, classified at eps 0.1; seed SEED, trial 0), from
-sampling to its record. The `parse:compute` row reads each `process:compute`
-file below in process with `cli._read_numbers`, `sqvar compute`'s parser.
+sampling to its record. The `parse:compute` row reads a {-1, 0, 1} file of
+N = 2^14 and 2^15 values (seed 7) in process with `cli._read_numbers`,
+`sqvar compute`'s parser; the whole `sqvar compute --p 3` process on such
+files of these sizes is the benchmark's `compute_lattice` workload.
 The run makes ROUNDS passes over every kernel and size, and in each pass
 repeats a kernel until its repetitions take MIN_TOTAL_S / ROUNDS; the file
 holds, per kernel, the sizes timed, the median, the quartiles
 (`q1_s`, `q3_s`, linear interpolation) and the fastest repetition per size,
 and the exponents of N fitted by least squares to the log of the median and
-of the fastest over the larger half of those sizes. The `process:compute` row is
-the cost of a whole process: once per pass and size it runs a fresh
-`python -m sqvar.cli compute --p 3` on a {-1, 0, 1} file of N = 2^14 and 2^15
-values (seed 7) and records its wall time, its user + sys CPU time as
-`cpu_median_s` and `cpu_min_s`, and its peak resident set, from `wait4`'s
-`ru_maxrss`, as `rss_max_mb` (the largest of the passes); a bare launcher
-process starts it, so that this process's own peak does not leak into it.
-The child runs the sqvar that this process imported, with SQVAR_THREADS=1 and
-without OPENBLAS_NUM_THREADS, so that it pays the start-up a user's shell
-would. On a shared host a busy neighbour slows the machine for seconds at a
-time; spread over passes, such a spell slows some repetitions of every kernel
-instead of all repetitions of one, and the fastest repetition is the steadier
-figure. After the passes, one more call per in-process kernel and size,
-untimed, runs under tracemalloc: `peak_mb` is its peak allocation above what
-was held before it. Allocation sizes do not depend on host load, so this
-column compares across files where the times may not. MB are 2^20 bytes. The
-file is written to the current directory; the sqvar on PYTHONPATH is the one
+of the fastest over the larger half of those sizes. On a shared host a busy
+neighbour slows the machine for seconds at a time; spread over passes, such a
+spell slows some repetitions of every kernel instead of all repetitions of
+one, and the fastest repetition is the steadier figure. After the passes, one
+more call per kernel and size, untimed, runs under tracemalloc: `peak_mb` is
+its peak allocation above what was held before it. Allocation sizes do not
+depend on host load, so this column compares across files where the times may
+not. MB are 2^20 bytes. The file is written to the current directory; the sqvar on PYTHONPATH is the one
 timed, so pointing PYTHONPATH at another checkout's src times that tree.
 """
 
@@ -50,15 +43,12 @@ import json
 import os
 import platform
 import statistics
-import subprocess
-import sys
 import tempfile
 import time
 import tracemalloc
 
 import numpy as np
 
-import sqvar
 from sqvar import cli
 from sqvar.classify import classify_partition, default_bad_threshold
 from sqvar.greedy import GreedyParams, greedy_partition
@@ -79,7 +69,7 @@ MAX_LOG2 = 20
 EXACT_MAX_LOG2 = 22
 DRIFT = 0.3
 DRIFT_MAX_LOG2 = 16
-PROCESS_SIZES = (1 << 14, 1 << 15)
+PARSE_SIZES = (1 << 14, 1 << 15)
 
 
 def _kernels(n: int):
@@ -120,36 +110,6 @@ def _kernels(n: int):
         ("classify", n, lambda: classify_partition(exact, 0.1, default_bad_threshold())),
         *large,
     ]
-
-
-# Linux carries a process's peak RSS across exec into the program it runs, so
-# a child of this process, which holds every walk, would report this process's
-# peak as its own ru_maxrss. A bare interpreter spawns the child instead and
-# prints its wall time, exit code, user + sys CPU time and ru_maxrss (KiB).
-_LAUNCHER = """
-import os, sys, time
-t0 = time.perf_counter()
-pid = os.posix_spawn(sys.argv[1], sys.argv[1:], os.environ,
-                     file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
-_, status, ru = os.wait4(pid, 0)
-print(time.perf_counter() - t0, os.waitstatus_to_exitcode(status),
-      ru.ru_utime + ru.ru_stime, ru.ru_maxrss)
-"""
-
-
-def _compute_process(path: str) -> tuple[float, float, float]:
-    """(wall s, user + sys CPU s, peak RSS MB) of one fresh `sqvar compute --p 3`
-    on path."""
-    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(sqvar.__file__)))
-    env["SQVAR_THREADS"] = "1"
-    argv = [sys.executable, "-m", "sqvar.cli", "compute", "--p", "3", "--input", path]
-    launched = subprocess.run([sys.executable, "-c", _LAUNCHER, *argv], env=env, check=True,
-                              stdout=subprocess.PIPE, text=True)
-    wall, code, cpu_s, rss_kib = launched.stdout.split()
-    if int(code) != 0:
-        raise RuntimeError(f"`sqvar compute` on {path} exited {code}")
-    return float(wall), float(cpu_s), int(rss_kib) / 1024.0
 
 
 def _peak_mb(fn) -> float:
@@ -194,25 +154,18 @@ def main(argv: list[str] | None = None) -> dict:
     sizes = [1 << k for k in range(10, MAX_LOG2 + 1)]
     layers = {1 << k: _kernels(1 << k) for k in range(10, max(MAX_LOG2, EXACT_MAX_LOG2) + 1)}
     timed: dict[tuple[str, int], list[float]] = {}
-    cpu: dict[int, list[float]] = {}
-    rss: dict[int, list[float]] = {}
     with tempfile.TemporaryDirectory() as work:
         rng = np.random.default_rng(SEED)
-        lattices = {n: os.path.join(work, f"lattice_{n}.txt") for n in PROCESS_SIZES}
+        lattices = {n: os.path.join(work, f"lattice_{n}.txt") for n in PARSE_SIZES}
         for n, path in lattices.items():
             np.savetxt(path, rng.integers(-1, 2, n), fmt="%d")
-        in_process = [*(k for n in layers for k in layers[n]),
+        calls = [*(k for n in layers for k in layers[n]),
                       *(("parse:compute", n, lambda path=path: cli._read_numbers(path))
                         for n, path in lattices.items())]
         for _ in range(ROUNDS):
-            for name, size, fn in in_process:
+            for name, size, fn in calls:
                 timed.setdefault((name, size), []).extend(_times(fn))
-            for n, path in lattices.items():
-                wall, cpu_s, rss_mb = _compute_process(path)
-                timed.setdefault(("process:compute", n), []).append(wall)
-                cpu.setdefault(n, []).append(cpu_s)
-                rss.setdefault(n, []).append(rss_mb)
-        peak = {(name, size): _peak_mb(fn) for name, size, fn in in_process}
+        peak = {(name, size): _peak_mb(fn) for name, size, fn in calls}
     kernels: dict[str, dict] = {}
     for (name, n), times in timed.items():
         row = kernels.setdefault(name, {"sizes": [], "median_s": [], "q1_s": [], "q3_s": [],
@@ -224,12 +177,7 @@ def main(argv: list[str] | None = None) -> dict:
         row["q3_s"].append(float(f"{q3:.6g}"))
         row["min_s"].append(float(f"{min(times):.6g}"))
         row["reps"].append(len(times))
-        if (name, n) in peak:
-            row.setdefault("peak_mb", []).append(float(f"{peak[name, n]:.6g}"))
-    row = kernels["process:compute"]
-    row["cpu_median_s"] = [float(f"{statistics.median(cpu[n]):.6g}") for n in row["sizes"]]
-    row["cpu_min_s"] = [float(f"{min(cpu[n]):.6g}") for n in row["sizes"]]
-    row["rss_max_mb"] = [float(f"{max(rss[n]):.6g}") for n in row["sizes"]]
+        row.setdefault("peak_mb", []).append(float(f"{peak[name, n]:.6g}"))
     for row in kernels.values():
         row["exponent"] = _exponent(row["sizes"], row["median_s"])
         row["exponent_min"] = _exponent(row["sizes"], row["min_s"])
@@ -239,11 +187,9 @@ def main(argv: list[str] | None = None) -> dict:
                     "python": platform.python_version(), "numpy": np.__version__},
         "walk": (f"gaussian:sigma=1, seed {SEED}, one walk per size; exact:drift on the "
                  f"same steps + {DRIFT}; exact:lattice at p = 3 on {{-1, 0, 1}} steps, seed "
-                 f"{SEED}; pareto at a = 2.5; parse:compute and process:compute on "
-                 f"{{-1, 0, 1}} files, seed {SEED}, one fresh process per pass and size"),
+                 f"{SEED}; pareto at a = 2.5; parse:compute on {{-1, 0, 1}} files, seed {SEED}"),
         "memory": ("peak_mb: tracemalloc peak of one untimed call above what was held "
-                   "before it; rss_max_mb: largest ru_maxrss of the process:compute "
-                   "children; MB = 2^20 bytes"),
+                   "before it; MB = 2^20 bytes"),
         "sizes": sizes,
         "fit": ("least-squares slope of log median_s (exponent) and of log min_s "
                 "(exponent_min) against log N over the larger half of a row's sizes"),
